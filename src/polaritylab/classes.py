@@ -5,27 +5,29 @@ induce two P4s), P4-extendible graphs (every P4 has at most one outside
 vertex on a P4 meeting it), and C5-free P4-extendible graphs ("62").
 
 Each recognizer comes in two independent flavors. The definitional one
-checks the forbidden-structure condition directly; the structural one runs
-the connectedness recursion (components / co-components / spider nodes) and
-is also what the decomposition trees are built from.
+checks the forbidden-structure condition directly; the structural one is
+the decomposition itself: the connectedness recursion (components /
+co-components / spider nodes) that builds the decomposition trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator, Literal, Optional, Union
 
 from . import graphs as gr
 from .errors import BadParameter, CapExceeded, NotAP4, NotInClass
 from .graphs import (
     ENUM_CAP,
-    VERTEX_CAP,
     Graph,
     _bits_to_tuple,
     _co_component_masks,
     _component_masks,
+    _k_subsets,
+    _mask_of,
+    _p4_masks_in,
+    _spider_over,
     catalog,
     complete_graph,
     disjoint_union,
@@ -87,13 +89,6 @@ class SpiderPartition:
             if g.adj[h] & k != k or g.adj[h] & s:
                 return False
         return True
-
-
-def _mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def _find_thin_masked(rows, mask):
@@ -163,33 +158,14 @@ def find_spider(g: Graph) -> Optional[SpiderPartition]:
     )
 
 
-def sigma_j(head: Graph, j: int, cap: int = VERTEX_CAP) -> Graph:
+def sigma_j(head: Graph, j: int) -> Graph:
     """Thin spider with |S| = |K| = j over the given head graph."""
-    return _spider_over(head, j, thick=False, cap=cap)
+    return _spider_over(head, j, thick=False)
 
 
-def tau_j(head: Graph, j: int, cap: int = VERTEX_CAP) -> Graph:
+def tau_j(head: Graph, j: int) -> Graph:
     """Thick spider with |S| = |K| = j over the given head graph."""
-    return _spider_over(head, j, thick=True, cap=cap)
-
-
-def _spider_over(head: Graph, j: int, thick: bool, cap: int) -> Graph:
-    if j < 2:
-        raise BadParameter(f"spider parameter j={j} < 2")
-    n = head.n + 2 * j
-    if n > cap:
-        raise CapExceeded(f"spider order {n} exceeds cap {cap}")
-    # body 0..j-1, legs j..2j-1, head occupies 2j..
-    edges = [(a, b) for a in range(j) for b in range(a + 1, j)]
-    for i in range(j):
-        if thick:
-            edges.extend((b, j + i) for b in range(j) if b != i)
-        else:
-            edges.append((i, j + i))
-    base = 2 * j
-    edges.extend((base + u, base + v) for u, v in head.edges())
-    edges.extend((b, base + u) for b in range(j) for u in range(head.n))
-    return gr.from_edges(n, edges, cap=cap)
+    return _spider_over(head, j, thick=True)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +182,25 @@ def _ext_key_table() -> dict[bytes, str]:
     return {g.canonical_key(): kind for kind, g in _ext_graphs().items()}
 
 
+def _mids_ends(adj, p4s) -> tuple[int, int]:
+    """(midpoints, endpoints) masks: the vertices of degree 2, resp. 1, inside
+    some P4 among the masks ``p4s``."""
+    mids = 0
+    ends = 0
+    for m in p4s:
+        for v in _bits_to_tuple(m):
+            if (adj[v] & m).bit_count() == 2:
+                mids |= 1 << v
+            else:
+                ends |= 1 << v
+    return mids, ends
+
+
 @lru_cache(maxsize=None)
 def _separable_parts(kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(midpoints, endpoints) of a separable extension graph's catalog copy."""
     g = _ext_graphs()[kind]
-    mids = 0
-    ends = 0
-    for m in p4_masks(g):
-        for v in _bits_to_tuple(m):
-            if (g.adj[v] & m).bit_count() == 2:
-                mids |= 1 << v
-            else:
-                ends |= 1 << v
+    mids, ends = _mids_ends(g.adj, p4_masks(g))
     return _bits_to_tuple(mids), _bits_to_tuple(ends)
 
 
@@ -237,29 +220,17 @@ class ExtSpiderPartition:
     head: tuple[int, ...]
 
 
-def _p4_masks_in(g: Graph, mask: int) -> tuple[int, ...]:
-    if mask == (1 << g.n) - 1:
-        return p4_masks(g)
-    adj = g.adj
-    out = []
-    for quad in combinations(_bits_to_tuple(mask), 4):
-        m = 0
-        for v in quad:
-            m |= 1 << v
-        degs = [(adj[v] & m).bit_count() for v in quad]
-        if sum(degs) == 6 and min(degs) == 1 and max(degs) == 2:
-            out.append(m)
-    return tuple(out)
-
-
 def _find_ext_spider_masked(g: Graph, mask: int):
     """(kind, ends_mask, mids_mask, head_mask) of G[mask], or None.
 
     Tries every induced P4 as the seed W: the extension set of a P4 inside
     the head never validates, so a single arbitrary seed is not sound.
     """
-    p4s = _p4_masks_in(g, mask)
     adj = g.adj
+    if mask == (1 << g.n) - 1:
+        p4s = p4_masks(g)
+    else:
+        p4s = _p4_masks_in(adj, _bits_to_tuple(mask))
     for w in p4s:
         d = w
         for m in p4s:
@@ -270,16 +241,7 @@ def _find_ext_spider_masked(g: Graph, mask: int):
         kind = _ext_kind_of(g, d)
         if kind is None or kind not in SEPARABLE_KINDS:
             continue
-        mids = 0
-        ends = 0
-        for m in p4s:
-            if m & ~d:
-                continue
-            for v in _bits_to_tuple(m):
-                if (adj[v] & m).bit_count() == 2:
-                    mids |= 1 << v
-                else:
-                    ends |= 1 << v
+        mids, ends = _mids_ends(adj, [m for m in p4s if not m & ~d])
         if mids & ends or (mids | ends) != d:
             continue
         rest = mask & ~d
@@ -310,20 +272,17 @@ def find_ext_spider(g: Graph) -> Optional[ExtSpiderPartition]:
     )
 
 
-def sigma_sep(kind: str, head: Graph, cap: int = VERTEX_CAP) -> Graph:
+def sigma_sep(kind: str, head: Graph) -> Graph:
     """Separable extension operation: base graph with head joined to its
     midpoints and nothing joined to its endpoints."""
     if kind not in SEPARABLE_KINDS:
         raise BadParameter(f"{kind!r} is not a separable extension graph")
     base = _ext_graphs()[kind]
-    n = base.n + head.n
-    if n > cap:
-        raise CapExceeded(f"extension spider order {n} exceeds cap {cap}")
     mids, _ends = _separable_parts(kind)
     edges = base.edges()
     edges.extend((base.n + u, base.n + v) for u, v in head.edges())
     edges.extend((x, base.n + u) for x in mids for u in range(head.n))
-    return gr.from_edges(n, edges, cap=cap)
+    return gr.from_edges(base.n + head.n, edges)
 
 
 def extension_set(g: Graph, w) -> tuple[int, ...]:
@@ -370,10 +329,7 @@ def _triangles_in(adj, mask: int, verts) -> int:
 def p4_sparse_certificate(g: Graph) -> Optional[tuple[int, ...]]:
     """A 5-vertex set inducing two P4s, or None when the graph is P4-sparse."""
     adj = g.adj
-    for quint in combinations(range(g.n), 5):
-        mask = 0
-        for v in quint:
-            mask |= 1 << v
+    for quint, mask in _k_subsets(range(g.n), 5):
         degs = tuple(sorted((adj[v] & mask).bit_count() for v in quint))
         fp = (sum(degs) // 2, degs)
         if fp in _FORBIDDEN_ALWAYS:
@@ -401,10 +357,7 @@ def p4_extendible_certificate(g: Graph) -> Optional[tuple[tuple[int, ...], tuple
 
 def _has_c5(g: Graph) -> bool:
     adj = g.adj
-    for quint in combinations(range(g.n), 5):
-        mask = 0
-        for v in quint:
-            mask |= 1 << v
+    for quint, mask in _k_subsets(range(g.n), 5):
         if all((adj[v] & mask).bit_count() == 2 for v in quint):
             if _triangles_in(adj, mask, quint) == 0:
                 return True
@@ -412,40 +365,18 @@ def _has_c5(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# structural recognizers
+# recognizers
 
 
-def _sparse_structural(g: Graph, mask: int) -> bool:
-    if mask.bit_count() <= 1:
+def _decomposes(g: Graph, class_id: ClassId) -> bool:
+    """Structural membership: order 0, or the decomposition recursion succeeds."""
+    if g.n == 0:
         return True
-    comps = _component_masks(g.adj, mask)
-    if len(comps) > 1:
-        return all(_sparse_structural(g, c) for c in comps)
-    cocomps = _co_component_masks(g.adj, mask, g.n)
-    if len(cocomps) > 1:
-        return all(_sparse_structural(g, c) for c in cocomps)
-    found = _find_spider_masked(g, mask)
-    if found is None:
+    try:
+        _decompose(g, (1 << g.n) - 1, class_id)
+    except NotInClass:
         return False
-    head = found[2]
-    return head == 0 or _sparse_structural(g, head)
-
-
-def _ext_structural(g: Graph, mask: int) -> bool:
-    if mask.bit_count() <= 1:
-        return True
-    comps = _component_masks(g.adj, mask)
-    if len(comps) > 1:
-        return all(_ext_structural(g, c) for c in comps)
-    cocomps = _co_component_masks(g.adj, mask, g.n)
-    if len(cocomps) > 1:
-        return all(_ext_structural(g, c) for c in cocomps)
-    if _ext_kind_of(g, mask) is not None:
-        return True
-    found = _find_ext_spider_masked(g, mask)
-    if found is None:
-        return False
-    return _ext_structural(g, found[3])
+    return True
 
 
 Mode = Literal["definitional", "structural"]
@@ -458,13 +389,13 @@ def is_cograph(g: Graph) -> bool:
 
 def is_p4_sparse(g: Graph, mode: Mode = "definitional") -> bool:
     if mode == "structural":
-        return _sparse_structural(g, (1 << g.n) - 1)
+        return _decomposes(g, "p4sparse")
     return p4_sparse_certificate(g) is None
 
 
 def is_p4_extendible(g: Graph, mode: Mode = "definitional") -> bool:
     if mode == "structural":
-        return _ext_structural(g, (1 << g.n) - 1)
+        return _decomposes(g, "p4extendible")
     return p4_extendible_certificate(g) is None
 
 
@@ -666,7 +597,7 @@ def rebuild(tree: DecompTree) -> Graph:
 # constructive generation
 
 
-def generate_class(class_id: ClassId, n_max: int, cap: int = ENUM_CAP) -> Iterator[Graph]:
+def generate_class(class_id: ClassId, n_max: int) -> Iterator[Graph]:
     """One member per isomorphism class, orders 1..n_max, by closure.
 
     Base graphs and operations per class: cographs close {K1} under disjoint
@@ -676,8 +607,8 @@ def generate_class(class_id: ClassId, n_max: int, cap: int = ENUM_CAP) -> Iterat
     C5-free variant drops C5 from the base (the operations cannot create an
     induced C5 across a boundary, since that would entail a crossing P4).
     """
-    if n_max > cap:
-        raise CapExceeded(f"n_max={n_max} exceeds generation cap {cap}")
+    if n_max > ENUM_CAP:
+        raise CapExceeded(f"n_max={n_max} exceeds generation cap {ENUM_CAP}")
     if class_id not in CLASS_IDS:
         raise BadParameter(f"unknown class id {class_id!r}")
     levels: dict[int, dict[bytes, Graph]] = {m: {} for m in range(1, n_max + 1)}

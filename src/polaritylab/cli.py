@@ -13,12 +13,13 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Iterator
 
 from . import classes as cl
 from . import obstructions as ob
 from . import polarity as po
-from .errors import CapExceeded, Graph6Error, NotInClass, PolarityLabError
+from .errors import BadParameter, CapExceeded, NotInClass, PolarityLabError
 from .graphs import Graph, graph6_decode, graph6_encode, list_induced_p4s
 
 MAX_N_LIMIT = 10
@@ -29,91 +30,82 @@ def _resolve_max_n(args) -> int:
     value = args.max_n
     if value is None:
         env = os.environ.get("POLARITYLAB_MAX_N")
-        value = int(env) if env else DEFAULT_MAX_N
+        try:
+            value = int(env) if env else DEFAULT_MAX_N
+        except ValueError:
+            raise BadParameter(f"POLARITYLAB_MAX_N={env!r} is not an integer") from None
     if not 1 <= value <= MAX_N_LIMIT:
         raise CapExceeded(f"max-n {value} outside 1..{MAX_N_LIMIT}")
     return value
 
 
-def _resolve_workers(args) -> int:
-    w = args.workers if args.workers else (os.cpu_count() or 1)
-    if w < 1:
-        raise CapExceeded(f"workers {w} < 1")
-    return w
-
-
-def _emit(args, text_line: str, record: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(text_line)
-
-
-def _input_lines(stream) -> Iterable[str]:
-    for raw in stream:
-        line = raw.strip()
-        if line:
-            yield line
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # per-line subcommands
 
 
-def classify_stream(lines: Iterable[str]) -> Iterable[dict]:
-    """Per-line class membership records; malformed lines yield error records."""
+def _each_line(lines: Iterable[str], handle) -> Iterator[tuple[bool, str, dict]]:
+    """Decode each line and run ``handle`` on its graph, yielding (ok, text
+    line, JSON record) per line.
+
+    ``handle(g)`` returns (ok, text, fields); a PolarityLabError from the
+    decoder or the handler becomes that line's error record instead.
+    """
     for line in lines:
         try:
-            g = graph6_decode(line)
-        except (Graph6Error, CapExceeded) as exc:
-            yield {"input": line, "error": f"{type(exc).__name__}: {exc}"}
-            continue
-        yield {
-            "input": line,
-            "classes": {
-                "cograph": cl.is_cograph(g),
-                "p4sparse": cl.is_p4_sparse(g),
-                "p4extendible": cl.is_p4_extendible(g),
-                "62": cl.is_62_graph(g),
-            },
-            "p4_count": len(list_induced_p4s(g)),
-            "canonical": g.canonical_key().hex(),
-        }
+            ok, text, fields = handle(graph6_decode(line))
+        except PolarityLabError as exc:
+            ok, text = False, f"error: {exc}"
+            fields = {"error": f"{type(exc).__name__}: {exc}"}
+        yield ok, f"{line}\t{text}", {"input": line, **fields}
+
+
+def _run_lines(args, handle) -> int:
+    """Run ``handle`` over the non-blank stdin lines and print one text or
+    JSON line each; exit 1 if any line failed or got a false verdict."""
+    all_ok = True
+    lines = (line for raw in sys.stdin if (line := raw.strip()))
+    for ok, text, record in _each_line(lines, handle):
+        all_ok &= ok
+        print(json.dumps(record, sort_keys=True) if args.format == "json" else text)
+    return 0 if all_ok else 1
+
+
+def _classify(g: Graph) -> tuple[bool, str, dict]:
+    classes = {
+        "cograph": cl.is_cograph(g),
+        "p4sparse": cl.is_p4_sparse(g),
+        "p4extendible": cl.is_p4_extendible(g),
+        "62": cl.is_62_graph(g),
+    }
+    p4_count = len(list_induced_p4s(g))
+    flags = " ".join(f"{k}={str(v).lower()}" for k, v in classes.items())
+    record = {"classes": classes, "p4_count": p4_count,
+              "canonical": g.canonical_key().hex()}
+    return True, f"{flags} p4_count={p4_count}", record
+
+
+def classify_stream(lines: Iterable[str]) -> Iterator[dict]:
+    """Per-line class membership records; malformed lines yield error records."""
+    return (record for _ok, _text, record in _each_line(lines, _classify))
 
 
 def _cmd_recognize(args) -> int:
-    failures = 0
     if args.klass is None:
-        for rec in classify_stream(_input_lines(sys.stdin)):
-            if "error" in rec:
-                failures += 1
-                _emit(args, f"{rec['input']}\terror: {rec['error']}", rec)
-                continue
-            flags = " ".join(f"{k}={str(v).lower()}" for k, v in rec["classes"].items())
-            _emit(args, f"{rec['input']}\t{flags} p4_count={rec['p4_count']}", rec)
-        return 1 if failures else 0
+        return _run_lines(args, _classify)
     check = cl.recognizer(args.klass)
-    for line in _input_lines(sys.stdin):
-        try:
-            g = graph6_decode(line)
-        except (Graph6Error, CapExceeded) as exc:
-            failures += 1
-            _emit(args, f"{line}\terror: {exc}",
-                  {"input": line, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        if args.mode and args.klass in ("p4sparse", "p4extendible"):
-            verdict = (
-                cl.is_p4_sparse(g, args.mode)
-                if args.klass == "p4sparse"
-                else cl.is_p4_extendible(g, args.mode)
-            )
-        else:
-            verdict = check(g)
-        record = {
-            "input": line,
-            "verdict": verdict,
-            "canonical": g.canonical_key().hex(),
-        }
+    if args.mode and args.klass in ("p4sparse", "p4extendible"):
+        check = partial(check, mode=args.mode)
+
+    def handle(g):
+        verdict = check(g)
+        record = {"verdict": verdict, "canonical": g.canonical_key().hex()}
         if not verdict and not args.quiet:
             cert = None
             if args.klass in ("cograph", "p4sparse"):
@@ -124,30 +116,9 @@ def _cmd_recognize(args) -> int:
                 cert = cl.p4_extendible_certificate(g)
             if cert is not None:
                 record["certificate"] = cert
-        if not verdict:
-            failures += 1
-        _emit(args, f"{line}\t{str(verdict).lower()}", record)
-    return 1 if failures else 0
+        return verdict, str(verdict).lower(), record
 
-
-def _render_tree(node) -> str:
-    if isinstance(node, cl.Leaf):
-        return str(node.vertex)
-    if isinstance(node, cl.UnionNode):
-        return "union(" + ",".join(_render_tree(c) for c in node.children) + ")"
-    if isinstance(node, cl.JoinNode):
-        return "join(" + ",".join(_render_tree(c) for c in node.children) + ")"
-    if isinstance(node, cl.SpiderNode):
-        p = node.partition
-        head = _render_tree(node.head) if node.head else "-"
-        kind = "thin" if p.thin else "thick"
-        return f"spider[{kind}](S={list(p.legs)},K={list(p.body)},head={head})"
-    if isinstance(node, cl.ExtGraphNode):
-        return f"ext[{node.kind}]({','.join(map(str, node.members))})"
-    return (
-        f"extspider[{node.kind}](S={list(node.endpoints)},"
-        f"K={list(node.midpoints)},head={_render_tree(node.head)})"
-    )
+    return _run_lines(args, handle)
 
 
 def _tree_json(node) -> dict:
@@ -177,54 +148,55 @@ def _tree_json(node) -> dict:
     }
 
 
+def _render_tree(tree) -> str:
+    """One-line text form of a decomposition tree, read off its JSON form."""
+
+    def render(t) -> str:
+        kind = t["kind"]
+        if kind == "leaf":
+            return str(t["vertex"])
+        if kind in ("union", "join"):
+            return f"{kind}(" + ",".join(map(render, t["children"])) + ")"
+        if kind == "spider":
+            head = render(t["head"]) if t["head"] else "-"
+            thin = "thin" if t["thin"] else "thick"
+            return f"spider[{thin}](S={t['legs']},K={t['body']},head={head})"
+        if kind == "extgraph":
+            return f"ext[{t['name']}]({','.join(map(str, t['vertices']))})"
+        return (f"extspider[{t['name']}](S={t['endpoints']},"
+                f"K={t['midpoints']},head={render(t['head'])})")
+
+    return render(_tree_json(tree))
+
+
 def _cmd_decompose(args) -> int:
-    failures = 0
-    for line in _input_lines(sys.stdin):
+    def handle(g):
         try:
-            g = graph6_decode(line)
             tree = cl.build_decomposition(g, args.klass)
-        except (Graph6Error, CapExceeded) as exc:
-            failures += 1
-            _emit(args, f"{line}\terror: {exc}",
-                  {"input": line, "error": f"{type(exc).__name__}: {exc}"})
-            continue
         except NotInClass as exc:
-            failures += 1
-            _emit(args, f"{line}\tnot in class: certificate={exc.certificate}",
-                  {"input": line, "verdict": False, "certificate": exc.certificate})
-            continue
-        _emit(args, f"{line}\t{_render_tree(tree)}",
-              {"input": line, "verdict": True, "tree": _tree_json(tree),
-               "canonical": g.canonical_key().hex()})
-    return 1 if failures else 0
+            return (False, f"not in class: certificate={exc.certificate}",
+                    {"verdict": False, "certificate": exc.certificate})
+        return True, _render_tree(tree), {
+            "verdict": True, "tree": _tree_json(tree),
+            "canonical": g.canonical_key().hex()}
+
+    return _run_lines(args, handle)
 
 
 def _cmd_polar(args) -> int:
     spec = po.parse_spec(args.spec)
-    failures = 0
-    for line in _input_lines(sys.stdin):
-        try:
-            g = graph6_decode(line)
-        except (Graph6Error, CapExceeded) as exc:
-            failures += 1
-            _emit(args, f"{line}\terror: {exc}",
-                  {"input": line, "error": f"{type(exc).__name__}: {exc}"})
-            continue
+
+    def handle(g):
         witness = po.find_polar_partition(g, spec)
-        record = {
-            "input": line,
-            "verdict": witness is not None,
-            "canonical": g.canonical_key().hex(),
-        }
+        record = {"verdict": witness is not None, "canonical": g.canonical_key().hex()}
         if witness is None:
-            failures += 1
-            _emit(args, f"{line}\tnone", record)
-        elif args.quiet:
-            _emit(args, f"{line}\tpresent", record)
-        else:
-            record["witness"] = {"a": list(witness.a), "b": list(witness.b)}
-            _emit(args, f"{line}\tA={list(witness.a)} B={list(witness.b)}", record)
-    return 1 if failures else 0
+            return False, "none", record
+        if args.quiet:
+            return True, "present", record
+        record["witness"] = {"a": list(witness.a), "b": list(witness.b)}
+        return True, f"A={list(witness.a)} B={list(witness.b)}", record
+
+    return _run_lines(args, handle)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +216,6 @@ def _emit_graphs(args, graphs, spec=None) -> None:
 
 
 def _cmd_obstructions(args) -> int:
-    from .errors import BadParameter
-
     if args.action in ("enumerate", "check") and not args.spec:
         raise BadParameter(f"obstructions {args.action} needs --spec")
     if args.action in ("enumerate", "construct") and not args.klass:
@@ -253,7 +223,7 @@ def _cmd_obstructions(args) -> int:
     if args.action == "enumerate":
         spec = po.parse_spec(args.spec)
         graphs = ob.enumerate_minimal_obstructions(
-            args.klass, spec, _resolve_max_n(args), workers=_resolve_workers(args)
+            args.klass, spec, _resolve_max_n(args), workers=args.workers
         )
         _emit_graphs(args, graphs, None if args.quiet else spec)
         if args.sidecar:
@@ -271,18 +241,10 @@ def _cmd_obstructions(args) -> int:
         _emit_graphs(args, ob.catalog_list(args.id, args.s))
         return 0
     spec = po.parse_spec(args.spec)
-    failures = 0
-    for line in _input_lines(sys.stdin):
-        try:
-            g = graph6_decode(line)
-        except (Graph6Error, CapExceeded) as exc:
-            failures += 1
-            _emit(args, f"{line}\terror: {exc}",
-                  {"input": line, "error": f"{type(exc).__name__}: {exc}"})
-            continue
+
+    def handle(g):
         report = ob.is_minimal_obstruction(g, spec)
         record = {
-            "input": line,
             "verdict": report.is_minimal,
             "obstruction": report.is_obstruction,
             "canonical": g.canonical_key().hex(),
@@ -292,20 +254,15 @@ def _cmd_obstructions(args) -> int:
                 str(v): {"a": list(w.a), "b": list(w.b)}
                 for v, w in sorted(report.deletion_witnesses.items())
             }
-        if not report.is_minimal:
-            failures += 1
-        _emit(
-            args,
-            f"{line}\tobstruction={str(report.is_obstruction).lower()} "
-            f"minimal={str(report.is_minimal).lower()}",
-            record,
-        )
-    return 1 if failures else 0
+        return report.is_minimal, (
+            f"obstruction={str(report.is_obstruction).lower()} "
+            f"minimal={str(report.is_minimal).lower()}"), record
+
+    return _run_lines(args, handle)
 
 
 def _cmd_verify(args) -> int:
-    report = ob.verify_claim(args.claim, _resolve_max_n(args),
-                             workers=_resolve_workers(args))
+    report = ob.verify_claim(args.claim, _resolve_max_n(args), workers=args.workers)
     if args.format == "json":
         print(json.dumps(report.__dict__, sort_keys=True))
     else:
@@ -338,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--max-n", type=int, default=None, dest="max_n")
-    common.add_argument("--workers", type=int, default=None)
+    common.add_argument("--workers", type=_positive_int, default=1)
     common.add_argument("--quiet", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -404,3 +361,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -20,6 +20,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import (
+    BadParameter,
     CapExceeded,
     LoopRejected,
     MalformedHeader,
@@ -37,12 +38,15 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     ``adj[v]`` is the neighborhood of ``v`` as a bitmask. Construction
-    validates symmetry, absence of loops, and that no bit index reaches n.
+    validates the vertex cap, symmetry, absence of loops, and that no bit
+    index reaches n.
     """
 
     __slots__ = ("n", "adj", "_bits", "_p4s")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
+        if n > VERTEX_CAP:
+            raise CapExceeded(f"n={n} exceeds cap {VERTEX_CAP}")
         if n < 0 or len(adj) != n:
             raise VertexOutOfRange(f"adjacency has {len(adj)} rows for n={n}")
         full = (1 << n) - 1
@@ -162,10 +166,10 @@ class Graph:
 # construction
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]], cap: int = VERTEX_CAP) -> Graph:
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate pairs collapse."""
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds cap {cap}")
+    if n > VERTEX_CAP:  # before the rows, whose ints grow with n
+        raise CapExceeded(f"n={n} exceeds cap {VERTEX_CAP}")
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -215,42 +219,46 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return complete_multipartite((a, b))
 
 
-def headless_spider(j: int, thick: bool = False) -> Graph:
-    """Headless spider: body clique 0..j-1, legs j..2j-1 matched to the body.
+def _spider_over(head: Graph, j: int, thick: bool) -> Graph:
+    """Spider with body clique 0..j-1, legs j..2j-1 matched to the body, and
+    ``head`` on 2j.. joined to the body.
 
-    Thin legs see exactly their partner; thick legs see everything but it.
+    Thin legs see exactly their partner; thick legs see the rest of the body.
     """
-    from .errors import BadParameter
-
     if j < 2:
         raise BadParameter(f"spider parameter j={j} < 2")
+    n = head.n + 2 * j
+    if n > VERTEX_CAP:  # before the edge list, which grows as j^2
+        raise CapExceeded(f"spider order {n} exceeds cap {VERTEX_CAP}")
     edges = [(a, b) for a in range(j) for b in range(a + 1, j)]
     for i in range(j):
         if thick:
             edges.extend((b, j + i) for b in range(j) if b != i)
         else:
             edges.append((i, j + i))
-    return from_edges(2 * j, edges)
+    base = 2 * j
+    edges.extend((base + u, base + v) for u, v in head.edges())
+    edges.extend((b, base + u) for b in range(j) for u in range(head.n))
+    return from_edges(n, edges)
 
 
-def disjoint_union(g: Graph, h: Graph, cap: int = VERTEX_CAP) -> Graph:
+def headless_spider(j: int, thick: bool = False) -> Graph:
+    """Headless spider: body clique 0..j-1, legs j..2j-1 matched to the body."""
+    return _spider_over(empty_graph(0), j, thick)
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; g keeps its indices, h is shifted by |V_g|."""
-    n = g.n + h.n
-    if n > cap:
-        raise CapExceeded(f"union order {n} exceeds cap {cap}")
     rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(n, tuple(rows))
+    return Graph(g.n + h.n, tuple(rows))
 
 
-def join(g: Graph, h: Graph, cap: int = VERTEX_CAP) -> Graph:
+def join(g: Graph, h: Graph) -> Graph:
     """Join: disjoint union plus all cross edges."""
-    n = g.n + h.n
-    if n > cap:
-        raise CapExceeded(f"join order {n} exceeds cap {cap}")
     gmask = (1 << g.n) - 1
     hmask = ((1 << h.n) - 1) << g.n
     rows = [row | hmask for row in g.adj] + [(row << g.n) | gmask for row in h.adj]
-    return Graph(n, tuple(rows))
+    return Graph(g.n + h.n, tuple(rows))
 
 
 def union_all(*graphs: Graph) -> Graph:
@@ -269,6 +277,19 @@ def join_all(*graphs: Graph) -> Graph:
 
 # ---------------------------------------------------------------------------
 # mask helpers (shared with the recognizers)
+
+
+def _mask_of(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _k_subsets(verts, k: int):
+    """Every k-subset of ``verts`` as (vertices, mask), in lexicographic order."""
+    verts = tuple(verts)
+    return zip(combinations(verts, k), map(sum, combinations([1 << v for v in verts], k)))
 
 
 def _bits_to_tuple(mask: int) -> tuple[int, ...]:
@@ -448,21 +469,20 @@ def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     return None
 
 
+def _p4_masks_in(adj, verts) -> tuple[int, ...]:
+    """Masks of the 4-subsets of ``verts`` inducing a P4, ascending."""
+    found = []
+    for quad, mask in _k_subsets(verts, 4):
+        degs = [(adj[v] & mask).bit_count() for v in quad]
+        if sum(degs) == 6 and min(degs) == 1 and max(degs) == 2:  # 3 edges
+            found.append(mask)
+    return tuple(found)
+
+
 def p4_masks(g: Graph) -> tuple[int, ...]:
     """Masks of all vertex sets inducing a P4, ascending (cached on g)."""
     if g._p4s is None:
-        adj = g.adj
-        found = []
-        for quad in combinations(range(g.n), 4):
-            mask = 0
-            for v in quad:
-                mask |= 1 << v
-            degs = [(adj[v] & mask).bit_count() for v in quad]
-            if sum(degs) != 6:  # 3 edges
-                continue
-            if min(degs) == 1 and max(degs) == 2:
-                found.append(mask)
-        g._p4s = tuple(found)
+        g._p4s = _p4_masks_in(g.adj, range(g.n))
     return g._p4s
 
 
@@ -494,7 +514,7 @@ def graph6_encode(g: Graph) -> str:
     return "".join(chunks)
 
 
-def graph6_decode(text: str, cap: int = VERTEX_CAP) -> Graph:
+def graph6_decode(text: str) -> Graph:
     """Decode one graph6 line; strict about length and zero padding."""
     if not text:
         raise MalformedHeader("empty graph6 string")
@@ -506,8 +526,8 @@ def graph6_decode(text: str, cap: int = VERTEX_CAP) -> Graph:
     if not 63 <= head <= 125:
         raise MalformedHeader(f"header byte {head} outside 63..125")
     n = head - 63
-    if n > cap:
-        raise CapExceeded(f"decoded order {n} exceeds cap {cap}")
+    if n > VERTEX_CAP:
+        raise CapExceeded(f"decoded order {n} exceeds cap {VERTEX_CAP}")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     body = text[1:]
@@ -547,7 +567,7 @@ def _triangle_coords(idx: int) -> tuple[int, int]:
 # exhaustive non-isomorphic enumeration
 
 
-def enumerate_graphs(n_max: int, cap: int = ENUM_CAP) -> Iterator[Graph]:
+def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     """One representative per isomorphism class, orders 1..n_max.
 
     Canonical augmentation: a child of an order-m representative (new vertex
@@ -556,8 +576,8 @@ def enumerate_graphs(n_max: int, cap: int = ENUM_CAP) -> Iterator[Graph]:
     the same parent are deduplicated by key. Output per order is sorted by
     canonical key.
     """
-    if n_max > cap:
-        raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {cap}")
+    if n_max > ENUM_CAP:
+        raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {ENUM_CAP}")
     if n_max < 1:
         return
     level = [complete_graph(1)]
@@ -647,10 +667,7 @@ def catalog(name: str) -> Graph:
         raise UnknownName(f"no catalog graph named {name!r}")
     m = _SPIDER.match(key)
     if m:
-        j = int(m.group(2))
-        if 2 * j > VERTEX_CAP:
-            raise CapExceeded(f"spider on {2 * j} vertices exceeds cap")
-        return headless_spider(j, thick=(m.group(1) == "thick"))
+        return headless_spider(int(m.group(2)), thick=(m.group(1) == "thick"))
     m = _PCK.match(key)
     if m:
         kind, nums = m.group(1), [int(x) for x in m.group(2).split(",")]

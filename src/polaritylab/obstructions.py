@@ -18,7 +18,6 @@ from . import graphs as gr
 from .classes import ClassId, generate_class, is_cograph, sigma_j, sigma_sep, tau_j
 from .errors import BadParameter, UnknownClaim, UnknownId
 from .graphs import (
-    ENUM_CAP,
     Graph,
     catalog,
     complete_graph,
@@ -33,9 +32,7 @@ from .graphs import (
     union_all,
 )
 from .polarity import (
-    MONOPOLAR,
     POLAR,
-    SEARCH_CAP,
     PolarPartition,
     PolarSpec,
     find_polar_partition,
@@ -63,15 +60,13 @@ class ObstructionReport:
         return self.graph.canonical_key()
 
 
-def is_minimal_obstruction(
-    g: Graph, spec: PolarSpec, search_cap: int = SEARCH_CAP
-) -> ObstructionReport:
+def is_minimal_obstruction(g: Graph, spec: PolarSpec) -> ObstructionReport:
     """Check obstruction-ness and minimality, collecting deletion witnesses."""
-    if satisfies(g, spec, search_cap):
+    if satisfies(g, spec):
         return ObstructionReport(g, spec, False, False)
     witnesses = {}
     for v in range(g.n):
-        w = find_polar_partition(g.delete_vertex(v), spec, search_cap)
+        w = find_polar_partition(g.delete_vertex(v), spec)
         if w is None:
             return ObstructionReport(g, spec, True, False)
         witnesses[v] = w
@@ -86,14 +81,13 @@ def _minimality_task(payload) -> bool:
 
 
 def enumerate_minimal_obstructions(
-    class_id: ClassId, spec: PolarSpec, n_max: int, cap: int = ENUM_CAP,
-    workers: int = 1,
+    class_id: ClassId, spec: PolarSpec, n_max: int, workers: int = 1
 ) -> list[Graph]:
     """All class members of order <= n_max that are minimal obstructions,
     sorted by (order, canonical key). ``workers`` > 1 fans the independent
     minimality checks over a process pool; the result is order-preserving,
     so output does not depend on the worker count."""
-    members = list(generate_class(class_id, n_max, cap))
+    members = list(generate_class(class_id, n_max))
     if workers > 1 and len(members) > workers:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -242,9 +236,11 @@ def is_antichain(graphs: Iterable[Graph]) -> tuple[bool, Optional[tuple[Graph, G
     for i, a in enumerate(items):
         for b in items[i + 1:]:
             small, big = (a, b) if a.n <= b.n else (b, a)
-            if small.n == big.n:
-                continue  # equal orders embed only when isomorphic
-            if contains_induced(big, small) is not None:
+            if small.n == big.n:  # equal orders embed only when isomorphic
+                embeds = small.canonical_key() == big.canonical_key()
+            else:
+                embeds = contains_induced(big, small) is not None
+            if embeds:
                 return False, (small, big)
     return True, None
 
@@ -288,8 +284,7 @@ class ClaimReport:
     details: dict
 
 
-def verify_claim(claim_id: str, n_max: int, cap: int = ENUM_CAP,
-                 workers: int = 1) -> ClaimReport:
+def verify_claim(claim_id: str, n_max: int, workers: int = 1) -> ClaimReport:
     """Run one decidable theorem instance at scale n_max.
 
     Claims: sparse_cog (P4-sparse (s,1) obstructions are cographs, s in
@@ -302,21 +297,21 @@ def verify_claim(claim_id: str, n_max: int, cap: int = ENUM_CAP,
     """
     key = claim_id.strip().lower()
     if key == "sparse_cog":
-        return _claim_sparse_cog(n_max, cap, workers)
+        return _claim_sparse_cog(n_max, workers)
     if key == "bound":
-        return _claim_bound(n_max, cap, workers)
+        return _claim_bound(n_max, workers)
     if key == "disc_polar":
-        return _claim_disc_polar(n_max, cap, workers)
+        return _claim_disc_polar(n_max, workers)
     if key == "spider_not_obs":
-        return _claim_spider_not_obs(n_max, cap, workers)
+        return _claim_spider_not_obs(n_max, workers)
     raise UnknownClaim(f"unknown claim {claim_id!r}")
 
 
-def _claim_sparse_cog(n_max: int, cap: int, workers: int = 1) -> ClaimReport:
+def _claim_sparse_cog(n_max: int, workers: int) -> ClaimReport:
     bad = []
     counts = {}
     for s in (2, 3):
-        obs = enumerate_minimal_obstructions("p4sparse", sk_polar(s, 1), n_max, cap, workers)
+        obs = enumerate_minimal_obstructions("p4sparse", sk_polar(s, 1), n_max, workers)
         counts[f"s={s}"] = len(obs)
         bad.extend(g for g in obs if not is_cograph(g))
     return ClaimReport(
@@ -325,12 +320,12 @@ def _claim_sparse_cog(n_max: int, cap: int, workers: int = 1) -> ClaimReport:
     )
 
 
-def _claim_bound(n_max: int, cap: int, workers: int = 1) -> ClaimReport:
+def _claim_bound(n_max: int, workers: int) -> ClaimReport:
     bad = []
     counts = {}
     for s in (1, 2):
         for k in (1, 2):
-            obs = enumerate_minimal_obstructions("p4sparse", sk_polar(s, k), n_max, cap, workers)
+            obs = enumerate_minimal_obstructions("p4sparse", sk_polar(s, k), n_max, workers)
             counts[f"({s},{k})"] = len(obs)
             bad.extend(g for g in obs if g.n > (s + 1) * (k + 1))
     return ClaimReport(
@@ -339,7 +334,7 @@ def _claim_bound(n_max: int, cap: int, workers: int = 1) -> ClaimReport:
     )
 
 
-def _claim_disc_polar(n_max: int, cap: int, workers: int = 1) -> ClaimReport:
+def _claim_disc_polar(n_max: int, workers: int) -> ClaimReport:
     details = {}
     bad = []
     p3 = path_graph(3)
@@ -358,7 +353,7 @@ def _claim_disc_polar(n_max: int, cap: int, workers: int = 1) -> ClaimReport:
         }
         got = {
             g.canonical_key()
-            for g in enumerate_minimal_obstructions(class_id, POLAR, n_max, cap, workers)
+            for g in enumerate_minimal_obstructions(class_id, POLAR, n_max, workers)
             if not g.is_connected()
         }
         details[class_id] = {
@@ -371,11 +366,11 @@ def _claim_disc_polar(n_max: int, cap: int, workers: int = 1) -> ClaimReport:
     return ClaimReport("disc_polar", n_max, not bad, bad, details)
 
 
-def _claim_spider_not_obs(n_max: int, cap: int, workers: int = 1) -> ClaimReport:
+def _claim_spider_not_obs(n_max: int, workers: int) -> ClaimReport:
     bad = []
     checked = 0
     specs = [sk_polar(1, k) for k in (1, 2, 3)]
-    heads = [h for h in enumerate_graphs(max(n_max - 4, 0), cap) if h.n <= n_max - 4]
+    heads = [h for h in enumerate_graphs(max(n_max - 4, 0)) if h.n <= n_max - 4]
     for head in heads:
         spiders = []
         for j in (2, 3, 4):
@@ -396,7 +391,7 @@ def _claim_spider_not_obs(n_max: int, cap: int, workers: int = 1) -> ClaimReport
     c5_key = cycle_graph(5).canonical_key()
     for class_id in ("p4sparse", "p4extendible"):
         for k in (1, 2, 3):
-            for g in enumerate_minimal_obstructions(class_id, sk_polar(k, 1), n_max, cap, workers):
+            for g in enumerate_minimal_obstructions(class_id, sk_polar(k, 1), n_max, workers):
                 if (
                     g.is_connected()
                     and g.complement().is_connected()

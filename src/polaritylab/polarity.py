@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional
 
 from .classes import _has_c5
 from .errors import BadParameter, CapExceeded
-from .graphs import Graph, _bits_to_tuple
+from .graphs import Graph, _bits_to_tuple, _k_subsets, _mask_of
 
 SEARCH_CAP = 20  # exponential A-side search guard
 
@@ -88,12 +87,8 @@ class PolarPartition:
     b: tuple[int, ...]
 
     def validate(self, g: Graph, spec: PolarSpec) -> bool:
-        amask = 0
-        for v in self.a:
-            amask |= 1 << v
-        bmask = 0
-        for v in self.b:
-            bmask |= 1 << v
+        amask = _mask_of(self.a)
+        bmask = _mask_of(self.b)
         if amask & bmask or amask | bmask != (1 << g.n) - 1:
             return False
         if spec.clique_side:
@@ -178,10 +173,7 @@ def is_complete_multipartite(g: Graph, s: Optional[int] = None) -> bool:
 def is_split(g: Graph) -> bool:
     """Split graphs are the {2K2, C4, C5}-free graphs."""
     adj = g.adj
-    for quad in combinations(range(g.n), 4):
-        mask = 0
-        for v in quad:
-            mask |= 1 << v
+    for quad, mask in _k_subsets(range(g.n), 4):
         degs = sorted((adj[v] & mask).bit_count() for v in quad)
         if degs == [1, 1, 1, 1] or degs == [2, 2, 2, 2]:  # 2K2 or C4
             return False
@@ -190,25 +182,16 @@ def is_split(g: Graph) -> bool:
 
 @lru_cache(maxsize=32)
 def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for size in range(n + 1):
-        row = []
-        for combo in combinations(range(n), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            row.append(m)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(mask for _, mask in _k_subsets(range(n), size)) for size in range(n + 1)
+    )
 
 
-def find_polar_partition(
-    g: Graph, spec: PolarSpec, search_cap: int = SEARCH_CAP
-) -> Optional[PolarPartition]:
+def find_polar_partition(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
     """First valid partition in (|A|, lexicographic A) order, or None."""
     n = g.n
-    if n > search_cap:
-        raise CapExceeded(f"order {n} exceeds search cap {search_cap}")
+    if n > SEARCH_CAP:
+        raise CapExceeded(f"order {n} exceeds search cap {SEARCH_CAP}")
     adj = g.adj
     full = (1 << n) - 1
     smax = _eff(spec.s, n)
@@ -227,6 +210,6 @@ def find_polar_partition(
     return None
 
 
-def satisfies(g: Graph, spec: PolarSpec, search_cap: int = SEARCH_CAP) -> bool:
+def satisfies(g: Graph, spec: PolarSpec) -> bool:
     """Predicate form of find_polar_partition (the obstruction engine's handle)."""
-    return find_polar_partition(g, spec, search_cap) is not None
+    return find_polar_partition(g, spec) is not None

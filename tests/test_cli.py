@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from polaritylab.cli import classify_stream, run
+import polaritylab
+from polaritylab.cli import _build_parser, classify_stream, run
 from polaritylab.graphs import (
     catalog,
     complete_graph,
@@ -224,3 +228,150 @@ def test_golden_corpus_exit_codes():
     for argv, graph, expected in corpus:
         code, _ = cli(argv, g6(graph) + "\n")
         assert code == expected, (argv, g6(graph))
+
+
+# a line the handler rejects gets one error line, and the lines after it still run
+P4, ORDER_21 = g6(path_graph(4)), g6(path_graph(21))  # 21 > the solver's search cap
+
+
+def test_decompose_order_zero_line_is_a_line_error():
+    code, out = cli(["decompose", "--class", "p4sparse"], "Ch\n?\nCh\n")
+    assert code == 1
+    assert out == (
+        "Ch\tspider[thin](S=[0, 3],K=[1, 2],head=-)\n"
+        "?\terror: the empty graph has no decomposition tree\n"
+        "Ch\tspider[thin](S=[0, 3],K=[1, 2],head=-)\n"
+    )
+
+
+def test_polar_over_search_cap_line_is_a_line_error():
+    code, out = cli(["polar", "--spec", "sk:1,1"], f"{P4}\n{ORDER_21}\n{P4}\n")
+    assert code == 1
+    assert out == (
+        f"{P4}\tA=[0, 3] B=[1, 2]\n"
+        f"{ORDER_21}\terror: order 21 exceeds search cap 20\n"
+        f"{P4}\tA=[0, 3] B=[1, 2]\n"
+    )
+
+
+def test_obstructions_check_over_search_cap_line_is_a_line_error():
+    code, out = cli(["obstructions", "check", "--spec", "sk:1,1"], f"{ORDER_21}\n{P4}\n")
+    assert code == 1
+    assert out == (
+        f"{ORDER_21}\terror: order 21 exceeds search cap 20\n"
+        f"{P4}\tobstruction=false minimal=false\n"
+    )
+    code, out = cli(["obstructions", "check", "--spec", "sk:1,1", "--format", "json"],
+                    ORDER_21 + "\n")
+    assert code == 1
+    assert json.loads(out) == {
+        "input": ORDER_21, "error": "CapExceeded: order 21 exceeds search cap 20"}
+
+
+def test_bad_max_n_environment_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("POLARITYLAB_MAX_N", "abc")
+    code, _ = cli(["gen", "--class", "cograph"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: POLARITYLAB_MAX_N='abc'")
+
+
+def test_workers_is_a_positive_int_defaulting_to_serial():
+    assert _build_parser().parse_args(["verify", "--claim", "bound"]).workers == 1
+    for bad in ("0", "-1", "x"):
+        code, _ = cli(["verify", "--claim", "bound", "--max-n", "6", "--workers", bad])
+        assert code == 2, bad
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(polaritylab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "polaritylab.cli", "recognize", "--class", "p4sparse"],
+        input="Ch\nDhc\n", capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "Ch\ttrue\nDhc\tfalse\n")
+
+
+# P4, C5, the bull (a P4-spider over K1), a malformed line, and the net
+GOLDEN_CORPUS = "Ch\nDhc\nDhW\n!!\nE{O_\n"
+GOLDEN_OUTPUT = {
+    ("recognize", "text"): (
+        'Ch\tcograph=false p4sparse=true p4extendible=true 62=true p4_count=1',
+        'Dhc\tcograph=false p4sparse=false p4extendible=true 62=false p4_count=5',
+        'DhW\tcograph=false p4sparse=true p4extendible=true 62=true p4_count=1',
+        '!!\terror: header byte 33 outside 63..125',
+        'E{O_\tcograph=false p4sparse=true p4extendible=false 62=false p4_count=3',
+    ),
+    ("recognize", "json"): (
+        '{"canonical": "0434", "classes": {"62": true, "cograph": false, "p4extendible": true, "p4sparse": true}, "input": "Ch", "p4_count": 1}',
+        '{"canonical": "053700", "classes": {"62": false, "cograph": false, "p4extendible": true, "p4sparse": false}, "input": "Dhc", "p4_count": 5}',
+        '{"canonical": "050ec0", "classes": {"62": true, "cograph": false, "p4extendible": true, "p4sparse": true}, "input": "DhW", "p4_count": 1}',
+        '{"error": "MalformedHeader: header byte 33 outside 63..125", "input": "!!"}',
+        '{"canonical": "060566", "classes": {"62": false, "cograph": false, "p4extendible": false, "p4sparse": true}, "input": "E{O_", "p4_count": 3}',
+    ),
+    ("recognize --class p4sparse", "text"): (
+        'Ch\ttrue',
+        'Dhc\tfalse',
+        'DhW\ttrue',
+        '!!\terror: header byte 33 outside 63..125',
+        'E{O_\ttrue',
+    ),
+    ("recognize --class p4sparse", "json"): (
+        '{"canonical": "0434", "input": "Ch", "verdict": true}',
+        '{"canonical": "053700", "certificate": [0, 1, 2, 3, 4], "input": "Dhc", "verdict": false}',
+        '{"canonical": "050ec0", "input": "DhW", "verdict": true}',
+        '{"error": "MalformedHeader: header byte 33 outside 63..125", "input": "!!"}',
+        '{"canonical": "060566", "input": "E{O_", "verdict": true}',
+    ),
+    ("decompose --class p4extendible", "text"): (
+        'Ch\text[p4](0,1,2,3)',
+        'Dhc\text[c5](0,1,2,3,4)',
+        'DhW\textspider[p4](S=[0, 3],K=[1, 2],head=4)',
+        '!!\terror: header byte 33 outside 63..125',
+        "E{O_\tnot in class: certificate=('extension_set', (0, 1, 3, 4), (2, 5))",
+    ),
+    ("decompose --class p4extendible", "json"): (
+        '{"canonical": "0434", "input": "Ch", "tree": {"kind": "extgraph", "name": "p4", "vertices": [0, 1, 2, 3]}, "verdict": true}',
+        '{"canonical": "053700", "input": "Dhc", "tree": {"kind": "extgraph", "name": "c5", "vertices": [0, 1, 2, 3, 4]}, "verdict": true}',
+        '{"canonical": "050ec0", "input": "DhW", "tree": {"endpoints": [0, 3], "head": {"kind": "leaf", "vertex": 4}, "kind": "extspider", "midpoints": [1, 2], "name": "p4"}, "verdict": true}',
+        '{"error": "MalformedHeader: header byte 33 outside 63..125", "input": "!!"}',
+        '{"certificate": ["extension_set", [0, 1, 3, 4], [2, 5]], "input": "E{O_", "verdict": false}',
+    ),
+    ("polar --spec sk:2,1", "text"): (
+        'Ch\tA=[0, 1] B=[2, 3]',
+        'Dhc\tA=[0, 1, 2] B=[3, 4]',
+        'DhW\tA=[0, 3] B=[1, 2, 4]',
+        '!!\terror: header byte 33 outside 63..125',
+        'E{O_\tA=[3, 4, 5] B=[0, 1, 2]',
+    ),
+    ("polar --spec sk:2,1", "json"): (
+        '{"canonical": "0434", "input": "Ch", "verdict": true, "witness": {"a": [0, 1], "b": [2, 3]}}',
+        '{"canonical": "053700", "input": "Dhc", "verdict": true, "witness": {"a": [0, 1, 2], "b": [3, 4]}}',
+        '{"canonical": "050ec0", "input": "DhW", "verdict": true, "witness": {"a": [0, 3], "b": [1, 2, 4]}}',
+        '{"error": "MalformedHeader: header byte 33 outside 63..125", "input": "!!"}',
+        '{"canonical": "060566", "input": "E{O_", "verdict": true, "witness": {"a": [3, 4, 5], "b": [0, 1, 2]}}',
+    ),
+    ("obstructions check --spec unipolar", "text"): (
+        'Ch\tobstruction=false minimal=false',
+        'Dhc\tobstruction=true minimal=true',
+        'DhW\tobstruction=false minimal=false',
+        '!!\terror: header byte 33 outside 63..125',
+        'E{O_\tobstruction=false minimal=false',
+    ),
+    ("obstructions check --spec unipolar", "json"): (
+        '{"canonical": "0434", "input": "Ch", "obstruction": false, "verdict": false}',
+        '{"canonical": "053700", "input": "Dhc", "obstruction": true, "verdict": true, "witness": {"0": {"a": [1], "b": [0, 2, 3]}, "1": {"a": [2], "b": [0, 1, 3]}, "2": {"a": [0], "b": [1, 2, 3]}, "3": {"a": [0], "b": [1, 2, 3]}, "4": {"a": [1], "b": [0, 2, 3]}}}',
+        '{"canonical": "050ec0", "input": "DhW", "obstruction": false, "verdict": false}',
+        '{"error": "MalformedHeader: header byte 33 outside 63..125", "input": "!!"}',
+        '{"canonical": "060566", "input": "E{O_", "obstruction": false, "verdict": false}',
+    ),
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN_OUTPUT))
+def test_golden_output_bytes(command, fmt):
+    argv = command.split() + ["--format", fmt]
+    code, out = cli(argv, GOLDEN_CORPUS)
+    assert code == 1
+    assert out == "\n".join(GOLDEN_OUTPUT[command, fmt]) + "\n"

@@ -63,6 +63,8 @@ def test_graph_validation():
         Graph(1, (1,))
     with pytest.raises(VertexOutOfRange):
         Graph(1, (2,))
+    with pytest.raises(CapExceeded):
+        Graph(40, (0,) * 40)  # order above the vertex cap
 
 
 def test_complement():

@@ -163,6 +163,11 @@ def test_is_antichain():
     small, big = pair
     assert small.n == 3 and big.n == 4
     assert is_antichain([]) == (True, None)
+    c5 = cycle_graph(5)
+    assert is_antichain([c5, c5]) == (False, (c5, c5))
+    relabeled = c5.complement()  # the pentagram: C5 on other labels
+    assert is_antichain([c5, relabeled]) == (False, (c5, relabeled))
+    assert is_antichain([c5, catalog("house")]) == (True, None)
     assert is_antichain(catalog_list("polar-extendible"))[0]
 
 
