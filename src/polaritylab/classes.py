@@ -21,13 +21,13 @@ from .errors import BadParameter, CapExceeded, NotAP4, NotInClass
 from .graphs import (
     ENUM_CAP,
     Graph,
+    _attach_head,
     _bits_to_tuple,
-    _co_component_masks,
+    _co_rows,
     _component_masks,
     _k_subsets,
     _mask_of,
     _p4_masks_in,
-    _spider_over,
     catalog,
     complete_graph,
     disjoint_union,
@@ -91,81 +91,55 @@ class SpiderPartition:
         return True
 
 
-def _find_thin_masked(rows, mask):
-    """Thin-spider structure of the graph induced on ``mask``, or None.
+def _find_spider_masked(g: Graph, mask: int) -> Optional[SpiderPartition]:
+    """Spider structure of G[mask], or None; thin is preferred (sigma2 = tau2).
 
-    ``rows`` may be complement rows, which is how thick spiders are found.
-    Returns (legs_mask, body_mask, head_mask, pairing).
+    A thick spider is a thin spider of the complement with legs and body
+    swapped, so one scan runs over the rows and then the complement rows.
     """
     if mask.bit_count() < 4:
         return None
-    legs = 0
-    pairing = []
-    rest = mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if (rows[v] & mask).bit_count() == 1:
-            legs |= 1 << v
-            pairing.append((v, (rows[v] & mask).bit_length() - 1))
-    if legs.bit_count() < 2:
-        return None
-    body = 0
-    for _, b in pairing:
-        body |= 1 << b
-    if body.bit_count() != legs.bit_count() or body & legs:
-        return None
-    rest = body
-    while rest:
-        b = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if rows[b] & body != body ^ (1 << b):
-            return None
-    head = mask & ~legs & ~body
-    rest = head
-    while rest:
-        r = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if rows[r] & body != body:
-            return None
-    return legs, body, head, tuple(sorted(pairing))
-
-
-def _find_spider_masked(g: Graph, mask: int):
-    """(legs, body, head, thin, pairing) masks for G[mask], or None."""
-    found = _find_thin_masked(g.adj, mask)
-    if found is not None:
-        legs, body, head, pairing = found
-        return legs, body, head, True, pairing
-    co = [mask & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
-    found = _find_thin_masked(co, mask)
-    if found is not None:
-        co_legs, co_body, head, co_pairing = found
-        # complementing swaps the leg and body roles and inverts the pairing
-        pairing = tuple(sorted((b, s) for s, b in co_pairing))
-        return co_body, co_legs, head, False, pairing
+    for thin in (True, False):
+        rows = g.adj if thin else _co_rows(g.adj, mask)
+        pairing = [
+            (v, (rows[v] & mask).bit_length() - 1)
+            for v in _bits_to_tuple(mask)
+            if (rows[v] & mask).bit_count() == 1
+        ]
+        legs = _mask_of(leg for leg, _ in pairing)
+        body = _mask_of(b for _, b in pairing)
+        head = mask & ~legs & ~body
+        if (
+            len(pairing) < 2
+            or body.bit_count() != len(pairing)
+            or body & legs
+            or any(rows[b] & body != body ^ (1 << b) for b in _bits_to_tuple(body))
+            or any(rows[r] & body != body for r in _bits_to_tuple(head))
+        ):
+            continue
+        if not thin:
+            legs, body = body, legs
+            pairing = [(b, leg) for leg, b in pairing]
+        return SpiderPartition(
+            _bits_to_tuple(legs), _bits_to_tuple(body), _bits_to_tuple(head),
+            thin, tuple(sorted(pairing)),
+        )
     return None
 
 
 def find_spider(g: Graph) -> Optional[SpiderPartition]:
     """Detect whether ``g`` is a spider; thin is preferred (sigma2 = tau2)."""
-    found = _find_spider_masked(g, (1 << g.n) - 1)
-    if found is None:
-        return None
-    legs, body, head, thin, pairing = found
-    return SpiderPartition(
-        _bits_to_tuple(legs), _bits_to_tuple(body), _bits_to_tuple(head), thin, pairing
-    )
+    return _find_spider_masked(g, (1 << g.n) - 1)
 
 
 def sigma_j(head: Graph, j: int) -> Graph:
     """Thin spider with |S| = |K| = j over the given head graph."""
-    return _spider_over(head, j, thick=False)
+    return _attach_head(gr.headless_spider(j), (1 << j) - 1, head)
 
 
 def tau_j(head: Graph, j: int) -> Graph:
     """Thick spider with |S| = |K| = j over the given head graph."""
-    return _spider_over(head, j, thick=True)
+    return _attach_head(gr.headless_spider(j, thick=True), (1 << j) - 1, head)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +171,10 @@ def _mids_ends(adj, p4s) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _separable_parts(kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(midpoints, endpoints) of a separable extension graph's catalog copy."""
+def _separable_mids(kind: str) -> int:
+    """Midpoint mask of a separable extension graph's catalog copy."""
     g = _ext_graphs()[kind]
-    mids, ends = _mids_ends(g.adj, p4_masks(g))
-    return _bits_to_tuple(mids), _bits_to_tuple(ends)
+    return _mids_ends(g.adj, p4_masks(g))[0]
 
 
 def _ext_kind_of(g: Graph, mask: int) -> Optional[str]:
@@ -220,8 +193,8 @@ class ExtSpiderPartition:
     head: tuple[int, ...]
 
 
-def _find_ext_spider_masked(g: Graph, mask: int):
-    """(kind, ends_mask, mids_mask, head_mask) of G[mask], or None.
+def _find_ext_spider_masked(g: Graph, mask: int) -> Optional[ExtSpiderPartition]:
+    """Extension-spider structure of G[mask], or None.
 
     Tries every induced P4 as the seed W: the extension set of a P4 inside
     the head never validates, so a single arbitrary seed is not sound.
@@ -257,19 +230,15 @@ def _find_ext_spider_masked(g: Graph, mask: int):
             continue
         if any(m & d and m & rest for m in p4s):
             continue
-        return kind, ends, mids, rest
+        return ExtSpiderPartition(
+            kind, _bits_to_tuple(ends), _bits_to_tuple(mids), _bits_to_tuple(rest)
+        )
     return None
 
 
 def find_ext_spider(g: Graph) -> Optional[ExtSpiderPartition]:
     """Detect whether ``g`` is an extension-graph spider with nonempty head."""
-    found = _find_ext_spider_masked(g, (1 << g.n) - 1)
-    if found is None:
-        return None
-    kind, ends, mids, head = found
-    return ExtSpiderPartition(
-        kind, _bits_to_tuple(ends), _bits_to_tuple(mids), _bits_to_tuple(head)
-    )
+    return _find_ext_spider_masked(g, (1 << g.n) - 1)
 
 
 def sigma_sep(kind: str, head: Graph) -> Graph:
@@ -277,12 +246,7 @@ def sigma_sep(kind: str, head: Graph) -> Graph:
     midpoints and nothing joined to its endpoints."""
     if kind not in SEPARABLE_KINDS:
         raise BadParameter(f"{kind!r} is not a separable extension graph")
-    base = _ext_graphs()[kind]
-    mids, _ends = _separable_parts(kind)
-    edges = base.edges()
-    edges.extend((base.n + u, base.n + v) for u, v in head.edges())
-    edges.extend((x, base.n + u) for x in mids for u in range(head.n))
-    return gr.from_edges(base.n + head.n, edges)
+    return _attach_head(_ext_graphs()[kind], _separable_mids(kind), head)
 
 
 def extension_set(g: Graph, w) -> tuple[int, ...]:
@@ -523,33 +487,27 @@ def _decompose(g: Graph, mask: int, class_id: ClassId) -> DecompTree:
     comps = _component_masks(g.adj, mask)
     if len(comps) > 1:
         return UnionNode(tuple(_decompose(g, c, class_id) for c in comps))
-    cocomps = _co_component_masks(g.adj, mask, g.n)
+    cocomps = _component_masks(_co_rows(g.adj, mask), mask)
     if len(cocomps) > 1:
         return JoinNode(tuple(_decompose(g, c, class_id) for c in cocomps))
     if class_id == "p4sparse":
-        found = _find_spider_masked(g, mask)
-        if found is None:
+        part = _find_spider_masked(g, mask)
+        if part is None:
             raise NotInClass("spider case failed", certificate=None)
-        legs, body, head, thin, pairing = found
-        part = SpiderPartition(
-            _bits_to_tuple(legs), _bits_to_tuple(body), _bits_to_tuple(head),
-            thin, pairing,
-        )
-        subtree = _decompose(g, head, class_id) if head else None
-        return SpiderNode(part, subtree)
+        head = _decompose(g, _mask_of(part.head), class_id) if part.head else None
+        return SpiderNode(part, head)
     kind = _ext_kind_of(g, mask)
     if kind is not None:
         return ExtGraphNode(kind, _bits_to_tuple(mask), _edges_within(g, mask))
     found = _find_ext_spider_masked(g, mask)
     if found is None:
         raise NotInClass("extension spider case failed", certificate=None)
-    kind, ends, mids, head = found
     return ExtSpiderNode(
-        kind,
-        _bits_to_tuple(ends),
-        _bits_to_tuple(mids),
-        _edges_within(g, ends | mids),
-        _decompose(g, head, class_id),
+        found.kind,
+        found.endpoints,
+        found.midpoints,
+        _edges_within(g, _mask_of(found.endpoints + found.midpoints)),
+        _decompose(g, _mask_of(found.head), class_id),
     )
 
 

@@ -225,10 +225,17 @@ def _cmd_obstructions(args) -> int:
         graphs = ob.enumerate_minimal_obstructions(
             args.klass, spec, _resolve_max_n(args), workers=args.workers
         )
-        _emit_graphs(args, graphs, None if args.quiet else spec)
-        if args.sidecar:
-            with open(args.sidecar, "w", encoding="utf-8") as fh:
-                json.dump([ob.obstruction_record(g, spec) for g in graphs], fh, indent=2)
+        if not args.sidecar:
+            _emit_graphs(args, graphs, None if args.quiet else spec)
+            return 0
+        records = [ob.obstruction_record(g, spec) for g in graphs]
+        if args.format == "json" and not args.quiet:
+            for rec in records:  # the sidecar's records, witnesses computed once
+                print(json.dumps(rec, sort_keys=True))
+        else:
+            _emit_graphs(args, graphs)
+        with open(args.sidecar, "w", encoding="utf-8") as fh:
+            json.dump(records, fh, indent=2)
         return 0
     if args.action == "construct":
         if args.s is None:
@@ -250,10 +257,7 @@ def _cmd_obstructions(args) -> int:
             "canonical": g.canonical_key().hex(),
         }
         if report.is_minimal and not args.quiet:
-            record["witness"] = {
-                str(v): {"a": list(w.a), "b": list(w.b)}
-                for v, w in sorted(report.deletion_witnesses.items())
-            }
+            record["witness"] = report.witnesses_json()
         return report.is_minimal, (
             f"obstruction={str(report.is_obstruction).lower()} "
             f"minimal={str(report.is_minimal).lower()}"), record

@@ -16,6 +16,7 @@ labeling), which keeps memory flat and parallelizes by parent.
 from __future__ import annotations
 
 import re
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -182,12 +183,11 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return from_edges(n, ())
 
 
 def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return empty_graph(n).complement()
 
 
 def path_graph(n: int) -> Graph:
@@ -202,77 +202,56 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_multipartite(parts: Iterable[int]) -> Graph:
     """Complete multipartite graph; parts occupy consecutive index blocks."""
-    sizes = list(parts)
-    n = sum(sizes)
-    rows = [0] * n
-    full = (1 << n) - 1
-    start = 0
-    for size in sizes:
-        block = ((1 << size) - 1) << start
-        for v in range(start, start + size):
-            rows[v] = full & ~block
-        start += size
-    return Graph(n, tuple(rows))
+    return union_all(*map(complete_graph, parts)).complement()
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return complete_multipartite((a, b))
 
 
-def _spider_over(head: Graph, j: int, thick: bool) -> Graph:
-    """Spider with body clique 0..j-1, legs j..2j-1 matched to the body, and
-    ``head`` on 2j.. joined to the body.
+def headless_spider(j: int, thick: bool = False) -> Graph:
+    """Headless spider: body clique 0..j-1, legs j..2j-1 matched to the body.
 
     Thin legs see exactly their partner; thick legs see the rest of the body.
     """
     if j < 2:
         raise BadParameter(f"spider parameter j={j} < 2")
-    n = head.n + 2 * j
-    if n > VERTEX_CAP:  # before the edge list, which grows as j^2
-        raise CapExceeded(f"spider order {n} exceeds cap {VERTEX_CAP}")
+    if 2 * j > VERTEX_CAP:  # before the edge list, which grows as j^2
+        raise CapExceeded(f"spider order {2 * j} exceeds cap {VERTEX_CAP}")
     edges = [(a, b) for a in range(j) for b in range(a + 1, j)]
     for i in range(j):
         if thick:
             edges.extend((b, j + i) for b in range(j) if b != i)
         else:
             edges.append((i, j + i))
-    base = 2 * j
-    edges.extend((base + u, base + v) for u, v in head.edges())
-    edges.extend((b, base + u) for b in range(j) for u in range(head.n))
-    return from_edges(n, edges)
+    return from_edges(2 * j, edges)
 
 
-def headless_spider(j: int, thick: bool = False) -> Graph:
-    """Headless spider: body clique 0..j-1, legs j..2j-1 matched to the body."""
-    return _spider_over(empty_graph(0), j, thick)
+def _attach_head(base: Graph, attach: int, head: Graph) -> Graph:
+    """``base`` plus ``head`` shifted by |V_base|, with every vertex of the
+    mask ``attach`` joined to every head vertex."""
+    hmask = ((1 << head.n) - 1) << base.n
+    rows = [row | hmask if (attach >> v) & 1 else row for v, row in enumerate(base.adj)]
+    rows.extend((row << base.n) | attach for row in head.adj)
+    return Graph(base.n + head.n, tuple(rows))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; g keeps its indices, h is shifted by |V_g|."""
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows))
+    return _attach_head(g, 0, h)
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Join: disjoint union plus all cross edges."""
-    gmask = (1 << g.n) - 1
-    hmask = ((1 << h.n) - 1) << g.n
-    rows = [row | hmask for row in g.adj] + [(row << g.n) | gmask for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows))
+    return _attach_head(g, (1 << g.n) - 1, h)
 
 
 def union_all(*graphs: Graph) -> Graph:
-    out = graphs[0]
-    for g in graphs[1:]:
-        out = disjoint_union(out, g)
-    return out
+    return reduce(disjoint_union, graphs, empty_graph(0))
 
 
 def join_all(*graphs: Graph) -> Graph:
-    out = graphs[0]
-    for g in graphs[1:]:
-        out = join(out, g)
-    return out
+    return reduce(join, graphs, empty_graph(0))
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +298,10 @@ def _component_masks(adj, mask: int) -> list[int]:
     return comps
 
 
-def _co_component_masks(adj, mask: int, n: int) -> list[int]:
-    co = [mask & ~adj[v] & ~(1 << v) for v in range(n)]
-    return _component_masks(co, mask)
+def _co_rows(adj, mask: int) -> list[int]:
+    """Complement rows restricted to ``mask``: row v holds the non-neighbors
+    of v inside ``mask``, v itself excluded."""
+    return [mask & ~row & ~(1 << v) for v, row in enumerate(adj)]
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +354,6 @@ def _min_bits(adj, verts) -> tuple[int, list]:
                     nxt[key] = (perm + (order[i],), vecs2)
         states = list(nxt.values())
     return bits, states
-
-
-def _pinned_bits(g: Graph, pin: int) -> int:
-    """Minimal bit string over labelings forced to place ``pin`` last."""
-    adj = g.adj
-    rest = [v for v in range(g.n) if v != pin]
-    bits, states = _min_bits(adj, rest)
-    return (bits << len(rest)) | _best_final_column(adj[pin], states)
 
 
 def _best_final_column(pin_row: int, states: list) -> int:
@@ -535,32 +507,22 @@ def graph6_decode(text: str) -> Graph:
         raise TruncatedBody(f"need {need} body bytes, got {len(body)}")
     if len(body) > need:
         raise TrailingGarbage(f"{len(body) - need} extra bytes")
-    rows = [0] * n
-    idx = 0
+    bits = 0
     for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
+        if not 63 <= ord(ch) <= 126:
             raise MalformedHeader(f"body byte {ord(ch)} outside 63..126")
-        for b in range(5, -1, -1):
-            bit = (val >> b) & 1
-            if idx < nbits:
-                if bit:
-                    i, j = _triangle_coords(idx)
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise TrailingGarbage("nonzero padding bits")
-            idx += 1
+        bits = (bits << 6) | (ord(ch) - 63)
+    pos = 6 * need
+    if bits & ((1 << (pos - nbits)) - 1):
+        raise TrailingGarbage("nonzero padding bits")
+    rows = [0] * n
+    for j in range(1, n):  # the column order of graph6_encode
+        for i in range(j):
+            pos -= 1
+            if (bits >> pos) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     return Graph(n, tuple(rows))
-
-
-def _triangle_coords(idx: int) -> tuple[int, int]:
-    # column order: (0,1),(0,2),(1,2),(0,3),...; column j holds j bits
-    j = 1
-    while idx >= j:
-        idx -= j
-        j += 1
-    return idx, j
 
 
 # ---------------------------------------------------------------------------

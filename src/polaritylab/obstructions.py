@@ -10,7 +10,7 @@ a PolarSpec plugs in unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional
 
@@ -59,6 +59,13 @@ class ObstructionReport:
     def canonical(self) -> bytes:
         return self.graph.canonical_key()
 
+    def witnesses_json(self) -> dict:
+        """Deletion witnesses as JSON: deleted vertex -> {"a": A, "b": B}."""
+        return {
+            str(v): {"a": list(w.a), "b": list(w.b)}
+            for v, w in sorted(self.deletion_witnesses.items())
+        }
+
 
 def is_minimal_obstruction(g: Graph, spec: PolarSpec) -> ObstructionReport:
     """Check obstruction-ness and minimality, collecting deletion witnesses."""
@@ -73,13 +80,6 @@ def is_minimal_obstruction(g: Graph, spec: PolarSpec) -> ObstructionReport:
     return ObstructionReport(g, spec, True, True, witnesses)
 
 
-def _minimality_task(payload) -> bool:
-    g, spec = payload
-    if satisfies(g, spec):
-        return False
-    return all(satisfies(g.delete_vertex(v), spec) for v in range(g.n))
-
-
 def enumerate_minimal_obstructions(
     class_id: ClassId, spec: PolarSpec, n_max: int, workers: int = 1
 ) -> list[Graph]:
@@ -88,16 +88,16 @@ def enumerate_minimal_obstructions(
     minimality checks over a process pool; the result is order-preserving,
     so output does not depend on the worker count."""
     members = list(generate_class(class_id, n_max))
+    screen = partial(is_minimal_obstruction, spec=spec)
     if workers > 1 and len(members) > workers:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, len(members) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = list(
-                pool.map(_minimality_task, ((g, spec) for g in members), chunksize=chunk)
-            )
-        return [g for g, flag in zip(members, flags) if flag]
-    return [g for g in members if _minimality_task((g, spec))]
+            reports = list(pool.map(screen, members, chunksize=chunk))
+    else:
+        reports = map(screen, members)
+    return [g for g, report in zip(members, reports) if report.is_minimal]
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +264,7 @@ def obstruction_record(g: Graph, spec: Optional[PolarSpec] = None) -> dict:
         rec["property"] = spec.label()
         report = is_minimal_obstruction(g, spec)
         rec["minimal"] = report.is_minimal
-        rec["witnesses"] = {
-            str(v): {"a": list(w.a), "b": list(w.b)}
-            for v, w in sorted(report.deletion_witnesses.items())
-        }
+        rec["witnesses"] = report.witnesses_json()
     return rec
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .classes import _has_c5
 from .errors import BadParameter, CapExceeded
-from .graphs import Graph, _bits_to_tuple, _k_subsets, _mask_of
+from .graphs import Graph, _bits_to_tuple, _co_rows, _k_subsets, _mask_of
 
 SEARCH_CAP = 20  # exponential A-side search guard
 
@@ -89,14 +89,15 @@ class PolarPartition:
     def validate(self, g: Graph, spec: PolarSpec) -> bool:
         amask = _mask_of(self.a)
         bmask = _mask_of(self.b)
-        if amask & bmask or amask | bmask != (1 << g.n) - 1:
+        full = (1 << g.n) - 1
+        if amask & bmask or amask | bmask != full:
             return False
         if spec.clique_side:
             if not _is_clique_mask(g.adj, amask):
                 return False
         elif not _is_cm_mask(g.adj, amask, _eff(spec.s, g.n)):
             return False
-        return _is_cluster_mask(g.adj, bmask, _eff(spec.k, g.n))
+        return _is_cm_mask(_co_rows(g.adj, full), bmask, _eff(spec.k, g.n))
 
 
 def _eff(bound: Optional[int], n: int) -> int:
@@ -117,27 +118,14 @@ def _is_clique_mask(adj, mask: int) -> bool:
     return True
 
 
-def _is_cluster_mask(adj, mask: int, kmax: int) -> bool:
-    parts = 0
-    rest = mask
-    while rest:
-        seed = (rest & -rest).bit_length() - 1
-        comp = adj[seed] & mask | (1 << seed)
-        # a component that is a clique is exactly the closed neighborhood
-        sub = comp
-        while sub:
-            v = (sub & -sub).bit_length() - 1
-            sub &= sub - 1
-            if adj[v] & mask != comp ^ (1 << v):
-                return False
-        parts += 1
-        if parts > kmax:
-            return False
-        rest &= ~comp
-    return True
-
-
 def _is_cm_mask(adj, mask: int, smax: int) -> bool:
+    """G[mask] is complete multipartite with at most ``smax`` parts.
+
+    On complement rows (``_co_rows``) the same test reads "G[mask] is at most
+    ``smax`` disjoint cliques": a graph is a cluster exactly when its
+    complement is complete multipartite, with cliques becoming parts. So this
+    one predicate checks both sides of an (s,k)-polar partition.
+    """
     parts = 0
     rest = mask
     while rest:
@@ -162,7 +150,8 @@ def _is_cm_mask(adj, mask: int, smax: int) -> bool:
 
 def is_cluster(g: Graph, k: Optional[int] = None) -> bool:
     """At most k disjoint cliques (P3-free with at most k components)."""
-    return _is_cluster_mask(g.adj, (1 << g.n) - 1, _eff(k, g.n))
+    full = (1 << g.n) - 1
+    return _is_cm_mask(_co_rows(g.adj, full), full, _eff(k, g.n))
 
 
 def is_complete_multipartite(g: Graph, s: Optional[int] = None) -> bool:
@@ -194,6 +183,7 @@ def find_polar_partition(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
         raise CapExceeded(f"order {n} exceeds search cap {SEARCH_CAP}")
     adj = g.adj
     full = (1 << n) - 1
+    co = _co_rows(adj, full)
     smax = _eff(spec.s, n)
     kmax = _eff(spec.k, n)
     for row in _masks_by_size(n):
@@ -203,7 +193,7 @@ def find_polar_partition(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
                     continue
             elif not _is_cm_mask(adj, amask, smax):
                 continue
-            if _is_cluster_mask(adj, full ^ amask, kmax):
+            if _is_cm_mask(co, full ^ amask, kmax):
                 return PolarPartition(
                     _bits_to_tuple(amask), _bits_to_tuple(full ^ amask)
                 )

@@ -335,21 +335,21 @@ def _all_valid_ext_spider_bases(g):
 def test_ext_spider_base_unique_for_members(graphs_to_7):
     # connected members with connected complement that are not extension
     # graphs decompose through exactly one base set
-    from polaritylab.classes import _ext_kind_of, _find_ext_spider_masked
+    from polaritylab.classes import _ext_kind_of
+    from polaritylab.graphs import _mask_of
 
     for g in graphs_to_7:
         if not is_p4_extendible(g) or g.n < 5:
             continue
         if not (g.is_connected() and g.complement().is_connected()):
             continue
-        full = (1 << g.n) - 1
-        if _ext_kind_of(g, full) is not None:
+        if _ext_kind_of(g, (1 << g.n) - 1) is not None:
             continue
-        found = _find_ext_spider_masked(g, full)
+        found = find_ext_spider(g)
         assert found is not None, g
         # every seed W that validates must produce the same base set
-        kind, ends, mids, head = found
-        assert _all_valid_ext_spider_bases(g) == {(kind, ends, mids, head)}
+        ends, mids, head = map(_mask_of, (found.endpoints, found.midpoints, found.head))
+        assert _all_valid_ext_spider_bases(g) == {(found.kind, ends, mids, head)}
 
 
 # --- decomposition ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import polaritylab
+from polaritylab import obstructions as ob
 from polaritylab.cli import _build_parser, classify_stream, run
 from polaritylab.graphs import (
     catalog,
@@ -133,6 +134,22 @@ def test_obstructions_sidecar(tmp_path):
     assert len(data) == 2
     assert all(rec["minimal"] for rec in data)
     assert {rec["graph6"] for rec in data} == set(out.strip().split("\n"))
+
+
+def test_obstructions_sidecar_screens_each_member_once(tmp_path, monkeypatch):
+    # JSON stdout and the sidecar share one witness record per member
+    members = [catalog("k2,3"), union_all(path_graph(3), path_graph(3))]
+    monkeypatch.setattr(ob, "enumerate_minimal_obstructions", lambda *a, **kw: members)
+    calls = []
+    check = ob.is_minimal_obstruction
+    monkeypatch.setattr(
+        ob, "is_minimal_obstruction", lambda g, spec: calls.append(g) or check(g, spec)
+    )
+    side = tmp_path / "list.json"
+    code, out = cli(["obstructions", "enumerate", "--class", "p4sparse", "--spec",
+                     "unipolar", "--format", "json", "--sidecar", str(side)])
+    assert code == 0 and len(calls) == 2
+    assert [json.loads(line) for line in out.splitlines()] == json.loads(side.read_text())
 
 
 def test_obstructions_construct_catalog_check():

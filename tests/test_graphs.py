@@ -2,6 +2,7 @@
 induced-subgraph search, and exhaustive enumeration, each checked against an
 independent oracle where the expected value is not forced by definition."""
 
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -21,6 +22,7 @@ from polaritylab.graphs import (
     canonical_key,
     catalog,
     complete_graph,
+    complete_multipartite,
     contains_induced,
     cycle_graph,
     disjoint_union,
@@ -32,6 +34,7 @@ from polaritylab.graphs import (
     headless_spider,
     is_isomorphic,
     join,
+    join_all,
     list_induced_p4s,
     path_graph,
     union_all,
@@ -65,6 +68,19 @@ def test_graph_validation():
         Graph(1, (2,))
     with pytest.raises(CapExceeded):
         Graph(40, (0,) * 40)  # order above the vertex cap
+    with pytest.raises(VertexOutOfRange):
+        complete_graph(-1)
+    with pytest.raises(VertexOutOfRange):
+        complete_multipartite([2, -1])
+    # the builders refuse an order above the cap before building its rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            complete_graph(5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_complement():
@@ -88,6 +104,7 @@ def test_union_join():
     # indices: left operand keeps its labels, right is shifted
     g = disjoint_union(path_graph(2), path_graph(2))
     assert g.edges() == [(0, 1), (2, 3)]
+    assert union_all() == empty_graph(0) == join_all()
     with pytest.raises(CapExceeded):
         join(complete_graph(20), complete_graph(20))
 

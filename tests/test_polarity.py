@@ -1,6 +1,8 @@
 """Partition-solver tests: cluster / multipartite predicates, witness search
 determinism, and the hereditary-property invariants at small orders."""
 
+from itertools import combinations
+
 import pytest
 
 from polaritylab.errors import BadParameter, CapExceeded
@@ -128,6 +130,45 @@ def test_every_witness_validates(graphs_to_6):
             w = find_polar_partition(g, spec)
             if w is not None:
                 assert w.validate(g, spec)
+
+
+def _cliques(vs, adjacent):
+    """Number of cliques when ``adjacent`` makes ``vs`` a disjoint union of
+    cliques (no three vertices with exactly two adjacent pairs), else None."""
+    for t in combinations(vs, 3):
+        if sum(adjacent(a, b) for a, b in combinations(t, 2)) == 2:
+            return None
+    return len({frozenset(u for u in vs if u == v or adjacent(u, v)) for v in vs})
+
+
+def _brute_witness(g, s, k, unipolar):
+    """First (A, B) by |A|, then lexicographic A, straight from the definitions:
+    A is a clique (unipolar) or complete multipartite with at most s parts,
+    B is at most k disjoint cliques; None bounds are unbounded."""
+    for size in range(g.n + 1):
+        for a in combinations(range(g.n), size):
+            b = tuple(v for v in range(g.n) if v not in a)
+            if unipolar:
+                a_ok = all(g.has_edge(u, v) for u, v in combinations(a, 2))
+            else:
+                parts = _cliques(a, lambda u, v: not g.has_edge(u, v))
+                a_ok = parts is not None and (s is None or parts <= s)
+            clusters = _cliques(b, g.has_edge)
+            if a_ok and clusters is not None and (k is None or clusters <= k):
+                return a, b
+    return None
+
+
+def test_witness_is_first_in_size_then_lex_order(graphs_to_6):
+    bounds = (1, 2, 3, None)
+    for g in graphs_to_6:
+        for s, k, unipolar in [(s, k, False) for s in bounds for k in bounds] + [
+            (None, None, True)
+        ]:
+            spec = UNIPOLAR if unipolar else sk_polar(s, k)
+            w = find_polar_partition(g, spec)
+            got = None if w is None else (w.a, w.b)
+            assert got == _brute_witness(g, s, k, unipolar), (g, spec)
 
 
 def test_complement_duality_small(graphs_to_6):
