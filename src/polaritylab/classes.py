@@ -91,16 +91,19 @@ class SpiderPartition:
         return True
 
 
-def _find_spider_masked(g: Graph, mask: int) -> Optional[SpiderPartition]:
+def _find_spider_masked(
+    g: Graph, mask: int, co: list[int]
+) -> Optional[SpiderPartition]:
     """Spider structure of G[mask], or None; thin is preferred (sigma2 = tau2).
 
     A thick spider is a thin spider of the complement with legs and body
-    swapped, so one scan runs over the rows and then the complement rows.
+    swapped, so one scan runs over the rows and then the complement rows
+    ``co`` (``_co_rows(g.adj, mask)``).
     """
     if mask.bit_count() < 4:
         return None
     for thin in (True, False):
-        rows = g.adj if thin else _co_rows(g.adj, mask)
+        rows = g.adj if thin else co
         pairing = [
             (v, (rows[v] & mask).bit_length() - 1)
             for v in _bits_to_tuple(mask)
@@ -129,7 +132,8 @@ def _find_spider_masked(g: Graph, mask: int) -> Optional[SpiderPartition]:
 
 def find_spider(g: Graph) -> Optional[SpiderPartition]:
     """Detect whether ``g`` is a spider; thin is preferred (sigma2 = tau2)."""
-    return _find_spider_masked(g, (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    return _find_spider_masked(g, full, _co_rows(g.adj, full))
 
 
 def sigma_j(head: Graph, j: int) -> Graph:
@@ -487,11 +491,12 @@ def _decompose(g: Graph, mask: int, class_id: ClassId) -> DecompTree:
     comps = _component_masks(g.adj, mask)
     if len(comps) > 1:
         return UnionNode(tuple(_decompose(g, c, class_id) for c in comps))
-    cocomps = _component_masks(_co_rows(g.adj, mask), mask)
+    co = _co_rows(g.adj, mask)
+    cocomps = _component_masks(co, mask)
     if len(cocomps) > 1:
         return JoinNode(tuple(_decompose(g, c, class_id) for c in cocomps))
     if class_id == "p4sparse":
-        part = _find_spider_masked(g, mask)
+        part = _find_spider_masked(g, mask, co)
         if part is None:
             raise NotInClass("spider case failed", certificate=None)
         head = _decompose(g, _mask_of(part.head), class_id) if part.head else None

@@ -50,16 +50,20 @@ def _positive_int(text: str) -> int:
 # per-line subcommands
 
 
-def _each_line(lines: Iterable[str], handle) -> Iterator[tuple[bool, str, dict]]:
+def _each_line(lines: Iterable[str], handle,
+               records: bool) -> Iterator[tuple[bool, str, dict]]:
     """Decode each line and run ``handle`` on its graph, yielding (ok, text
     line, JSON record) per line.
 
-    ``handle(g)`` returns (ok, text, fields); a PolarityLabError from the
-    decoder or the handler becomes that line's error record instead.
+    ``handle(g, records)`` returns (ok, text, fields). Without ``records``
+    the fields are never printed, so the handler skips what only they show,
+    such as the canonical key, which can cost more than the verdict. A
+    PolarityLabError from the decoder or the handler becomes that line's
+    error record instead.
     """
     for line in lines:
         try:
-            ok, text, fields = handle(graph6_decode(line))
+            ok, text, fields = handle(graph6_decode(line), records)
         except PolarityLabError as exc:
             ok, text = False, f"error: {exc}"
             fields = {"error": f"{type(exc).__name__}: {exc}"}
@@ -71,13 +75,13 @@ def _run_lines(args, handle) -> int:
     JSON line each; exit 1 if any line failed or got a false verdict."""
     all_ok = True
     lines = (line for raw in sys.stdin if (line := raw.strip()))
-    for ok, text, record in _each_line(lines, handle):
+    for ok, text, record in _each_line(lines, handle, args.format == "json"):
         all_ok &= ok
         print(json.dumps(record, sort_keys=True) if args.format == "json" else text)
     return 0 if all_ok else 1
 
 
-def _classify(g: Graph) -> tuple[bool, str, dict]:
+def _classify(g: Graph, records: bool) -> tuple[bool, str, dict]:
     classes = {
         "cograph": cl.is_cograph(g),
         "p4sparse": cl.is_p4_sparse(g),
@@ -86,14 +90,15 @@ def _classify(g: Graph) -> tuple[bool, str, dict]:
     }
     p4_count = len(list_induced_p4s(g))
     flags = " ".join(f"{k}={str(v).lower()}" for k, v in classes.items())
-    record = {"classes": classes, "p4_count": p4_count,
-              "canonical": g.canonical_key().hex()}
+    record = {"classes": classes, "p4_count": p4_count}
+    if records:
+        record["canonical"] = g.canonical_key().hex()
     return True, f"{flags} p4_count={p4_count}", record
 
 
 def classify_stream(lines: Iterable[str]) -> Iterator[dict]:
     """Per-line class membership records; malformed lines yield error records."""
-    return (record for _ok, _text, record in _each_line(lines, _classify))
+    return (record for _ok, _text, record in _each_line(lines, _classify, True))
 
 
 def _cmd_recognize(args) -> int:
@@ -103,8 +108,10 @@ def _cmd_recognize(args) -> int:
     if args.mode and args.klass in ("p4sparse", "p4extendible"):
         check = partial(check, mode=args.mode)
 
-    def handle(g):
+    def handle(g, records):
         verdict = check(g)
+        if not records:
+            return verdict, str(verdict).lower(), {}
         record = {"verdict": verdict, "canonical": g.canonical_key().hex()}
         if not verdict and not args.quiet:
             cert = None
@@ -170,15 +177,16 @@ def _render_tree(tree) -> str:
 
 
 def _cmd_decompose(args) -> int:
-    def handle(g):
+    def handle(g, records):
         try:
             tree = cl.build_decomposition(g, args.klass)
         except NotInClass as exc:
             return (False, f"not in class: certificate={exc.certificate}",
                     {"verdict": False, "certificate": exc.certificate})
-        return True, _render_tree(tree), {
-            "verdict": True, "tree": _tree_json(tree),
-            "canonical": g.canonical_key().hex()}
+        record = {"verdict": True, "tree": _tree_json(tree)}
+        if records:
+            record["canonical"] = g.canonical_key().hex()
+        return True, _render_tree(tree), record
 
     return _run_lines(args, handle)
 
@@ -186,9 +194,11 @@ def _cmd_decompose(args) -> int:
 def _cmd_polar(args) -> int:
     spec = po.parse_spec(args.spec)
 
-    def handle(g):
+    def handle(g, records):
         witness = po.find_polar_partition(g, spec)
-        record = {"verdict": witness is not None, "canonical": g.canonical_key().hex()}
+        record = {"verdict": witness is not None}
+        if records:
+            record["canonical"] = g.canonical_key().hex()
         if witness is None:
             return False, "none", record
         if args.quiet:
@@ -249,13 +259,11 @@ def _cmd_obstructions(args) -> int:
         return 0
     spec = po.parse_spec(args.spec)
 
-    def handle(g):
+    def handle(g, records):
         report = ob.is_minimal_obstruction(g, spec)
-        record = {
-            "verdict": report.is_minimal,
-            "obstruction": report.is_obstruction,
-            "canonical": g.canonical_key().hex(),
-        }
+        record = {"verdict": report.is_minimal, "obstruction": report.is_obstruction}
+        if records:
+            record["canonical"] = g.canonical_key().hex()
         if report.is_minimal and not args.quiet:
             record["witness"] = report.witnesses_json()
         return report.is_minimal, (

@@ -140,7 +140,7 @@ class Graph:
     def canonical_bits(self) -> int:
         """Minimal upper-triangle bit string packed into an int (cached)."""
         if self._bits is None:
-            self._bits = _min_bits(self.adj, range(self.n))[0]
+            self._bits = _min_bits(self.adj)[0]
         return self._bits
 
     def canonical_key(self) -> bytes:
@@ -313,35 +313,66 @@ def _co_rows(adj, mask: int) -> list[int]:
 # vertices form a prefix. States with identical futures are merged: the key
 # is (placed set, adjacency vector of every unplaced vertex to the placed
 # sequence), which collapses the factorial blowup on symmetric graphs.
+#
+# Twins (true or false, in the whole graph) are placed in index order only:
+# swapping two unplaced twins is an automorphism that fixes the placed
+# prefix, so the subtree of the higher twin repeats the lower twin's bits.
+# Twin-free symmetric graphs (spiders, unions of C5) stay exponential, so
+# the search stops with CapExceeded after LABEL_CAP expanded states.
 
 
 _PLACED = 1 << 60  # sentinel larger than any column (columns have < cap bits)
+LABEL_CAP = 2_000_000  # expanded states per canonical search
 
 
-def _min_bits(adj, verts) -> tuple[int, list]:
-    """Return (bits, final states); a state is (perm, vecs).
+def _twin_before(adj) -> list[int]:
+    """For each vertex, the previous vertex of its twin class, or -1.
 
-    ``perm`` holds original vertex ids in placement order; ``vecs`` is
-    position-indexed bookkeeping (placed positions hold a huge sentinel, so
-    the minimal next column is just min(vecs)).
+    False twins share N(v), true twins share N[v]. No open neighborhood
+    equals a closed one, and no vertex has both kinds of twin, so one dict
+    keyed by both forms finds each vertex's class.
     """
-    order = list(verts)
-    m = len(order)
+    last = {}
+    before = []
+    for v, row in enumerate(adj):
+        closed = row | (1 << v)
+        prev = last.get(row, last.get(closed, -1))
+        before.append(prev)
+        last[row] = last[closed] = v
+    return before
+
+
+def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
+    """Return (bits, perm) for the minimal labeling; ``perm`` holds vertex
+    ids in placement order.
+
+    A state maps ``vecs`` to its perm. ``vecs`` is position-indexed: placed
+    positions hold a huge sentinel, so the minimal next column is just
+    min(vecs). A perm is a chain (parent perm, vertex), which keeps states
+    small. The last level merges every state into one key, so exactly one
+    perm is left.
+    """
+    m = len(adj)
     if m == 0:
-        return 0, [((), [])]
-    rowbit = [[(adj[u] >> v) & 1 for v in order] for u in order]
-    states = [((), [0] * m)]
+        return 0, ()
+    rowbit = [[(adj[u] >> v) & 1 for v in range(m)] for u in range(m)]
+    before = _twin_before(adj)
+    states = {(0,) * m: None}
     bits = 0
+    expanded = 0
     rng = range(m)
     for k in range(m):
-        best = min(map(min, (s[1] for s in states)))
+        best = min(map(min, states))
         bits = (bits << k) | best
         nxt = {}
-        for perm, vecs in states:
+        for vecs, chain in states.items():
             if best not in vecs:
                 continue
             for i in rng:
                 if vecs[i] != best:
+                    continue
+                t = before[i]
+                if t >= 0 and vecs[t] != _PLACED:  # a lower twin is unplaced
                     continue
                 rb = rowbit[i]
                 vecs2 = [
@@ -349,22 +380,28 @@ def _min_bits(adj, verts) -> tuple[int, list]:
                     for u in rng
                 ]
                 vecs2[i] = _PLACED
+                expanded += 1
                 key = tuple(vecs2)
                 if key not in nxt:
-                    nxt[key] = (perm + (order[i],), vecs2)
-        states = list(nxt.values())
-    return bits, states
+                    nxt[key] = (chain, i)
+            if expanded > LABEL_CAP:
+                raise CapExceeded(
+                    f"canonical labeling of n={m} passed {LABEL_CAP} states")
+        states = nxt
+    perm = []
+    chain = next(iter(states.values()))
+    while chain:
+        chain, v = chain
+        perm.append(v)
+    return bits, tuple(reversed(perm))
 
 
-def _best_final_column(pin_row: int, states: list) -> int:
-    best = None
-    for perm, _vecs in states:
-        col = 0
-        for w in perm:
-            col = (col << 1) | ((pin_row >> w) & 1)
-        if best is None or col < best:
-            best = col
-    return best
+def _column(row: int, perm) -> int:
+    """The bits of ``row`` read in ``perm`` order, first vertex highest."""
+    col = 0
+    for w in perm:
+        col = (col << 1) | ((row >> w) & 1)
+    return col
 
 
 def _pack_key(n: int, bits: int) -> bytes:
@@ -384,8 +421,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of ``g`` (same key, fixed labels)."""
-    _bits, states = _min_bits(g.adj, range(g.n))
-    perm = states[0][0]
+    _bits, perm = _min_bits(g.adj)
     pos = {v: i for i, v in enumerate(perm)}
     rows = [0] * g.n
     for i, v in enumerate(perm):
@@ -550,7 +586,7 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
             rows = parent.adj
             # the pinned search over the old vertices never reads the new
             # vertex's bits, so it is shared by all 2^m extensions
-            pbits, pstates = _min_bits(rows, range(m))
+            pbits, pperm = _min_bits(rows)
             pbase = pbits << m
             accepted = set()
             for mask in range(1 << m):
@@ -562,7 +598,7 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
                 free = child.canonical_bits
                 if free in accepted:
                     continue
-                if pbase | _best_final_column(mask, pstates) == free:
+                if pbase | _column(mask, pperm) == free:
                     accepted.add(free)
                     nxt.append(child)
         nxt.sort(key=Graph.canonical_key)

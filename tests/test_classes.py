@@ -384,6 +384,20 @@ def test_decomposition_not_in_class():
         build_decomposition(empty_graph(0), "p4sparse")
 
 
+def test_decompose_builds_complement_rows_once_per_node(monkeypatch):
+    from polaritylab import classes
+
+    g = tau_j(sigma_j(path_graph(3), 2), 3)  # a thick spider at the root
+    masks = []
+    real = classes._co_rows
+    monkeypatch.setattr(
+        classes, "_co_rows", lambda adj, mask: masks.append(mask) or real(adj, mask))
+    tree = build_decomposition(g, "p4sparse")
+    assert isinstance(tree, SpiderNode) and not tree.partition.thin
+    assert masks.count((1 << g.n) - 1) == 1
+    assert len(masks) == len(set(masks))
+
+
 def test_decomposition_rebuild_identity(graphs_to_7):
     for g in graphs_to_7:
         if g.n == 0:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import polaritylab
+from polaritylab import graphs
 from polaritylab import obstructions as ob
 from polaritylab.cli import _build_parser, classify_stream, run
 from polaritylab.graphs import (
@@ -392,3 +393,38 @@ def test_golden_output_bytes(command, fmt):
     code, out = cli(argv, GOLDEN_CORPUS)
     assert code == 1
     assert out == "\n".join(GOLDEN_OUTPUT[command, fmt]) + "\n"
+
+
+# 4*C5 is twin-free and symmetric: its canonical labeling passes LABEL_CAP
+FOUR_C5 = g6(union_all(*[cycle_graph(5)] * 4))
+
+
+def test_over_budget_line_is_a_line_error():
+    code, out = cli(["recognize", "--format", "json"], f"{FOUR_C5}\nCh\n")
+    assert code == 1
+    first, second = map(json.loads, out.splitlines())
+    assert first["input"] == FOUR_C5
+    assert first["error"].startswith("CapExceeded: canonical labeling of n=20")
+    assert second["canonical"] == "0434"
+
+
+def _no_labeling(adj):
+    raise AssertionError(f"labeled an order-{len(adj)} graph")
+
+
+@pytest.mark.parametrize("command", [
+    "recognize --class p4sparse",
+    "polar --spec sk:2,1",
+    "obstructions check --spec unipolar",
+])
+def test_text_mode_never_labels(command, monkeypatch):
+    monkeypatch.setattr(graphs, "_min_bits", _no_labeling)
+    code, out = cli(command.split(), GOLDEN_CORPUS)
+    assert code == 1
+    assert out == "\n".join(GOLDEN_OUTPUT[command, "text"]) + "\n"
+
+
+def test_recognize_class_text_mode_never_labels_an_over_budget_line(monkeypatch):
+    monkeypatch.setattr(graphs, "_min_bits", _no_labeling)
+    code, out = cli(["recognize", "--class", "cograph"], FOUR_C5 + "\n")
+    assert (code, out) == (1, f"{FOUR_C5}\tfalse\n")

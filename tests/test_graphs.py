@@ -2,6 +2,8 @@
 induced-subgraph search, and exhaustive enumeration, each checked against an
 independent oracle where the expected value is not forced by definition."""
 
+import hashlib
+import time
 import tracemalloc
 from itertools import combinations, permutations
 
@@ -16,8 +18,12 @@ from polaritylab.errors import (
     UnknownName,
     VertexOutOfRange,
 )
+from polaritylab.classes import CLASS_IDS, generate_class
 from polaritylab.graphs import (
+    _PLACED,
     Graph,
+    _mask_of,
+    _min_bits,
     canonical_form,
     canonical_key,
     catalog,
@@ -172,6 +178,62 @@ def test_canonical_key_vs_exhaustive_permutations():
             rows[perm[u]] |= 1 << perm[v]
             rows[perm[v]] |= 1 << perm[u]
         assert canonical_key(Graph(g.n, tuple(rows))) == canonical_key(g)
+
+
+def _unpruned_min_bits(adj):
+    """The labeling search without twin pruning or budget: (bits, perm) of
+    the first minimal labeling, in the search order of graphs._min_bits."""
+    m = len(adj)
+    if m == 0:
+        return 0, ()
+    rowbit = [[(adj[u] >> v) & 1 for v in range(m)] for u in range(m)]
+    states = [((), [0] * m)]
+    bits = 0
+    for k in range(m):
+        best = min(map(min, (s[1] for s in states)))
+        bits = (bits << k) | best
+        nxt = {}
+        for perm, vecs in states:
+            for i in range(m):
+                if vecs[i] != best:
+                    continue
+                vecs2 = [w if (w := vecs[u]) == _PLACED else (w << 1) | rowbit[i][u]
+                         for u in range(m)]
+                vecs2[i] = _PLACED
+                nxt.setdefault(tuple(vecs2), (perm + (i,), vecs2))
+        states = list(nxt.values())
+    return bits, states[0][0]
+
+
+def test_twin_pruning_matches_the_unpruned_search(graphs_to_7):
+    members = [g for c in CLASS_IDS for g in generate_class(c, 8)]
+    for g in graphs_to_7 + members:
+        bits, perm = _unpruned_min_bits(g.adj)
+        assert _min_bits(g.adj) == (bits, perm)  # enumerate_graphs reads perm
+        pos = {v: i for i, v in enumerate(perm)}
+        rows = tuple(_mask_of(pos[u] for u in g.neighbors(v)) for v in perm)
+        assert canonical_form(g) == Graph(g.n, rows)
+
+
+def test_enumeration_output_is_pinned(graphs_to_7):
+    # canonical augmentation reads the first minimal labeling's perm, so a
+    # change to the labeling search must keep it: same graphs, same order
+    text = "\n".join(graph6_encode(g) for g in graphs_to_7)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "526c7cda9d1e0bd4a91225d88d168fbba15851c5330364c73663363ff4227995")
+
+
+def test_twin_classes_collapse():
+    for g in (empty_graph(32), complete_graph(32)):
+        start = time.perf_counter()
+        canonical_key(g)
+        assert time.perf_counter() - start < 0.05
+
+
+def test_label_budget_stops_twin_free_symmetric_graphs():
+    c5 = cycle_graph(5)
+    with pytest.raises(CapExceeded):
+        canonical_key(union_all(c5, c5, c5, c5))
 
 
 # --- graph6 ----------------------------------------------------------------

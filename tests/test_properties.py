@@ -1,11 +1,17 @@
 """Property sweep over the library entry points: every input either works or
 fails with a documented PolarityLabError. Covers graph6 round-trips,
-arbitrary decoder input, spec labels, and the builders at the vertex cap."""
+arbitrary decoder input, spec labels, the builders at the vertex cap, and
+the CLI's exit codes over a small argv grammar."""
+
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polaritylab.cli import run
 from polaritylab.errors import BadParameter, CapExceeded, PolarityLabError, VertexOutOfRange
 from polaritylab.graphs import (
     VERTEX_CAP,
@@ -108,3 +114,70 @@ def test_builders_at_the_cap(name, n):
             build(n)
     else:
         assert build(n).n == n
+
+
+# The options each command takes, and the good and bad values each option
+# takes in the sweep. --max-n is always given, and its good values are small,
+# so no command enumerates past order 4.
+COMMANDS = {
+    ("recognize",): ("--class", "--mode"),
+    ("decompose",): ("--class",),
+    ("polar",): ("--spec",),
+    ("gen",): ("--class",),
+    ("verify",): ("--claim",),
+    ("obstructions", "enumerate"): ("--class", "--spec"),
+    ("obstructions", "check"): ("--spec",),
+    ("obstructions", "construct"): ("--class", "--s"),
+    ("obstructions", "catalog"): ("--id", "--s"),
+    ("obstructions", "bogus"): (),
+    ("bogus",): (),
+}
+GOOD = {
+    "--format": ("text", "json"),
+    "--workers": ("1", "2"),
+    "--spec": ("unipolar", "sk:2,1", "sk:inf,1", "polar"),
+    "--class": ("p4sparse", "p4extendible", "cograph", "62", "all"),
+    "--claim": ("sparse_cog", "bound", "disc_polar", "spider_not_obs"),
+    "--s": ("2", "3"),
+    "--id": ("polar-sparse", "s1fixed", "egraphs"),
+    "--mode": ("definitional", "structural"),
+    "--max-n": ("1", "3", "4"),
+}
+BAD = dict.fromkeys(GOOD, ("bogus", "-1", ""))
+BAD.update({"--workers": ("0", "-1", "x"), "--spec": ("sk:x,y", "sk:-1,2", ""),
+            "--s": ("1", "-1", "x"), "--max-n": ("0", "11", "x", "-3")})
+
+
+@st.composite
+def argvs(draw):
+    def value(opt):  # a bad value one time in four
+        return draw(st.sampled_from(GOOD[opt] if draw(st.integers(0, 3)) < 3 else BAD[opt]))
+
+    head = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = list(head)
+    for opt in ("--format", "--workers") + COMMANDS[head]:
+        if draw(st.integers(0, 3)) < 3:  # given three times in four
+            argv += [opt, value(opt)]
+    if draw(st.integers(0, 4)) == 4:  # an option the command may not take
+        opt = draw(st.sampled_from(sorted(GOOD)))
+        argv += [opt, value(opt)]
+    if draw(st.booleans()):
+        argv.append("--quiet")
+    return argv + ["--max-n", value("--max-n")]
+
+
+stdin_lines = st.lists(graphs(max_n=8).map(graph6_encode) | st.text(max_size=12),
+                       max_size=4)
+
+
+@SWEEP
+@given(argvs(), stdin_lines)
+def test_cli_exit_codes(argv, lines):
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO("\n".join(lines) + "\n")
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run(argv)
+    finally:
+        sys.stdin = old_stdin
+    assert code in (0, 1, 2, 3)
