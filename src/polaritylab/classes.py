@@ -13,7 +13,7 @@ co-components / spider nodes) that builds the decomposition trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Literal, Optional, Union
 
 from . import graphs as gr
@@ -27,7 +27,6 @@ from .graphs import (
     _component_masks,
     _k_subsets,
     _mask_of,
-    _p4_masks_in,
     catalog,
     complete_graph,
     disjoint_union,
@@ -204,10 +203,7 @@ def _find_ext_spider_masked(g: Graph, mask: int) -> Optional[ExtSpiderPartition]
     the head never validates, so a single arbitrary seed is not sound.
     """
     adj = g.adj
-    if mask == (1 << g.n) - 1:
-        p4s = p4_masks(g)
-    else:
-        p4s = _p4_masks_in(adj, _bits_to_tuple(mask))
+    p4s = [m for m in p4_masks(g) if not m & ~mask]
     for w in p4s:
         d = w
         for m in p4s:
@@ -324,12 +320,11 @@ def p4_extendible_certificate(g: Graph) -> Optional[tuple[tuple[int, ...], tuple
 
 
 def _has_c5(g: Graph) -> bool:
-    adj = g.adj
-    for quint, mask in _k_subsets(range(g.n), 5):
-        if all((adj[v] & mask).bit_count() == 2 for v in quint):
-            if _triangles_in(adj, mask, quint) == 0:
-                return True
-    return False
+    """Induced C5 test: C5 is the only 2-regular graph on five vertices."""
+    return any(
+        all((g.adj[v] & mask).bit_count() == 2 for v in quint)
+        for quint, mask in _k_subsets(range(g.n), 5)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +450,6 @@ class ExtSpiderNode:
 DecompTree = Union[Leaf, UnionNode, JoinNode, SpiderNode, ExtGraphNode, ExtSpiderNode]
 
 
-def _edges_within(g: Graph, mask: int) -> tuple[tuple[int, int], ...]:
-    vs = _bits_to_tuple(mask)
-    return tuple(
-        (u, v) for i, u in enumerate(vs) for v in vs[i + 1:] if g.has_edge(u, v)
-    )
-
-
 def build_decomposition(g: Graph, class_id: ClassId) -> DecompTree:
     """Decomposition tree for a P4-sparse or P4-extendible graph.
 
@@ -503,17 +491,15 @@ def _decompose(g: Graph, mask: int, class_id: ClassId) -> DecompTree:
         return SpiderNode(part, head)
     kind = _ext_kind_of(g, mask)
     if kind is not None:
-        return ExtGraphNode(kind, _bits_to_tuple(mask), _edges_within(g, mask))
+        edges = tuple(e for e in g.edges() if not _mask_of(e) & ~mask)
+        return ExtGraphNode(kind, _bits_to_tuple(mask), edges)
     found = _find_ext_spider_masked(g, mask)
     if found is None:
         raise NotInClass("extension spider case failed", certificate=None)
-    return ExtSpiderNode(
-        found.kind,
-        found.endpoints,
-        found.midpoints,
-        _edges_within(g, _mask_of(found.endpoints + found.midpoints)),
-        _decompose(g, _mask_of(found.head), class_id),
-    )
+    head = _mask_of(found.head)
+    base_edges = tuple(e for e in g.edges() if not _mask_of(e) & (head | ~mask))
+    return ExtSpiderNode(found.kind, found.endpoints, found.midpoints, base_edges,
+                         _decompose(g, head, class_id))
 
 
 def _collect_edges(node: DecompTree) -> list[tuple[int, int]]:
@@ -560,51 +546,57 @@ def rebuild(tree: DecompTree) -> Graph:
 # constructive generation
 
 
+# extension graphs that no head operation builds from the order-0 head
+_EXPLICIT_BASES = {"p4extendible": ("c5", "p5", "house"), "62": ("p5", "house")}
+
+
+def _head_operations(class_id: ClassId, n_max: int) -> list[tuple[int, list]]:
+    """(base order, builders) pairs; ``build(head)`` has order base + head.n.
+    Built per call, so the builders use the current ``sigma_j``, ``tau_j`` and
+    ``sigma_sep`` bindings."""
+    if class_id == "p4sparse":
+        return [
+            (2 * j, [partial(sigma_j, j=j)] + ([partial(tau_j, j=j)] if j >= 3 else []))
+            for j in range(2, n_max // 2 + 1)
+        ]
+    if class_id in ("p4extendible", "62"):
+        return [(_ext_graphs()[k].n, [partial(sigma_sep, k)]) for k in SEPARABLE_KINDS]
+    return []
+
+
 def generate_class(class_id: ClassId, n_max: int) -> Iterator[Graph]:
     """One member per isomorphism class, orders 1..n_max, by closure.
 
-    Base graphs and operations per class: cographs close {K1} under disjoint
-    union and join; P4-sparse adds headless spiders and the sigma/tau spider
-    builders; P4-extendible starts from K1 plus the eight extension graphs
-    and closes under the five separable extension operations as well; the
-    C5-free variant drops C5 from the base (the operations cannot create an
-    induced C5 across a boundary, since that would entail a crossing P4).
+    Every class closes {K1} under disjoint union, join and its head operations
+    (``_head_operations``): the sigma/tau spider builders for P4-sparse, the
+    five separable extension operations for P4-extendible. The order-0 graph
+    is a head at level 0, so the headless spiders and the separable extension
+    graphs come out of the same loop; C5, P5 and the house are the other
+    P4-extendible bases. The C5-free variant drops C5 (the operations cannot
+    create an induced C5 across a boundary, since that would entail a
+    crossing P4).
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds generation cap {ENUM_CAP}")
     if class_id not in CLASS_IDS:
         raise BadParameter(f"unknown class id {class_id!r}")
+    ops = _head_operations(class_id, n_max)
     levels: dict[int, dict[bytes, Graph]] = {m: {} for m in range(1, n_max + 1)}
+    levels[0] = {b"": gr.empty_graph(0)}  # the only order-0 graph: no key needed
 
     def add(g: Graph) -> None:
-        if 1 <= g.n <= n_max:
+        if g.n <= n_max:
             levels[g.n].setdefault(g.canonical_key(), g)
 
     add(complete_graph(1))
-    if class_id == "p4sparse":
-        for j in range(2, n_max // 2 + 1):
-            add(gr.headless_spider(j))
-            if j >= 3:
-                add(gr.headless_spider(j, thick=True))
-    elif class_id in ("p4extendible", "62"):
-        for kind in EXT_KINDS:
-            if class_id == "62" and kind == "c5":
-                continue
-            add(_ext_graphs()[kind])
+    for kind in _EXPLICIT_BASES.get(class_id, ()):
+        add(_ext_graphs()[kind])
 
     for m in range(2, n_max + 1):
-        if class_id == "p4sparse":
-            for j in range(2, (m - 1) // 2 + 1):
-                for h in levels[m - 2 * j].values():
-                    add(sigma_j(h, j))
-                    if j >= 3:
-                        add(tau_j(h, j))
-        elif class_id in ("p4extendible", "62"):
-            for kind in SEPARABLE_KINDS:
-                base = _ext_graphs()[kind].n
-                if 1 <= m - base:
-                    for h in levels[m - base].values():
-                        add(sigma_sep(kind, h))
+        for base, builders in ops:
+            for h in levels.get(m - base, {}).values():
+                for build in builders:
+                    add(build(h))
         for a in range(1, m // 2 + 1):
             b = m - a
             for x in levels[a].values():

@@ -13,16 +13,17 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from functools import partial
 from typing import Iterable, Iterator
 
 from . import classes as cl
+from . import graphs as gr
 from . import obstructions as ob
 from . import polarity as po
 from .errors import BadParameter, CapExceeded, NotInClass, PolarityLabError
 from .graphs import Graph, graph6_decode, graph6_encode, list_induced_p4s
 
-MAX_N_LIMIT = 10
 DEFAULT_MAX_N = 8
 
 
@@ -34,8 +35,8 @@ def _resolve_max_n(args) -> int:
             value = int(env) if env else DEFAULT_MAX_N
         except ValueError:
             raise BadParameter(f"POLARITYLAB_MAX_N={env!r} is not an integer") from None
-    if not 1 <= value <= MAX_N_LIMIT:
-        raise CapExceeded(f"max-n {value} outside 1..{MAX_N_LIMIT}")
+    if not 1 <= value <= gr.ENUM_CAP:
+        raise CapExceeded(f"max-n {value} outside 1..{gr.ENUM_CAP}")
     return value
 
 
@@ -216,13 +217,19 @@ def _cmd_polar(args) -> int:
 def _emit_graphs(args, graphs, spec=None) -> None:
     # emit the canonical labeling so isomorphic results match byte-for-byte
     # across the enumerate / construct / catalog routes
-    from .graphs import canonical_form
-
     for g in graphs:
         if args.format == "json":
             print(json.dumps(ob.obstruction_record(g, spec), sort_keys=True))
         else:
-            print(graph6_encode(canonical_form(g)))
+            print(graph6_encode(gr.canonical_form(g)))
+
+
+def _open_sidecar(path):
+    """The sidecar file opened for writing (before any output), or a null context."""
+    try:
+        return open(path, "w", encoding="utf-8") if path else nullcontext()
+    except OSError as exc:
+        raise BadParameter(f"cannot write sidecar: {exc}") from None
 
 
 def _cmd_obstructions(args) -> int:
@@ -232,20 +239,21 @@ def _cmd_obstructions(args) -> int:
         raise BadParameter(f"obstructions {args.action} needs --class")
     if args.action == "enumerate":
         spec = po.parse_spec(args.spec)
-        graphs = ob.enumerate_minimal_obstructions(
-            args.klass, spec, _resolve_max_n(args), workers=args.workers
-        )
-        if not args.sidecar:
-            _emit_graphs(args, graphs, None if args.quiet else spec)
-            return 0
-        records = [ob.obstruction_record(g, spec) for g in graphs]
-        if args.format == "json" and not args.quiet:
-            for rec in records:  # the sidecar's records, witnesses computed once
-                print(json.dumps(rec, sort_keys=True))
-        else:
-            _emit_graphs(args, graphs)
-        with open(args.sidecar, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=2)
+        n_max = _resolve_max_n(args)
+        with _open_sidecar(args.sidecar) as sidecar:
+            graphs = ob.enumerate_minimal_obstructions(
+                args.klass, spec, n_max, workers=args.workers
+            )
+            if sidecar is None:
+                _emit_graphs(args, graphs, None if args.quiet else spec)
+                return 0
+            records = [ob.obstruction_record(g, spec) for g in graphs]
+            if args.format == "json" and not args.quiet:
+                for rec in records:  # the sidecar's records, witnesses computed once
+                    print(json.dumps(rec, sort_keys=True))
+            else:
+                _emit_graphs(args, graphs)
+            json.dump(records, sidecar, indent=2)
         return 0
     if args.action == "construct":
         if args.s is None:
@@ -290,9 +298,7 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     n_max = _resolve_max_n(args)
     if args.klass == "all":
-        from .graphs import enumerate_graphs
-
-        graphs = enumerate_graphs(n_max)
+        graphs = gr.enumerate_graphs(n_max)
     else:
         graphs = cl.generate_class(args.klass, n_max)
     _emit_graphs(args, graphs)

@@ -16,7 +16,7 @@ labeling), which keeps memory flat and parallelizes by parent.
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -477,20 +477,15 @@ def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def _p4_masks_in(adj, verts) -> tuple[int, ...]:
-    """Masks of the 4-subsets of ``verts`` inducing a P4, ascending."""
-    found = []
-    for quad, mask in _k_subsets(verts, 4):
-        degs = [(adj[v] & mask).bit_count() for v in quad]
-        if sum(degs) == 6 and min(degs) == 1 and max(degs) == 2:  # 3 edges
-            found.append(mask)
-    return tuple(found)
-
-
 def p4_masks(g: Graph) -> tuple[int, ...]:
     """Masks of all vertex sets inducing a P4, ascending (cached on g)."""
     if g._p4s is None:
-        g._p4s = _p4_masks_in(g.adj, range(g.n))
+        found = []
+        for quad, mask in _k_subsets(range(g.n), 4):
+            degs = [(g.adj[v] & mask).bit_count() for v in quad]
+            if sum(degs) == 6 and min(degs) == 1 and max(degs) == 2:  # 3 edges
+                found.append(mask)
+        g._p4s = tuple(found)
     return g._p4s
 
 
@@ -611,9 +606,9 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
 
 _PCK = re.compile(r"^([pck])(\d+(?:,\d+)*)$")
 _SPIDER = re.compile(r"^(thin|thick)(\d+)$")
-_EGRAPH = re.compile(r"^e(\d+)$")
 
 
+@lru_cache(maxsize=None)
 def _named_fixed() -> dict[str, Graph]:
     k1, k2, k3 = complete_graph(1), complete_graph(2), complete_graph(3)
     p3 = path_graph(3)
@@ -624,7 +619,7 @@ def _named_fixed() -> dict[str, Graph]:
     kite = from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4)])
     w4 = join(cycle_graph(4), k1)
     net = from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])
-    fixed = {
+    return {
         "house": house,
         "banner": banner,
         "cobanner": banner.complement(),
@@ -646,23 +641,15 @@ def _named_fixed() -> dict[str, Graph]:
         "e12": disjoint_union(k1, house),
         "e13": disjoint_union(k2, c5).complement(),
     }
-    return fixed
-
-
-_FIXED_CACHE: dict[str, Graph] = {}
 
 
 def catalog(name: str) -> Graph:
     """Look up a named graph: Pn, Cn, Kn, Ka,b,..., W4, house, banner,
     cobanner, fork, kite, net, thin<j>/thick<j> spiders, E1..E13."""
     key = name.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
-    if not _FIXED_CACHE:
-        _FIXED_CACHE.update(_named_fixed())
-    if key in _FIXED_CACHE:
-        return _FIXED_CACHE[key]
-    m = _EGRAPH.match(key)
-    if m:
-        raise UnknownName(f"no catalog graph named {name!r}")
+    fixed = _named_fixed()
+    if key in fixed:
+        return fixed[key]
     m = _SPIDER.match(key)
     if m:
         return headless_spider(int(m.group(2)), thick=(m.group(1) == "thick"))

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional
 
 from . import graphs as gr
-from .classes import ClassId, generate_class, is_cograph, sigma_j, sigma_sep, tau_j
+from .classes import ClassId, _head_operations, generate_class, is_cograph
 from .errors import BadParameter, UnknownClaim, UnknownId
 from .graphs import (
     Graph,
@@ -142,19 +141,17 @@ def _pool(class_id: ClassId, k: int) -> tuple[Graph, ...]:
     return tuple(g.complement() for g in s1_fixed_family(k))
 
 
-def _length_partitions(total: int, length: int, maximum: Optional[int] = None):
-    """Non-increasing integer sequences of the given length summing to total."""
-    if maximum is None:
-        maximum = total
-    if length == 0:
-        if total == 0:
-            yield ()
+def _budget_walks(items, budget: int, start: int = 0):
+    """Lists of ``items[start:]`` entries, repeats allowed and in item order,
+    whose costs sum to ``budget``; each item is (cost, graph)."""
+    if budget == 0:
+        yield []
         return
-    for head in range(min(total, maximum), -1, -1):
-        if head * length < total:
-            break
-        for rest in _length_partitions(total - head, length - 1, head):
-            yield (head,) + rest
+    for i in range(start, len(items)):
+        cost, g = items[i]
+        if cost <= budget:
+            for rest in _budget_walks(items, budget - cost, i):
+                yield [g] + rest
 
 
 def construct_s1_obstructions(class_id: ClassId, s: int) -> list[Graph]:
@@ -162,7 +159,8 @@ def construct_s1_obstructions(class_id: ClassId, s: int) -> list[Graph]:
 
     Union of the class's essential graphs, the three parametric disconnected
     families at s, and complements of disjoint unions G_1 + ... + G_t where
-    each G_i is drawn from _pool(class_id, s_i) and s = t - 1 + sum(s_i).
+    each G_i is drawn from _pool(class_id, s_i) and s = t - 1 + sum(s_i):
+    a component costs s_i + 1 and the costs add up to s + 1.
     """
     if class_id not in ("p4sparse", "p4extendible"):
         raise BadParameter(f"no (s,1) construction for class {class_id!r}")
@@ -177,19 +175,9 @@ def construct_s1_obstructions(class_id: ClassId, s: int) -> list[Graph]:
         add(g)
     for g in s1_fixed_family(s):
         add(g)
-    for t in range(2, s + 2):
-        for parts in _length_partitions(s - t + 1, t):
-            groups = []
-            seen = {}
-            for v in parts:
-                seen[v] = seen.get(v, 0) + 1
-            for value, count in sorted(seen.items()):
-                groups.append(
-                    list(combinations_with_replacement(_pool(class_id, value), count))
-                )
-            for pick in product(*groups):
-                components = [g for grp in pick for g in grp]
-                add(union_all(*components).complement())
+    items = [(v + 1, g) for v in range(s) for g in _pool(class_id, v)]
+    for components in _budget_walks(items, s + 1):
+        add(union_all(*components).complement())
     return sorted(found.values(), key=lambda g: (g.n, g.canonical_key()))
 
 
@@ -292,43 +280,31 @@ def verify_claim(claim_id: str, n_max: int, workers: int = 1) -> ClaimReport:
     (k,1) obstructions are never connected with connected complement except
     C5).
     """
-    key = claim_id.strip().lower()
-    if key == "sparse_cog":
-        return _claim_sparse_cog(n_max, workers)
-    if key == "bound":
-        return _claim_bound(n_max, workers)
-    if key == "disc_polar":
-        return _claim_disc_polar(n_max, workers)
-    if key == "spider_not_obs":
-        return _claim_spider_not_obs(n_max, workers)
-    raise UnknownClaim(f"unknown claim {claim_id!r}")
+    try:
+        run = _CLAIMS[claim_id.strip().lower()]
+    except KeyError:
+        raise UnknownClaim(f"unknown claim {claim_id!r}") from None
+    return run(n_max, workers)
 
 
-def _claim_sparse_cog(n_max: int, workers: int) -> ClaimReport:
-    bad = []
-    counts = {}
-    for s in (2, 3):
-        obs = enumerate_minimal_obstructions("p4sparse", sk_polar(s, 1), n_max, workers)
-        counts[f"s={s}"] = len(obs)
-        bad.extend(g for g in obs if not is_cograph(g))
-    return ClaimReport(
-        "sparse_cog", n_max, not bad, [graph6_encode(g) for g in bad],
-        {"obstructions": counts},
-    )
+def _sparse_count_claim(claim: str, specs: dict[str, PolarSpec], is_bad):
+    """A claim that every minimal obstruction among P4-sparse graphs, for
+    each labeled spec, passes a per-graph test; ``is_bad(g, spec)`` flags
+    a counterexample."""
 
+    def run(n_max: int, workers: int) -> ClaimReport:
+        bad = []
+        counts = {}
+        for label, spec in specs.items():
+            obs = enumerate_minimal_obstructions("p4sparse", spec, n_max, workers)
+            counts[label] = len(obs)
+            bad.extend(g for g in obs if is_bad(g, spec))
+        return ClaimReport(
+            claim, n_max, not bad, [graph6_encode(g) for g in bad],
+            {"obstructions": counts},
+        )
 
-def _claim_bound(n_max: int, workers: int) -> ClaimReport:
-    bad = []
-    counts = {}
-    for s in (1, 2):
-        for k in (1, 2):
-            obs = enumerate_minimal_obstructions("p4sparse", sk_polar(s, k), n_max, workers)
-            counts[f"({s},{k})"] = len(obs)
-            bad.extend(g for g in obs if g.n > (s + 1) * (k + 1))
-    return ClaimReport(
-        "bound", n_max, not bad, [graph6_encode(g) for g in bad],
-        {"obstructions": counts},
-    )
+    return run
 
 
 def _claim_disc_polar(n_max: int, workers: int) -> ClaimReport:
@@ -368,17 +344,12 @@ def _claim_spider_not_obs(n_max: int, workers: int) -> ClaimReport:
     checked = 0
     specs = [sk_polar(1, k) for k in (1, 2, 3)]
     heads = [h for h in enumerate_graphs(max(n_max - 4, 0)) if h.n <= n_max - 4]
+    ops = _head_operations("p4sparse", n_max) + _head_operations("p4extendible", n_max)
     for head in heads:
-        spiders = []
-        for j in (2, 3, 4):
-            if 2 * j + head.n <= n_max:
-                spiders.append(sigma_j(head, j))
-                if j >= 3:
-                    spiders.append(tau_j(head, j))
-        for kind in ("p4", "banner", "cobanner", "fork", "kite"):
-            base = 4 if kind == "p4" else 5
-            if base + head.n <= n_max:
-                spiders.append(sigma_sep(kind, head))
+        spiders = [
+            build(head) for base, builders in ops if base + head.n <= n_max
+            for build in builders
+        ]
         for g in spiders:
             for spec in specs:
                 checked += 1
@@ -400,3 +371,15 @@ def _claim_spider_not_obs(n_max: int, workers: int) -> ClaimReport:
         "spider_not_obs", n_max, not bad, bad,
         {"spiders_checked": checked, "connected_counterexamples": connected_bad},
     )
+
+
+_CLAIMS = {
+    "sparse_cog": _sparse_count_claim(
+        "sparse_cog", {f"s={s}": sk_polar(s, 1) for s in (2, 3)},
+        lambda g, spec: not is_cograph(g)),
+    "bound": _sparse_count_claim(
+        "bound", {f"({s},{k})": sk_polar(s, k) for s in (1, 2) for k in (1, 2)},
+        lambda g, spec: g.n > (spec.s + 1) * (spec.k + 1)),
+    "disc_polar": _claim_disc_polar,
+    "spider_not_obs": _claim_spider_not_obs,
+}

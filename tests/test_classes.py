@@ -5,10 +5,12 @@ five-subset double-P4 scan, and an extension-set recomputation from raw
 quadruple scans), and both against the structural recursion.
 """
 
+import hashlib
 from itertools import combinations, permutations
 
 import pytest
 
+from polaritylab import classes
 from polaritylab.classes import (
     CLASS_IDS,
     SEPARABLE_KINDS,
@@ -43,6 +45,7 @@ from polaritylab.graphs import (
     empty_graph,
     enumerate_graphs,
     from_edges,
+    graph6_encode,
     headless_spider,
     is_isomorphic,
     join,
@@ -439,3 +442,44 @@ def test_generate_class_equals_filtered_enumeration(graphs_to_6):
         check = recognizer(class_id)
         filt = {canonical_key(g) for g in graphs_to_6 if check(g)}
         assert gen == filt, class_id
+
+
+GENERATED_TO_8_SHA256 = {
+    "cograph": "5f7a234cb47c17a368ce568a47f19ebc4941639189c3ae441e9c68477f6c15c9",
+    "p4sparse": "1b677a7d69cad30f98081546b326ccedeb501f2c6ce2b787763b92da5c194b58",
+    "p4extendible": "048f9752dde50cfc1bd8fbf53b9407805164d6453a961bf125789d6340fa9fb5",
+    "62": "d73cb1c9a09ffc27f1e8bc023b94a06475172890d6c3201c4c28ff7ea514ce1a",
+}
+
+
+@pytest.mark.parametrize("class_id", CLASS_IDS)
+def test_generate_class_output_is_pinned(class_id):
+    # the first graph built in each isomorphism class is the one kept, so the
+    # order of the bases and head operations shows in the adjacency
+    text = "\n".join(graph6_encode(g) for g in generate_class(class_id, 8))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_TO_8_SHA256[class_id]
+
+
+def test_generate_class_builds_through_the_current_head_operations(monkeypatch):
+    # the order-0 head yields the headless spiders and the separable extension
+    # graphs, and the builders are looked up per call (a rebinding is seen)
+    calls = []
+
+    def recording(real):
+        def build(*args, **kwargs):
+            calls.append((real.__name__, args, kwargs))
+            return real(*args, **kwargs)
+        return build
+
+    for name in ("sigma_j", "tau_j", "sigma_sep"):
+        monkeypatch.setattr(classes, name, recording(getattr(classes, name)))
+    list(generate_class("p4sparse", 6))
+    headless = [(name, kw["j"]) for name, (head,), kw in calls if head.n == 0]
+    assert headless == [("sigma_j", 2), ("sigma_j", 3), ("tau_j", 3)]
+    calls.clear()
+    list(generate_class("p4extendible", 5))
+    headless = [kind for _name, (kind, head), _kw in calls if head.n == 0]
+    assert headless == list(SEPARABLE_KINDS)
+    calls.clear()
+    list(generate_class("cograph", 5))
+    assert calls == []

@@ -137,6 +137,14 @@ def test_obstructions_sidecar(tmp_path):
     assert {rec["graph6"] for rec in data} == set(out.strip().split("\n"))
 
 
+def test_unwritable_sidecar_exits_2_before_any_output(tmp_path, capsys):
+    side = tmp_path / "missing" / "list.json"
+    code, out = cli(["obstructions", "enumerate", "--class", "p4sparse", "--spec",
+                     "unipolar", "--max-n", "5", "--sidecar", str(side)])
+    assert code == 2 and out == "" and not side.exists()
+    assert capsys.readouterr().err.startswith("error: cannot write sidecar")
+
+
 def test_obstructions_sidecar_screens_each_member_once(tmp_path, monkeypatch):
     # JSON stdout and the sidecar share one witness record per member
     members = [catalog("k2,3"), union_all(path_graph(3), path_graph(3))]

@@ -3,6 +3,10 @@ catalogs, the recursive (s,1) constructor, antichain checks, and the claim
 harness at small scale. The heavy exact-reproduction runs live in
 test_acceptance.py."""
 
+import hashlib
+import json
+from itertools import combinations_with_replacement
+
 import pytest
 
 from polaritylab.classes import sigma_j, sigma_sep, tau_j
@@ -14,6 +18,7 @@ from polaritylab.graphs import (
     cycle_graph,
     disjoint_union,
     graph6_decode,
+    graph6_encode,
     headless_spider,
     is_isomorphic,
     path_graph,
@@ -243,3 +248,43 @@ def test_verify_claim_small():
     assert verify_claim("spider_not_obs", 6).passed
     with pytest.raises(UnknownClaim):
         verify_claim("weird", 5)
+
+
+def sha256_of(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("class_id, digest", [
+    ("p4sparse", "1a76a0e3ddba58b6f52a111e4d4d6455d05ec5771877917682386f0ba689e72f"),
+    ("p4extendible", "d1ed7e717179d1a88af6b0c9d987b6d50ee8bb9f51657a39b94da2a34d7faa00"),
+])
+def test_s1_construction_output_is_pinned(class_id, digest):
+    text = "\n".join(
+        graph6_encode(g) for s in range(2, 7) for g in construct_s1_obstructions(class_id, s))
+    assert sha256_of(text) == digest
+
+
+def test_budget_walks_are_the_multisets_of_the_right_cost():
+    from polaritylab.obstructions import _budget_walks
+
+    items = [(1, "a"), (2, "b"), (2, "c"), (3, "d")]
+    for budget in range(8):
+        brute = [
+            [g for _cost, g in pick]
+            for t in range(budget + 1)
+            for pick in combinations_with_replacement(items, t)
+            if sum(cost for cost, _g in pick) == budget
+        ]
+        walks = list(_budget_walks(items, budget))
+        assert sorted(walks) == sorted(brute) and len(walks) == len(brute)
+        assert all(w == sorted(w) for w in walks)  # components in item order
+
+
+@pytest.mark.parametrize("claim, digest", [
+    ("sparse_cog", "31ff4453118e8c182292b9b6ecacb9f21e633837072f7094e5d795511ad3256d"),
+    ("bound", "fa508b4999b50d47039970ba2dfca61ba490f429871266ba9765b5d2d483f485"),
+    ("disc_polar", "7d0a974dcf74403f30de3bb7929b77097a985046802ba53194b6d104250f8220"),
+    ("spider_not_obs", "d308f335646e24050e19fdef423598037635da0afb6eed449a043875a6f93538"),
+])
+def test_claim_reports_are_pinned(claim, digest):
+    assert sha256_of(json.dumps(verify_claim(claim, 6).__dict__, sort_keys=True)) == digest
