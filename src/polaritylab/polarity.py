@@ -6,16 +6,16 @@ most k disjoint cliques. Unbounded s or k is written None (the CLI token is
 "inf") and is replaced by the graph's order at evaluation time. A unipolar
 partition instead requires A to be a clique.
 
-The solver enumerates candidate A-sides in increasing size and then
-lexicographic order and returns the first valid split, so witnesses are
-deterministic. All acceptance-scale inputs have at most ten vertices;
-clarity and certainty win over cleverness here.
+The solver is an exact depth-first search over the vertices in index
+order. Both sides are hereditary, so a prefix of A or of B that fails cuts
+every extension of it. A size-free pass decides whether a partition exists;
+only then is the witness found, the first valid split in increasing |A| and
+then lexicographic A order, so witnesses are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .classes import _has_c5
@@ -169,15 +169,14 @@ def is_split(g: Graph) -> bool:
     return not _has_c5(g)
 
 
-@lru_cache(maxsize=32)
-def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(mask for _, mask in _k_subsets(range(n), size)) for size in range(n + 1)
-    )
+def _first_a(g: Graph, spec: PolarSpec, size: Optional[int]) -> Optional[int]:
+    """A-side mask of the first valid partition with |A| = ``size`` (any size
+    when None), or None.
 
-
-def find_polar_partition(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
-    """First valid partition in (|A|, lexicographic A) order, or None."""
+    Vertices are decided depth-first in index order, "into A" before "into
+    B", so fixed-size A-sides come in the order of ``_k_subsets``. Both sides
+    are hereditary: a prefix of A or of B that fails cuts every extension.
+    """
     n = g.n
     if n > SEARCH_CAP:
         raise CapExceeded(f"order {n} exceeds search cap {SEARCH_CAP}")
@@ -186,20 +185,43 @@ def find_polar_partition(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
     co = _co_rows(adj, full)
     smax = _eff(spec.s, n)
     kmax = _eff(spec.k, n)
-    for row in _masks_by_size(n):
-        for amask in row:
-            if spec.clique_side:
-                if not _is_clique_mask(adj, amask):
-                    continue
-            elif not _is_cm_mask(adj, amask, smax):
-                continue
-            if _is_cm_mask(co, full ^ amask, kmax):
-                return PolarPartition(
-                    _bits_to_tuple(amask), _bits_to_tuple(full ^ amask)
-                )
-    return None
+
+    def a_ok(amask):
+        if spec.clique_side:
+            return _is_clique_mask(adj, amask)
+        return _is_cm_mask(adj, amask, smax)
+
+    def walk(v, amask, bmask):
+        # vertices below v are decided: amask into A, bmask into B, both valid
+        if size is not None:
+            need = size - amask.bit_count()
+            if need == 0:
+                return amask if _is_cm_mask(co, full ^ amask, kmax) else None
+            if need > n - v:
+                return None
+        elif v == n:
+            return amask
+        bit = 1 << v
+        if a_ok(amask | bit):
+            hit = walk(v + 1, amask | bit, bmask)
+            if hit is not None:
+                return hit
+        return walk(v + 1, amask, bmask | bit) if _is_cm_mask(co, bmask | bit, kmax) else None
+
+    return walk(0, 0, 0)
+
+
+def find_polar_partition(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
+    """First valid partition in (|A|, lexicographic A) order, or None."""
+    if _first_a(g, spec, None) is None:
+        return None
+    full = (1 << g.n) - 1
+    for size in range(g.n + 1):
+        amask = _first_a(g, spec, size)
+        if amask is not None:
+            return PolarPartition(_bits_to_tuple(amask), _bits_to_tuple(full ^ amask))
 
 
 def satisfies(g: Graph, spec: PolarSpec) -> bool:
-    """Predicate form of find_polar_partition (the obstruction engine's handle)."""
-    return find_polar_partition(g, spec) is not None
+    """Whether a partition exists: the size-free pass alone, no witness."""
+    return _first_a(g, spec, None) is not None

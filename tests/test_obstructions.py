@@ -34,7 +34,7 @@ from polaritylab.obstructions import (
     s1_fixed_family,
     verify_claim,
 )
-from polaritylab.polarity import MONOPOLAR, POLAR, UNIPOLAR, sk_polar
+from polaritylab.polarity import MONOPOLAR, POLAR, UNIPOLAR, parse_spec, sk_polar
 
 
 def keyset(graphs):
@@ -288,3 +288,22 @@ def test_budget_walks_are_the_multisets_of_the_right_cost():
 ])
 def test_claim_reports_are_pinned(claim, digest):
     assert sha256_of(json.dumps(verify_claim(claim, 6).__dict__, sort_keys=True)) == digest
+
+
+# Neither class has a minimal polar obstruction of order <= 7, so polar is
+# pinned at order 8, where each class has two.
+@pytest.mark.parametrize("class_id, spec, n_max, digest", [
+    ("p4sparse", "unipolar", 7, "20ae4c4e9262351a2da11cd14312429a4cb4b28a4eca3009639e5b933c0383fa"),
+    ("p4sparse", "sk:2,1", 7, "9134cd838bc1cad277268fed9a516ac01900847e71e037178ce5215bbaa078a1"),
+    ("p4sparse", "sk:inf,1", 7, "098878c0f2dcdf8b689a0cf829366dd67222838f00332de1070f83041b24de60"),
+    ("p4sparse", "polar", 8, "ace35cea3c68b417a079bfca61c0e3754c1865c1a91f1e9aec3270eabc707360"),
+    ("p4extendible", "unipolar", 7, "d4842e4d5456ccc5c87caec5a2fca001645c277bd501fc70ed07a7f163be4e63"),
+    ("p4extendible", "sk:2,1", 7, "7fdf258dce53e14f20879ebe7a41a68195a273dfc623b8e444ab2136daf43ed7"),
+    ("p4extendible", "sk:inf,1", 7, "64b710a8ca007fa5fbd9133fd1af593e19d219526d357b10ddcc61b0f867cca1"),
+    ("p4extendible", "polar", 8, "ace35cea3c68b417a079bfca61c0e3754c1865c1a91f1e9aec3270eabc707360"),
+])
+def test_deletion_witnesses_are_pinned(class_id, spec, n_max, digest):
+    spec = parse_spec(spec)
+    records = [obstruction_record(g, spec)
+               for g in enumerate_minimal_obstructions(class_id, spec, n_max)]
+    assert sha256_of(json.dumps(records, sort_keys=True)) == digest

@@ -5,8 +5,12 @@ from itertools import combinations
 
 import pytest
 
+from polaritylab import polarity
 from polaritylab.errors import BadParameter, CapExceeded
 from polaritylab.graphs import (
+    _bits_to_tuple,
+    _co_rows,
+    _k_subsets,
     catalog,
     complete_graph,
     cycle_graph,
@@ -22,6 +26,9 @@ from polaritylab.polarity import (
     SPLIT,
     UNIPOLAR,
     PolarPartition,
+    _eff,
+    _is_clique_mask,
+    _is_cm_mask,
     find_polar_partition,
     is_cluster,
     is_complete_multipartite,
@@ -117,8 +124,9 @@ def test_degenerate_cases():
     assert w is not None and w.a == ()  # s=0 forces an empty A side
     w = find_polar_partition(complete_graph(3), sk_polar(3, 0))
     assert w is not None and w.b == ()  # k=0 forces an empty B side
-    with pytest.raises(CapExceeded):
-        satisfies(empty_graph(21), POLAR)
+    for query in (satisfies, find_polar_partition):
+        with pytest.raises(CapExceeded):
+            query(empty_graph(21), POLAR)
 
 
 def test_every_witness_validates(graphs_to_6):
@@ -169,6 +177,73 @@ def test_witness_is_first_in_size_then_lex_order(graphs_to_6):
             w = find_polar_partition(g, spec)
             got = None if w is None else (w.a, w.b)
             assert got == _brute_witness(g, s, k, unipolar), (g, spec)
+
+
+BOUNDS = (0, 1, 2, 3, None)
+ALL_SPECS = [sk_polar(s, k) for s in BOUNDS for k in BOUNDS] + [UNIPOLAR]
+
+
+def _scan_witness(g, spec):
+    """The exhaustive scan the pruned search replaced: every A-side mask in
+    (size, lexicographic) order, and the first valid split as (A, B), or None."""
+    n = g.n
+    adj = g.adj
+    full = (1 << n) - 1
+    co = _co_rows(adj, full)
+    smax = _eff(spec.s, n)
+    kmax = _eff(spec.k, n)
+    for size in range(n + 1):
+        for _, amask in _k_subsets(range(n), size):
+            if spec.clique_side:
+                if not _is_clique_mask(adj, amask):
+                    continue
+            elif not _is_cm_mask(adj, amask, smax):
+                continue
+            if _is_cm_mask(co, full ^ amask, kmax):
+                return _bits_to_tuple(amask), _bits_to_tuple(full ^ amask)
+    return None
+
+
+def test_pruned_search_matches_the_exhaustive_scan(graphs_to_7):
+    for g in graphs_to_7:
+        for spec in ALL_SPECS:
+            want = _scan_witness(g, spec)
+            w = find_polar_partition(g, spec)
+            assert (None if w is None else (w.a, w.b)) == want, (g, spec)
+            assert satisfies(g, spec) == (want is not None), (g, spec)
+
+
+# Verdicts of the exhaustive scan for ALL_SPECS, in order ("1" = has a
+# partition). The scan needs 2^20 A-side tests per None answer at order 20.
+ORDER_20 = {
+    "4C5": (union_all(*[cycle_graph(5)] * 4), "00000000010000100001000010"),
+    "C20": (cycle_graph(20), "00000000010000100001000010"),
+    "E20": (empty_graph(20), "00001111111111111111111111"),
+    "K20": (complete_graph(20), "01111011110111101111111111"),
+    "10K2": (union_all(*[complete_graph(2)] * 10), "00001000010000100001000011"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_20))
+def test_order_20_queries_are_cheap(name, monkeypatch):
+    g, verdicts = ORDER_20[name]
+    calls = [0]
+    for attr in ("_is_cm_mask", "_is_clique_mask"):
+        def counted(*args, real=getattr(polarity, attr)):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(polarity, attr, counted)
+    for spec, verdict in zip(ALL_SPECS, verdicts):
+        calls[0] = 0
+        assert satisfies(g, spec) == (verdict == "1"), spec
+        verdict_calls, calls[0] = calls[0], 0
+        w = find_polar_partition(g, spec)
+        assert max(verdict_calls, calls[0]) < 10**5, (spec, verdict_calls, calls[0])
+        assert (w is not None) == (verdict == "1"), spec
+        # a None answer costs one size-free pass, the same work as satisfies
+        assert w is not None or calls[0] == verdict_calls, spec
+        assert w is None or w.validate(g, spec)
 
 
 def test_complement_duality_small(graphs_to_6):

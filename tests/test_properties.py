@@ -24,7 +24,8 @@ from polaritylab.graphs import (
     graph6_encode,
     path_graph,
 )
-from polaritylab.polarity import UNIPOLAR, parse_spec, sk_polar
+from polaritylab.polarity import UNIPOLAR, find_polar_partition, parse_spec, satisfies, sk_polar
+from test_polarity import _scan_witness
 
 SWEEP = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -87,6 +88,18 @@ def test_parse_spec_raises_only_bad_parameter(text):
     except BadParameter:
         return
     assert parse_spec(spec.label()) == spec
+
+
+small_bounds = st.none() | st.integers(0, 5)
+
+
+@SWEEP
+@given(graphs(max_n=14), st.just(UNIPOLAR) | st.builds(sk_polar, small_bounds, small_bounds))
+def test_pruned_search_matches_the_exhaustive_scan(g, spec):
+    want = _scan_witness(g, spec)
+    w = find_polar_partition(g, spec)
+    assert (None if w is None else (w.a, w.b)) == want
+    assert satisfies(g, spec) == (want is not None)
 
 
 BUILDERS = {
