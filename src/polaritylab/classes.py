@@ -564,8 +564,8 @@ def _head_operations(class_id: ClassId, n_max: int) -> list[tuple[int, list]]:
     return []
 
 
-def generate_class(class_id: ClassId, n_max: int) -> Iterator[Graph]:
-    """One member per isomorphism class, orders 1..n_max, by closure.
+def _closure(class_id: ClassId, n_max: int) -> Iterator[Graph]:
+    """Each member of orders 1..n_max once, in the order it is first built.
 
     Every class closes {K1} under disjoint union, join and its head operations
     (``_head_operations``): the sigma/tau spider builders for P4-sparse, the
@@ -575,35 +575,72 @@ def generate_class(class_id: ClassId, n_max: int) -> Iterator[Graph]:
     P4-extendible bases. The C5-free variant drops C5 (the operations cannot
     create an induced C5 across a boundary, since that would entail a
     crossing P4).
+
+    Members are told apart by a structural code, not a canonical labeling.
+    Both classes have a unique tree representation (Jamison and Olariu), so
+    the operation that builds a graph, applied to the ids of its parts, names
+    its isomorphism class. K1 and the explicit bases have fixed codes, a head
+    operation's code is (op index, builder index, head id), and a union's
+    (join's) is its tag and the sorted ids of its components
+    (co-components): a part that is itself a union (join) contributes its
+    own parts. Codes are interned to ids per call, and a graph is built only
+    for a code not seen before, so the first build in each class is kept.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds generation cap {ENUM_CAP}")
     if class_id not in CLASS_IDS:
         raise BadParameter(f"unknown class id {class_id!r}")
     ops = _head_operations(class_id, n_max)
-    levels: dict[int, dict[bytes, Graph]] = {m: {} for m in range(1, n_max + 1)}
-    levels[0] = {b"": gr.empty_graph(0)}  # the only order-0 graph: no key needed
+    combine = (("U", disjoint_union), ("J", join))
+    ids: dict[tuple, int] = {}
+    codes: list[tuple] = []
+    levels: dict[int, list[tuple[int, Graph]]] = {m: [] for m in range(n_max + 1)}
 
-    def add(g: Graph) -> None:
+    def new_id(code: tuple) -> Optional[int]:
+        """The id of a code not seen before, or None."""
+        if code in ids:
+            return None
+        ids[code] = len(codes)
+        codes.append(code)
+        return ids[code]
+
+    def parts(i: int, tag: str) -> tuple[int, ...]:
+        code = codes[i]
+        return code[1] if code[0] == tag else (i,)
+
+    levels[0] = [(new_id(("K0",)), gr.empty_graph(0))]
+    bases = [(("K1",), complete_graph(1))]
+    bases += [(("base", k), _ext_graphs()[k]) for k in _EXPLICIT_BASES.get(class_id, ())]
+    for code, g in bases:
         if g.n <= n_max:
-            levels[g.n].setdefault(g.canonical_key(), g)
-
-    add(complete_graph(1))
-    for kind in _EXPLICIT_BASES.get(class_id, ()):
-        add(_ext_graphs()[kind])
+            levels[g.n].append((new_id(code), g))
+            yield g
 
     for m in range(2, n_max + 1):
-        for base, builders in ops:
-            for h in levels.get(m - base, {}).values():
-                for build in builders:
-                    add(build(h))
+        for op, (base, builders) in enumerate(ops):
+            for h_id, h in levels.get(m - base, ()):
+                for b, build in enumerate(builders):
+                    i = new_id((op, b, h_id))
+                    if i is not None:
+                        g = build(h)
+                        levels[m].append((i, g))
+                        yield g
         for a in range(1, m // 2 + 1):
-            b = m - a
-            for x in levels[a].values():
-                for y in levels[b].values():
-                    add(disjoint_union(x, y))
-                    add(join(x, y))
+            for x_id, x in levels[a]:
+                for y_id, y in levels[m - a]:
+                    for tag, build in combine:
+                        i = new_id((tag, tuple(sorted(parts(x_id, tag) + parts(y_id, tag)))))
+                        if i is not None:
+                            g = build(x, y)
+                            levels[m].append((i, g))
+                            yield g
 
-    for m in range(1, n_max + 1):
-        for key in sorted(levels[m]):
-            yield levels[m][key]
+
+def generate_class(class_id: ClassId, n_max: int) -> Iterator[Graph]:
+    """One member per isomorphism class, orders 1..n_max, sorted by
+    (order, canonical key).
+
+    The members are ``_closure``'s, deduplicated by structural code, so only
+    the graphs kept are labeled: each one once, for the sort.
+    """
+    yield from sorted(_closure(class_id, n_max), key=lambda g: (g.n, g.canonical_key()))

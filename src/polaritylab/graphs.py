@@ -10,7 +10,7 @@ lexicographically minimal upper-triangle bit string over all vertex
 relabelings, found by a pruned search. Two graphs are isomorphic iff their
 keys are equal. Non-isomorphic enumeration uses canonical augmentation (a
 one-vertex extension is kept iff the new vertex can sit last in a minimal
-labeling), which keeps memory flat and parallelizes by parent.
+labeling), which keeps memory flat.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class Graph:
     index reaches n.
     """
 
-    __slots__ = ("n", "adj", "_bits", "_p4s")
+    __slots__ = ("n", "adj", "_bits", "_perm", "_p4s")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         if n > VERTEX_CAP:
@@ -66,6 +66,7 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self._bits = None
+        self._perm = None
         self._p4s = None
 
     # -- basic accessors ---------------------------------------------------
@@ -138,9 +139,10 @@ class Graph:
 
     @property
     def canonical_bits(self) -> int:
-        """Minimal upper-triangle bit string packed into an int (cached)."""
+        """Minimal upper-triangle bit string packed into an int (cached with
+        the labeling that reaches it, which ``canonical_form`` reads)."""
         if self._bits is None:
-            self._bits = _min_bits(self.adj)[0]
+            self._bits, self._perm = _min_bits(self.adj)
         return self._bits
 
     def canonical_key(self) -> bytes:
@@ -421,7 +423,8 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of ``g`` (same key, fixed labels)."""
-    _bits, perm = _min_bits(g.adj)
+    g.canonical_bits  # one search per graph: it caches the perm too
+    perm = g._perm
     pos = {v: i for i, v in enumerate(perm)}
     rows = [0] * g.n
     for i, v in enumerate(perm):
@@ -580,9 +583,10 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
         for parent in level:
             rows = parent.adj
             # the pinned search over the old vertices never reads the new
-            # vertex's bits, so it is shared by all 2^m extensions
-            pbits, pperm = _min_bits(rows)
-            pbase = pbits << m
+            # vertex's bits, so the parent's own labeling (cached when it was
+            # accepted as a child) is shared by all 2^m extensions
+            pbase = parent.canonical_bits << m
+            pperm = parent._perm
             accepted = set()
             for mask in range(1 << m):
                 child_rows = tuple(

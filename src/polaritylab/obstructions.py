@@ -14,7 +14,8 @@ from functools import lru_cache, partial
 from typing import Iterable, Optional
 
 from . import graphs as gr
-from .classes import ClassId, _head_operations, generate_class, is_cograph
+from .classes import ClassId, _closure, _head_operations, is_cograph
+from .classes import generate_class  # noqa: F401 -- perfbench/spans.py rebinds it here
 from .errors import BadParameter, UnknownClaim, UnknownId
 from .graphs import (
     Graph,
@@ -85,8 +86,9 @@ def enumerate_minimal_obstructions(
     """All class members of order <= n_max that are minimal obstructions,
     sorted by (order, canonical key). ``workers`` > 1 fans the independent
     minimality checks over a process pool; the result is order-preserving,
-    so output does not depend on the worker count."""
-    members = list(generate_class(class_id, n_max))
+    so output does not depend on the worker count. Members are screened in
+    build order and unlabeled; only the obstructions found are keyed."""
+    members = list(_closure(class_id, n_max))
     screen = partial(is_minimal_obstruction, spec=spec)
     if workers > 1 and len(members) > workers:
         from concurrent.futures import ProcessPoolExecutor
@@ -96,7 +98,8 @@ def enumerate_minimal_obstructions(
             reports = list(pool.map(screen, members, chunksize=chunk))
     else:
         reports = map(screen, members)
-    return [g for g, report in zip(members, reports) if report.is_minimal]
+    found = [g for g, report in zip(members, reports) if report.is_minimal]
+    return sorted(found, key=lambda g: (g.n, g.canonical_key()))
 
 
 # ---------------------------------------------------------------------------

@@ -483,3 +483,40 @@ def test_generate_class_builds_through_the_current_head_operations(monkeypatch):
     calls.clear()
     list(generate_class("cograph", 5))
     assert calls == []
+
+
+def _keyed_closure(class_id, n_max):
+    """The closure deduplicated by canonical key, as it was before structural
+    codes: every graph built is labeled, and the first build per key is kept.
+    Yields the members in the order they are first built."""
+    ops = classes._head_operations(class_id, n_max)
+    levels = {m: {} for m in range(1, n_max + 1)}
+    levels[0] = {b"": empty_graph(0)}
+
+    def add(g):
+        if g.n <= n_max and g.canonical_key() not in levels[g.n]:
+            levels[g.n][g.canonical_key()] = g
+            return [g]
+        return []
+
+    yield from add(complete_graph(1))
+    for kind in classes._EXPLICIT_BASES.get(class_id, ()):
+        yield from add(classes._ext_graphs()[kind])
+    for m in range(2, n_max + 1):
+        for base, builders in ops:
+            for h in levels.get(m - base, {}).values():
+                for build in builders:
+                    yield from add(build(h))
+        for a in range(1, m // 2 + 1):
+            for x in levels[a].values():
+                for y in levels[m - a].values():
+                    yield from add(disjoint_union(x, y))
+                    yield from add(join(x, y))
+
+
+@pytest.mark.parametrize("class_id", CLASS_IDS)
+def test_closure_builds_what_the_keyed_closure_builds(class_id):
+    # structural codes keep the same first build per isomorphism class, in
+    # the same order; ENUM_CAP (10) was checked the same way, once
+    want = [(g.n, g.adj) for g in _keyed_closure(class_id, 9)]
+    assert [(g.n, g.adj) for g in classes._closure(class_id, 9)] == want

@@ -195,6 +195,16 @@ def test_gen():
     assert code == 0 and len(out.strip().split("\n")) == 18
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gen_labels_each_printed_graph_once(fmt, monkeypatch):
+    # the sort's search caches the perm that canonical_form relabels by
+    calls = []
+    search = graphs._min_bits
+    monkeypatch.setattr(graphs, "_min_bits", lambda adj: calls.append(adj) or search(adj))
+    code, out = cli(["gen", "--class", "cograph", "--max-n", "6", "--format", fmt])
+    assert code == 0 and len(calls) == len(out.splitlines()) == 107
+
+
 def test_cap_violations_exit_3(monkeypatch):
     code, _ = cli(["gen", "--class", "all", "--max-n", "11"])
     assert code == 3

@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from polaritylab import classes, graphs as graphs_module
 from polaritylab.classes import sigma_j, sigma_sep, tau_j
 from polaritylab.errors import BadParameter, UnknownClaim, UnknownId
 from polaritylab.graphs import (
@@ -85,6 +86,19 @@ def test_enumerate_unipolar_small():
     assert keyset(got) == keyset([two_p3(), catalog("k2,3"), cycle_graph(5)])
     # sorted by (order, canonical key)
     assert [g.n for g in got] == sorted(g.n for g in got)
+
+
+def test_enumeration_labels_only_its_output(monkeypatch):
+    # the class is screened unlabeled and in build order; only the minimal
+    # obstructions it returns are labeled, once each, for the sort
+    spec = sk_polar(2, 1)
+    classes._ext_key_table()  # the decomposition's lookup table, labeled once per process
+    calls = []
+    search = graphs_module._min_bits
+    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj: calls.append(adj) or search(adj))
+    got = enumerate_minimal_obstructions("p4sparse", spec, 8)
+    assert got and len(calls) == len(got)
+    assert [(g.n, g.canonical_key()) for g in got] == sorted((g.n, g.canonical_key()) for g in got)
 
 
 def test_construction_matches_catalog_at_s2():
