@@ -8,9 +8,11 @@ vertex cap (default 32) keeps each row inside one machine word.
 Canonical forms are exact: the key of a graph is its order followed by the
 lexicographically minimal upper-triangle bit string over all vertex
 relabelings, found by a pruned search. Two graphs are isomorphic iff their
-keys are equal. Non-isomorphic enumeration uses canonical augmentation (a
-one-vertex extension is kept iff the new vertex can sit last in a minimal
-labeling), which keeps memory flat.
+keys are equal. Non-isomorphic enumeration uses canonical augmentation,
+which keeps memory flat: a one-vertex extension is kept iff the parent's own
+minimal labeling, followed by the new vertex, is a minimal labeling of the
+extension. Extensions that a swap of two twins of the parent rules out are
+skipped before they are labeled.
 """
 
 from __future__ import annotations
@@ -312,9 +314,16 @@ def _co_rows(adj, mask: int) -> list[int]:
 # The search places vertices one position at a time, always extending only
 # the partial labelings whose bit-string prefix is minimal. Bit order is the
 # graph6 column order (0,1),(0,2),(1,2),(0,3),..., so all bits among placed
-# vertices form a prefix. States with identical futures are merged: the key
-# is (placed set, adjacency vector of every unplaced vertex to the placed
-# sequence), which collapses the factorial blowup on symmetric graphs.
+# vertices form a prefix. States with identical futures are merged. A state's
+# key is one int: plane j, at offset j*m, holds the unplaced neighbours of the
+# j-th placed vertex, and the placed mask sits at offset m*m. The column of an
+# unplaced vertex (its adjacency to the placed sequence) is read down the
+# planes, so equal keys mean equal placed sets and equal columns, which
+# collapses the factorial blowup on symmetric graphs.
+#
+# Each state also carries its minimal column and the set of vertices holding
+# it. Placing one of them splits the rest by adjacency to it, so a child gets
+# both in O(1); the planes are rescanned only when that set runs empty.
 #
 # Twins (true or false, in the whole graph) are placed in index order only:
 # swapping two unplaced twins is an automorphism that fixes the placed
@@ -323,7 +332,6 @@ def _co_rows(adj, mask: int) -> list[int]:
 # the search stops with CapExceeded after LABEL_CAP expanded states.
 
 
-_PLACED = 1 << 60  # sentinel larger than any column (columns have < cap bits)
 LABEL_CAP = 2_000_000  # expanded states per canonical search
 
 
@@ -344,54 +352,86 @@ def _twin_before(adj) -> list[int]:
     return before
 
 
+def _min_column(key: int, k: int, m: int, cand: int) -> int:
+    """The minimal column among the vertices ``cand``, read down the first
+    ``k`` planes of a packed key, packed with the vertices holding it as
+    ``column << m | holders``."""
+    col = 0
+    rest = ~key
+    for _ in range(k):
+        zeros = rest & cand
+        col <<= 1
+        if zeros:
+            cand = zeros
+        else:
+            col |= 1
+        rest >>= m
+    return (col << m) | cand
+
+
 def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
     """Return (bits, perm) for the minimal labeling; ``perm`` holds vertex
     ids in placement order.
 
-    A state maps ``vecs`` to its perm. ``vecs`` is position-indexed: placed
-    positions hold a huge sentinel, so the minimal next column is just
-    min(vecs). A perm is a chain (parent perm, vertex), which keeps states
-    small. The last level merges every state into one key, so exactly one
-    perm is left.
+    A state maps its packed key to (chain, its minimal column << m | the
+    vertices holding it), so the least column over all states is the least
+    second entry shifted down. A perm is a chain (parent chain, vertex),
+    which keeps states small. The last level merges every state into one
+    key, so exactly one perm is left.
     """
     m = len(adj)
     if m == 0:
         return 0, ()
-    rowbit = [[(adj[u] >> v) & 1 for v in range(m)] for u in range(m)]
-    before = _twin_before(adj)
-    states = {(0,) * m: None}
+    full = (1 << m) - 1
+    spread = sum(1 << (j * m) for j in range(m))
+    drop = [~(spread << v) for v in range(m)]  # clears v from every plane
+    placed_at = m * m
+    # each vertex's previous twin as a bit (0 for none), which must be placed
+    lower = [1 << t if t >= 0 else 0 for t in _twin_before(adj)]
+    states = {0: (None, full)}
     bits = 0
     expanded = 0
-    rng = range(m)
     for k in range(m):
-        best = min(map(min, states))
+        best = min(s[1] for s in states.values()) >> m
         bits = (bits << k) | best
+        at = k * m
+        # a child's minimal column is best followed by 0 when some holder
+        # is not adjacent to the vertex placed, else by 1
+        zero = best << (m + 1)
+        one = zero | (1 << m)
         nxt = {}
-        for vecs, chain in states.items():
-            if best not in vecs:
+        for key, (chain, mincol) in states.items():
+            if mincol >> m != best:
                 continue
-            for i in rng:
-                if vecs[i] != best:
+            placed = key >> placed_at
+            cand = mincol & full
+            todo = cand
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                i = low.bit_length() - 1
+                if lower[i] & ~placed:  # a lower twin is unplaced
                     continue
-                t = before[i]
-                if t >= 0 and vecs[t] != _PLACED:  # a lower twin is unplaced
-                    continue
-                rb = rowbit[i]
-                vecs2 = [
-                    w if (w := vecs[u]) == _PLACED else (w << 1) | rb[u]
-                    for u in rng
-                ]
-                vecs2[i] = _PLACED
                 expanded += 1
-                key = tuple(vecs2)
-                if key not in nxt:
-                    nxt[key] = (chain, i)
+                row = adj[i] & ~placed
+                key2 = (key & drop[i]) | (row << at) | (low << placed_at)
+                if key2 in nxt:
+                    continue
+                rest = cand ^ low
+                apart = rest & ~row
+                if apart:
+                    nxt[key2] = ((chain, i), zero | apart)
+                elif rest:
+                    nxt[key2] = ((chain, i), one | rest)
+                else:
+                    nxt[key2] = ((chain, i),
+                                 _min_column(key2, k + 1, m, full & ~placed & ~low))
             if expanded > LABEL_CAP:
                 raise CapExceeded(
                     f"canonical labeling of n={m} passed {LABEL_CAP} states")
         states = nxt
     perm = []
-    chain = next(iter(states.values()))
+    chain = next(iter(states.values()))[0]
     while chain:
         chain, v = chain
         perm.append(v)
@@ -567,10 +607,17 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     """One representative per isomorphism class, orders 1..n_max.
 
     Canonical augmentation: a child of an order-m representative (new vertex
-    m attached by an arbitrary neighborhood mask) is kept iff some minimal
-    labeling of the child places the new vertex last; isomorphic children of
-    the same parent are deduplicated by key. Output per order is sorted by
-    canonical key.
+    m attached by an arbitrary neighborhood mask) is kept iff one labeling,
+    the parent's cached perm followed by m, reaches the child's minimal bits;
+    isomorphic children of the same parent are deduplicated by key. Output
+    per order is sorted by canonical key.
+
+    A mask that holds the previous twin t of a vertex v but not v itself is
+    skipped unlabeled. The parent's perm places t before v, and swapping them
+    is an automorphism of the parent. It maps the child to an isomorphic one
+    whose pinned column has v's bit set instead of t's. v sits later in the
+    perm, so that column is smaller: the child has a labeling below its
+    pinned one and fails the test.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {ENUM_CAP}")
@@ -587,8 +634,12 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
             # accepted as a child) is shared by all 2^m extensions
             pbase = parent.canonical_bits << m
             pperm = parent._perm
+            # (previous twin, vertex) bit pairs: see the docstring
+            twins = [(1 << t, 1 << v) for v, t in enumerate(_twin_before(rows)) if t >= 0]
             accepted = set()
             for mask in range(1 << m):
+                if any(mask & t and not mask & v for t, v in twins):
+                    continue
                 child_rows = tuple(
                     rows[v] | (1 << m) if (mask >> v) & 1 else rows[v]
                     for v in range(m)

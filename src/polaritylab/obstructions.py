@@ -346,9 +346,8 @@ def _claim_spider_not_obs(n_max: int, workers: int) -> ClaimReport:
     bad = []
     checked = 0
     specs = [sk_polar(1, k) for k in (1, 2, 3)]
-    heads = [h for h in enumerate_graphs(max(n_max - 4, 0)) if h.n <= n_max - 4]
     ops = _head_operations("p4sparse", n_max) + _head_operations("p4extendible", n_max)
-    for head in heads:
+    for head in enumerate_graphs(max(n_max - 4, 0)):
         spiders = [
             build(head) for base, builders in ops if base + head.n <= n_max
             for build in builders

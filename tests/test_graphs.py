@@ -18,10 +18,11 @@ from polaritylab.errors import (
     UnknownName,
     VertexOutOfRange,
 )
+from polaritylab import graphs as graphs_module
 from polaritylab.classes import CLASS_IDS, generate_class
 from polaritylab.graphs import (
-    _PLACED,
     Graph,
+    _column,
     _mask_of,
     _min_bits,
     canonical_form,
@@ -180,6 +181,9 @@ def test_canonical_key_vs_exhaustive_permutations():
         assert canonical_key(Graph(g.n, tuple(rows))) == canonical_key(g)
 
 
+_PLACED = 1 << 60  # column of a placed vertex: larger than any real column
+
+
 def _unpruned_min_bits(adj):
     """The labeling search without twin pruning or budget: (bits, perm) of
     the first minimal labeling, in the search order of graphs._min_bits."""
@@ -223,6 +227,56 @@ def test_enumeration_output_is_pinned(graphs_to_7):
         "526c7cda9d1e0bd4a91225d88d168fbba15851c5330364c73663363ff4227995")
 
 
+def test_enumeration_output_is_pinned_at_order_8(graphs_to_8):
+    text = "\n".join(graph6_encode(g) for g in graphs_to_8)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3c3bdc694df78ac29bf0dd30099acfd6398b7eee72a715ea02bfe62f781031c5")
+
+
+def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, monkeypatch):
+    # a child that holds a vertex's previous twin but not the vertex is never
+    # labeled; every child left unlabeled must fail the pinned test
+    calls = []
+    search = graphs_module._min_bits
+    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj: calls.append(adj) or search(adj))
+    assert list(enumerate_graphs(7)) == graphs_to_7
+    assert len(calls) == 7_195  # 11,291 when every child was labeled
+    labeled = set(calls)
+    skipped = 0
+    for parent in graphs_to_7:
+        m = parent.n
+        if m == 7:
+            continue
+        pinned = parent.canonical_bits << m
+        for mask in range(1 << m):
+            rows = tuple(row | (1 << m) if (mask >> v) & 1 else row
+                         for v, row in enumerate(parent.adj)) + (mask,)
+            if rows not in labeled:
+                skipped += 1
+                assert search(rows)[0] < pinned | _column(mask, parent._perm)
+    assert skipped == 11_291 - 7_195
+
+
+TWIN_FREE_SYMMETRIC = {
+    **{f"{kind}{j}": headless_spider(j, kind == "thick")
+       for j in range(2, 6) for kind in ("thin", "thick")},
+    "c10": cycle_graph(10),
+    "2c5": union_all(cycle_graph(5), cycle_graph(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_FREE_SYMMETRIC))
+def test_twin_free_symmetric_graphs_label_like_the_unpruned_search(name, monkeypatch):
+    # on these graphs some state places the last vertex of its minimal
+    # column, so its child reads the next minimum off the planes
+    g = TWIN_FREE_SYMMETRIC[name]
+    rescans = []
+    scan = graphs_module._min_column
+    monkeypatch.setattr(graphs_module, "_min_column", lambda *a: rescans.append(a) or scan(*a))
+    assert _min_bits(g.adj) == _unpruned_min_bits(g.adj)
+    assert rescans
+
+
 def test_twin_classes_collapse():
     for g in (empty_graph(32), complete_graph(32)):
         start = time.perf_counter()
@@ -232,6 +286,8 @@ def test_twin_classes_collapse():
 
 def test_label_budget_stops_twin_free_symmetric_graphs():
     c5 = cycle_graph(5)
+    three = union_all(c5, c5, c5)
+    assert canonical_key(canonical_form(three)) == canonical_key(three)
     with pytest.raises(CapExceeded):
         canonical_key(union_all(c5, c5, c5, c5))
 

@@ -15,6 +15,7 @@ from polaritylab.cli import run
 from polaritylab.errors import BadParameter, CapExceeded, PolarityLabError, VertexOutOfRange
 from polaritylab.graphs import (
     VERTEX_CAP,
+    _min_bits,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -25,6 +26,7 @@ from polaritylab.graphs import (
     path_graph,
 )
 from polaritylab.polarity import UNIPOLAR, find_polar_partition, parse_spec, satisfies, sk_polar
+from test_graphs import _unpruned_min_bits
 from test_polarity import _scan_witness
 
 SWEEP = settings(derandomize=True, deadline=None, max_examples=300)
@@ -68,6 +70,17 @@ def test_graph6_decode_raises_only_library_errors(text):
     except PolarityLabError:
         return
     assert graph6_encode(g) == text  # the decoder accepts only exact encodings
+
+
+@SWEEP
+@given(graphs(max_n=10), st.data())
+def test_labeling_matches_the_unpruned_search(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    h = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    bits, perm_g = _unpruned_min_bits(g.adj)
+    assert _min_bits(g.adj) == (bits, perm_g)
+    assert _min_bits(h.adj) == _unpruned_min_bits(h.adj)
+    assert _min_bits(h.adj)[0] == bits
 
 
 bounds = st.none() | st.integers(0, 10**6)
