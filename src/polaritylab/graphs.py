@@ -11,8 +11,11 @@ relabelings, found by a pruned search. Two graphs are isomorphic iff their
 keys are equal. Non-isomorphic enumeration uses canonical augmentation,
 which keeps memory flat: a one-vertex extension is kept iff the parent's own
 minimal labeling, followed by the new vertex, is a minimal labeling of the
-extension. Extensions that a swap of two twins of the parent rules out are
-skipped before they are labeled.
+extension. Two exact tests reject most extensions before they are labeled:
+a swap of two twins of the parent, and a greedy labeling whose bits fall
+below the pinned one's. Either exhibits a labeling below the pinned one, so
+the pinned test would fail; an extension that passes both is searched in
+full.
 """
 
 from __future__ import annotations
@@ -446,6 +449,42 @@ def _column(row: int, perm) -> int:
     return col
 
 
+def _greedy_below(adj, cols) -> bool:
+    """True when a greedy labeling of ``adj`` has bits below the labeling
+    whose k-th column is ``cols[k]``, which then is not minimal.
+
+    From each start vertex it places the lowest unplaced vertex of minimal
+    column, carrying the holders of that column as ``_min_bits`` does (plane
+    k of ``key`` is the row of the k-th placed vertex). A start is dropped
+    at its first column above ``cols``; False means no start went below,
+    not that ``cols`` is minimal.
+    """
+    m = len(adj)
+    full = (1 << m) - 1
+    for s in range(m):
+        key = placed = 0
+        col, cand, low = 0, full, 1 << s
+        for k in range(m):
+            if col != cols[k]:
+                if col < cols[k]:
+                    return True
+                break
+            v = low.bit_length() - 1
+            key |= adj[v] << (k * m)
+            placed |= low
+            rest = cand ^ low
+            apart = rest & ~adj[v]
+            if apart:
+                col, cand = col << 1, apart
+            elif rest:
+                col, cand = (col << 1) | 1, rest
+            elif placed != full:
+                col = _min_column(key, k + 1, m, full & ~placed)
+                col, cand = col >> m, col & full
+            low = cand & -cand
+    return False
+
+
 def _pack_key(n: int, bits: int) -> bytes:
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 7) // 8
@@ -618,6 +657,14 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     whose pinned column has v's bit set instead of t's. v sits later in the
     perm, so that column is smaller: the child has a labeling below its
     pinned one and fails the test.
+
+    The remaining children are screened by ``_greedy_below`` against the
+    pinned columns (the parent's, read once per parent, then the new
+    vertex's). Any labeling of the child whose bits are below the pinned
+    bits proves that the pinned labeling is not minimal, so a greedy one
+    that gets there rejects the child exactly. A child that survives is
+    labeled in full and tested as before, so the accepted children, their
+    cached perms and the output order do not depend on the screen.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {ENUM_CAP}")
@@ -634,6 +681,7 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
             # accepted as a child) is shared by all 2^m extensions
             pbase = parent.canonical_bits << m
             pperm = parent._perm
+            pcols = [_column(rows[v], pperm[:k]) for k, v in enumerate(pperm)]
             # (previous twin, vertex) bit pairs: see the docstring
             twins = [(1 << t, 1 << v) for v, t in enumerate(_twin_before(rows)) if t >= 0]
             accepted = set()
@@ -644,11 +692,14 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
                     rows[v] | (1 << m) if (mask >> v) & 1 else rows[v]
                     for v in range(m)
                 ) + (mask,)
+                col = _column(mask, pperm)
+                if _greedy_below(child_rows, pcols + [col]):
+                    continue
                 child = Graph(m + 1, child_rows)
                 free = child.canonical_bits
                 if free in accepted:
                     continue
-                if pbase | _column(mask, pperm) == free:
+                if pbase | col == free:
                     accepted.add(free)
                     nxt.append(child)
         nxt.sort(key=Graph.canonical_key)

@@ -17,5 +17,5 @@ def graphs_to_7():
 
 @pytest.fixture(scope="session")
 def graphs_to_8():
-    # ~22s; shared by the acceptance criteria that sweep all of order <= 8
+    # ~5s; shared by the acceptance criteria that sweep all of order <= 8
     return list(enumerate_graphs(8))

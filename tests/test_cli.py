@@ -1,5 +1,6 @@
 """CLI tests driven through run(argv) with redirected stdin/stdout."""
 
+import hashlib
 import io
 import json
 import os
@@ -197,12 +198,30 @@ def test_gen():
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_gen_labels_each_printed_graph_once(fmt, monkeypatch):
-    # the sort's search caches the perm that canonical_form relabels by
+    # the search that sorts (or accepts) a graph caches the perm that
+    # canonical_form relabels by; the enumeration's 218 searches print 208
+    # graphs, and the 10 children labeled and rejected add no output
     calls = []
     search = graphs._min_bits
     monkeypatch.setattr(graphs, "_min_bits", lambda adj: calls.append(adj) or search(adj))
     code, out = cli(["gen", "--class", "cograph", "--max-n", "6", "--format", fmt])
     assert code == 0 and len(calls) == len(out.splitlines()) == 107
+    calls.clear()
+    code, out = cli(["gen", "--class", "all", "--max-n", "6", "--format", fmt])
+    assert code == 0 and len(out.splitlines()) == 208
+    enumerated = len(calls)
+    calls.clear()
+    list(graphs.enumerate_graphs(6))
+    assert enumerated == len(calls) == 218
+
+
+def test_gen_all_output_is_pinned():
+    # the enumeration route of gen; the digest predates the greedy rejection
+    # in enumerate_graphs, which must not change a byte
+    code, out = cli(["gen", "--class", "all", "--max-n", "7"])
+    assert code == 0 and len(out.splitlines()) == 1252
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9701eab755be7693d0f64a5dbf0fe67ab3917e7e402028802f12a41bf542510a")
 
 
 def test_cap_violations_exit_3(monkeypatch):

@@ -3,6 +3,7 @@ induced-subgraph search, and exhaustive enumeration, each checked against an
 independent oracle where the expected value is not forced by definition."""
 
 import hashlib
+import random
 import time
 import tracemalloc
 from itertools import combinations, permutations
@@ -23,6 +24,7 @@ from polaritylab.classes import CLASS_IDS, generate_class
 from polaritylab.graphs import (
     Graph,
     _column,
+    _greedy_below,
     _mask_of,
     _min_bits,
     canonical_form,
@@ -234,13 +236,15 @@ def test_enumeration_output_is_pinned_at_order_8(graphs_to_8):
 
 
 def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, monkeypatch):
-    # a child that holds a vertex's previous twin but not the vertex is never
-    # labeled; every child left unlabeled must fail the pinned test
+    # a child that holds a vertex's previous twin but not the vertex, or that
+    # a greedy labeling beats, is never labeled; every child left unlabeled
+    # must fail the pinned test
     calls = []
     search = graphs_module._min_bits
     monkeypatch.setattr(graphs_module, "_min_bits", lambda adj: calls.append(adj) or search(adj))
     assert list(enumerate_graphs(7)) == graphs_to_7
-    assert len(calls) == 7_195  # 11,291 when every child was labeled
+    # 11,291 when every child was labeled, 7,195 with the twin filter alone
+    assert len(calls) == 1_482
     labeled = set(calls)
     skipped = 0
     for parent in graphs_to_7:
@@ -254,7 +258,40 @@ def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, 
             if rows not in labeled:
                 skipped += 1
                 assert search(rows)[0] < pinned | _column(mask, parent._perm)
-    assert skipped == 11_291 - 7_195
+    assert skipped == 11_291 - 1_482
+
+
+def _columns(adj, perm):
+    """The columns of the labeling ``perm``: column k is the adjacency of
+    its k-th vertex to the ones before it."""
+    return [_column(adj[v], perm[:k]) for k, v in enumerate(perm)]
+
+
+def _bits_of(cols):
+    bits = 0
+    for k, col in enumerate(cols):
+        bits = (bits << k) | col
+    return bits
+
+
+def _check_greedy_rejection(g, perm):
+    """The greedy test never beats a minimal labeling, and beats ``perm``
+    only when ``perm`` is above the minimum; returns whether it fired."""
+    bits, own = _min_bits(g.adj)
+    assert not _greedy_below(g.adj, _columns(g.adj, own))
+    cols = _columns(g.adj, perm)
+    fired = _greedy_below(g.adj, cols)
+    assert not fired or bits < _bits_of(cols)
+    return fired
+
+
+def test_greedy_rejection_is_exact(graphs_to_7):
+    rng = random.Random(7)
+    members = [g for c in CLASS_IDS for g in generate_class(c, 8)]
+    fired = 0
+    for g in graphs_to_7 + members:
+        fired += _check_greedy_rejection(g, rng.sample(range(g.n), g.n))
+    assert fired > len(graphs_to_7)  # not vacuous: most relabelings lose
 
 
 TWIN_FREE_SYMMETRIC = {

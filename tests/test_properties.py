@@ -26,7 +26,7 @@ from polaritylab.graphs import (
     path_graph,
 )
 from polaritylab.polarity import UNIPOLAR, find_polar_partition, parse_spec, satisfies, sk_polar
-from test_graphs import _unpruned_min_bits
+from test_graphs import _check_greedy_rejection, _unpruned_min_bits
 from test_polarity import _scan_witness
 
 SWEEP = settings(derandomize=True, deadline=None, max_examples=300)
@@ -81,6 +81,12 @@ def test_labeling_matches_the_unpruned_search(g, data):
     assert _min_bits(g.adj) == (bits, perm_g)
     assert _min_bits(h.adj) == _unpruned_min_bits(h.adj)
     assert _min_bits(h.adj)[0] == bits
+
+
+@SWEEP
+@given(graphs(max_n=10), st.data())
+def test_greedy_rejection_is_exact(g, data):
+    _check_greedy_rejection(g, data.draw(st.permutations(range(g.n))))
 
 
 bounds = st.none() | st.integers(0, 10**6)
