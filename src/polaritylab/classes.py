@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterator, Literal, Optional, Union
+from typing import Callable, Iterator, Literal, Optional, Union
 
 from . import graphs as gr
 from .errors import BadParameter, CapExceeded, NotAP4, NotInClass
@@ -564,7 +564,9 @@ def _head_operations(class_id: ClassId, n_max: int) -> list[tuple[int, list]]:
     return []
 
 
-def _closure(class_id: ClassId, n_max: int) -> Iterator[Graph]:
+def _closure(
+    class_id: ClassId, n_max: int, keep: Optional[Callable[[Graph], bool]] = None
+) -> Iterator[Graph]:
     """Each member of orders 1..n_max once, in the order it is first built.
 
     Every class closes {K1} under disjoint union, join and its head operations
@@ -585,6 +587,12 @@ def _closure(class_id: ClassId, n_max: int) -> Iterator[Graph]:
     (co-components): a part that is itself a union (join) contributes its
     own parts. Codes are interned to ids per call, and a graph is built only
     for a code not seen before, so the first build in each class is kept.
+
+    A member for which ``keep(g)`` is false is yielded but not stored, so
+    nothing is built from it. For a hereditary ``keep`` this is exact on
+    every member whose proper induced subgraphs all pass it: the parts of
+    each of its routes (components, co-components, heads) are such subgraphs,
+    so it is first built as without ``keep``, on the same vertex labels.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds generation cap {ENUM_CAP}")
@@ -608,12 +616,16 @@ def _closure(class_id: ClassId, n_max: int) -> Iterator[Graph]:
         code = codes[i]
         return code[1] if code[0] == tag else (i,)
 
+    def store(i: int, g: Graph) -> None:
+        if keep is None or keep(g):
+            levels[g.n].append((i, g))
+
     levels[0] = [(new_id(("K0",)), gr.empty_graph(0))]
     bases = [(("K1",), complete_graph(1))]
     bases += [(("base", k), _ext_graphs()[k]) for k in _EXPLICIT_BASES.get(class_id, ())]
     for code, g in bases:
         if g.n <= n_max:
-            levels[g.n].append((new_id(code), g))
+            store(new_id(code), g)
             yield g
 
     for m in range(2, n_max + 1):
@@ -623,7 +635,7 @@ def _closure(class_id: ClassId, n_max: int) -> Iterator[Graph]:
                     i = new_id((op, b, h_id))
                     if i is not None:
                         g = build(h)
-                        levels[m].append((i, g))
+                        store(i, g)
                         yield g
         for a in range(1, m // 2 + 1):
             for x_id, x in levels[a]:
@@ -632,7 +644,7 @@ def _closure(class_id: ClassId, n_max: int) -> Iterator[Graph]:
                         i = new_id((tag, tuple(sorted(parts(x_id, tag) + parts(y_id, tag)))))
                         if i is not None:
                             g = build(x, y)
-                            levels[m].append((i, g))
+                            store(i, g)
                             yield g
 
 

@@ -67,16 +67,20 @@ class ObstructionReport:
         }
 
 
+def _deletions_satisfy(g: Graph, spec: PolarSpec) -> bool:
+    """Whether every one-vertex deletion has the property; verdicts only."""
+    return all(satisfies(g.delete_vertex(v), spec) for v in range(g.n))
+
+
 def is_minimal_obstruction(g: Graph, spec: PolarSpec) -> ObstructionReport:
-    """Check obstruction-ness and minimality, collecting deletion witnesses."""
+    """Check obstruction-ness and minimality, collecting deletion witnesses.
+    Verdicts come first; witnesses are searched for only once ``g`` is
+    proven minimal, since a report that is not minimal carries none."""
     if satisfies(g, spec):
         return ObstructionReport(g, spec, False, False)
-    witnesses = {}
-    for v in range(g.n):
-        w = find_polar_partition(g.delete_vertex(v), spec)
-        if w is None:
-            return ObstructionReport(g, spec, True, False)
-        witnesses[v] = w
+    if not _deletions_satisfy(g, spec):
+        return ObstructionReport(g, spec, True, False)
+    witnesses = {v: find_polar_partition(g.delete_vertex(v), spec) for v in range(g.n)}
     return ObstructionReport(g, spec, True, True, witnesses)
 
 
@@ -84,21 +88,35 @@ def enumerate_minimal_obstructions(
     class_id: ClassId, spec: PolarSpec, n_max: int, workers: int = 1
 ) -> list[Graph]:
     """All class members of order <= n_max that are minimal obstructions,
-    sorted by (order, canonical key). ``workers`` > 1 fans the independent
-    minimality checks over a process pool; the result is order-preserving,
-    so output does not depend on the worker count. Members are screened in
-    build order and unlabeled; only the obstructions found are keyed."""
-    members = list(_closure(class_id, n_max))
-    screen = partial(is_minimal_obstruction, spec=spec)
-    if workers > 1 and len(members) > workers:
+    sorted by (order, canonical key).
+
+    Nothing is built on a member that lacks the property (``_closure``'s
+    ``keep``); it is hereditary, so every minimal obstruction is still built
+    as in the full closure. The members that lack it are the candidates, and
+    each gets one deletion screen, in build order, unlabeled and with no
+    witness search. ``workers`` > 1 fans only that screen over a process
+    pool, order-preserving, so output does not depend on the worker count.
+    Only the obstructions found are keyed."""
+    candidates = []
+
+    def keep(g: Graph) -> bool:
+        if satisfies(g, spec):
+            return True
+        candidates.append(g)
+        return False
+
+    for _ in _closure(class_id, n_max, keep):
+        pass
+    screen = partial(_deletions_satisfy, spec=spec)
+    if workers > 1 and len(candidates) > workers:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(members) // (workers * 4))
+        chunk = max(1, len(candidates) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(screen, members, chunksize=chunk))
+            verdicts = list(pool.map(screen, candidates, chunksize=chunk))
     else:
-        reports = map(screen, members)
-    found = [g for g, report in zip(members, reports) if report.is_minimal]
+        verdicts = map(screen, candidates)
+    found = [g for g, minimal in zip(candidates, verdicts) if minimal]
     return sorted(found, key=lambda g: (g.n, g.canonical_key()))
 
 

@@ -5,11 +5,12 @@ test_acceptance.py."""
 
 import hashlib
 import json
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
 
-from polaritylab import classes, graphs as graphs_module
+from polaritylab import classes, graphs as graphs_module, obstructions
 from polaritylab.classes import sigma_j, sigma_sep, tau_j
 from polaritylab.errors import BadParameter, UnknownClaim, UnknownId
 from polaritylab.graphs import (
@@ -35,7 +36,15 @@ from polaritylab.obstructions import (
     s1_fixed_family,
     verify_claim,
 )
-from polaritylab.polarity import MONOPOLAR, POLAR, UNIPOLAR, parse_spec, sk_polar
+from polaritylab.polarity import (
+    MONOPOLAR,
+    POLAR,
+    UNIPOLAR,
+    find_polar_partition,
+    parse_spec,
+    satisfies,
+    sk_polar,
+)
 
 
 def keyset(graphs):
@@ -99,6 +108,59 @@ def test_enumeration_labels_only_its_output(monkeypatch):
     got = enumerate_minimal_obstructions("p4sparse", spec, 8)
     assert got and len(calls) == len(got)
     assert [(g.n, g.canonical_key()) for g in got] == sorted((g.n, g.canonical_key()) for g in got)
+
+
+def _witness_screen(g, spec):
+    """The unpruned minimality screen: a witness search on every deletion,
+    stopping at the first one without a partition."""
+    if satisfies(g, spec):
+        return False
+    return all(find_polar_partition(g.delete_vertex(v), spec) is not None for v in range(g.n))
+
+
+ORACLE_SPECS = ("unipolar", "sk:1,1", "sk:2,1", "sk:1,2", "sk:inf,1", "sk:1,inf", "sk:2,2", "polar")
+
+
+@pytest.mark.parametrize("class_id", ["cograph", "p4sparse", "p4extendible"])
+def test_pruned_enumeration_matches_the_unpruned_screen(class_id):
+    # the whole closure, screened member by member with witness searches, is
+    # the reference for the closure pruned by the property
+    members = list(classes._closure(class_id, 8))
+    for text in ORACLE_SPECS:
+        spec = parse_spec(text)
+        want = sorted((g for g in members if _witness_screen(g, spec)),
+                      key=lambda g: (g.n, g.canonical_key()))
+        got = enumerate_minimal_obstructions(class_id, spec, 8)
+        assert [(graph6_encode(g), g.n) for g in got] == [
+            (graph6_encode(g), g.n) for g in want], text
+
+
+@pytest.mark.parametrize("class_id", classes.CLASS_IDS)
+def test_closure_keeping_everything_is_the_closure(class_id):
+    plain = [graph6_encode(g) for g in classes._closure(class_id, 8)]
+    kept = [graph6_encode(g) for g in classes._closure(class_id, 8, keep=lambda g: True)]
+    assert kept == plain
+
+
+def test_enumeration_builds_on_members_with_the_property_and_finds_no_witness(monkeypatch):
+    built = []
+    closure = classes._closure
+
+    def counted(*args, **kwargs):
+        for g in closure(*args, **kwargs):
+            built.append(g)
+            yield g
+
+    searches = []
+    search = obstructions.find_polar_partition
+    monkeypatch.setattr(obstructions, "_closure", counted)
+    monkeypatch.setattr(obstructions, "find_polar_partition",
+                        lambda *args: searches.append(args) or search(*args))
+    got = enumerate_minimal_obstructions("p4sparse", sk_polar(2, 1), 8)
+    assert len(got) == 9 and searches == []
+    # the full closure has 994 members; members built on one lacking (2,1)
+    # polarity are skipped
+    assert len(built) == 859
 
 
 def test_construction_matches_catalog_at_s2():
@@ -228,8 +290,6 @@ def test_pool_unions_obstruct():
 
 
 def satisfies_k_plus_one(g, k):
-    from polaritylab.polarity import satisfies
-
     return satisfies(g, sk_polar(1, k + 1))
 
 
@@ -321,3 +381,17 @@ def test_deletion_witnesses_are_pinned(class_id, spec, n_max, digest):
     records = [obstruction_record(g, spec)
                for g in enumerate_minimal_obstructions(class_id, spec, n_max)]
     assert sha256_of(json.dumps(records, sort_keys=True)) == digest
+
+
+# The (2,2) lists reach order 9 = (s+1)(k+1), the order bound for P4-sparse
+# obstructions; no member of either list is larger.
+@pytest.mark.parametrize("class_id, per_order, digest", [
+    ("p4sparse", {7: 10, 8: 32, 9: 8},
+     "8d97f774541876004fb4be98e1c7e39a8d365fd692d8f728e8b0a316b6134372"),
+    ("p4extendible", {7: 10, 8: 64, 9: 8},
+     "43ed414cbe80b90ffcaa553d5a717c4162a4226a9dc636d1a5c9c2cda9aee401"),
+])
+def test_22_polar_lists_to_order_9_are_pinned(class_id, per_order, digest):
+    got = enumerate_minimal_obstructions(class_id, sk_polar(2, 2), 9)
+    assert Counter(g.n for g in got) == per_order
+    assert sha256_of("\n".join(graph6_encode(g) for g in got)) == digest

@@ -25,6 +25,7 @@ from polaritylab.graphs import (
     graph6_encode,
     path_graph,
 )
+from polaritylab.obstructions import is_minimal_obstruction
 from polaritylab.polarity import UNIPOLAR, find_polar_partition, parse_spec, satisfies, sk_polar
 from test_graphs import _check_greedy_rejection, _unpruned_min_bits
 from test_polarity import _scan_witness
@@ -119,6 +120,21 @@ def test_pruned_search_matches_the_exhaustive_scan(g, spec):
     w = find_polar_partition(g, spec)
     assert (None if w is None else (w.a, w.b)) == want
     assert satisfies(g, spec) == (want is not None)
+
+
+@SWEEP
+@given(graphs(max_n=9), st.just(UNIPOLAR) | st.builds(sk_polar, small_bounds, small_bounds))
+@example(from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), UNIPOLAR)  # 2P3
+@example(cycle_graph(5), sk_polar(1, 1))
+@example(from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5)]), UNIPOLAR)  # 2P3 + K1
+def test_minimality_report_follows_the_definition(g, spec):
+    report = is_minimal_obstruction(g, spec)
+    assert report.is_obstruction == (_scan_witness(g, spec) is None)
+    deletions = {v: _scan_witness(g.delete_vertex(v), spec) for v in range(g.n)}
+    minimal = report.is_obstruction and None not in deletions.values()
+    assert report.is_minimal == minimal
+    got = {v: (w.a, w.b) for v, w in report.deletion_witnesses.items()}
+    assert got == (deletions if minimal else {})
 
 
 BUILDERS = {
