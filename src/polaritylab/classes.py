@@ -17,6 +17,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterator, Literal, Optional, Union
 
 from . import graphs as gr
+from . import polarity
 from .errors import BadParameter, CapExceeded, NotAP4, NotInClass
 from .graphs import (
     ENUM_CAP,
@@ -25,6 +26,7 @@ from .graphs import (
     _bits_to_tuple,
     _co_rows,
     _component_masks,
+    _has_c5,
     _k_subsets,
     _mask_of,
     catalog,
@@ -319,14 +321,6 @@ def p4_extendible_certificate(g: Graph) -> Optional[tuple[tuple[int, ...], tuple
     return None
 
 
-def _has_c5(g: Graph) -> bool:
-    """Induced C5 test: C5 is the only 2-regular graph on five vertices."""
-    return any(
-        all((g.adj[v] & mask).bit_count() == 2 for v in quint)
-        for quint, mask in _k_subsets(range(g.n), 5)
-    )
-
-
 # ---------------------------------------------------------------------------
 # recognizers
 
@@ -565,7 +559,9 @@ def _head_operations(class_id: ClassId, n_max: int) -> list[tuple[int, list]]:
 
 
 def _closure(
-    class_id: ClassId, n_max: int, keep: Optional[Callable[[Graph], bool]] = None
+    class_id: ClassId,
+    n_max: int,
+    keep: Optional[Callable[[Graph, polarity.Value], bool]] = None,
 ) -> Iterator[Graph]:
     """Each member of orders 1..n_max once, in the order it is first built.
 
@@ -588,8 +584,14 @@ def _closure(
     own parts. Codes are interned to ids per call, and a graph is built only
     for a code not seen before, so the first build in each class is kept.
 
-    A member for which ``keep(g)`` is false is yielded but not stored, so
-    nothing is built from it. For a hereditary ``keep`` this is exact on
+    Each id also carries a value, its polarity profile and the profiles of
+    its one-vertex deletions (``polarity.Value``), folded from the values of
+    its parts by the same operation: ``polarity._union_value``,
+    ``_join_value`` and, for a head operation or a fixed base, the
+    ``_module_rule`` of its build over K1. No solver search runs.
+
+    A member for which ``keep(g, value)`` is false is yielded but not stored,
+    so nothing is built from it. For a hereditary ``keep`` this is exact on
     every member whose proper induced subgraphs all pass it: the parts of
     each of its routes (components, co-components, heads) are such subgraphs,
     so it is first built as without ``keep``, on the same vertex labels.
@@ -599,17 +601,25 @@ def _closure(
     if class_id not in CLASS_IDS:
         raise BadParameter(f"unknown class id {class_id!r}")
     ops = _head_operations(class_id, n_max)
-    combine = (("U", disjoint_union), ("J", join))
+    rules = [[polarity._module_rule(build(complete_graph(1))) for build in builders]
+             for _base, builders in ops]
+    combine = (
+        ("U", disjoint_union, polarity._union_value),
+        ("J", join, polarity._join_value),
+    )
     ids: dict[tuple, int] = {}
     codes: list[tuple] = []
+    values: list[polarity.Value] = []
     levels: dict[int, list[tuple[int, Graph]]] = {m: [] for m in range(n_max + 1)}
 
-    def new_id(code: tuple) -> Optional[int]:
-        """The id of a code not seen before, or None."""
+    def new_id(code: tuple, rule, *args) -> Optional[int]:
+        """The id of a code not seen before, with its value ``rule(*args)``,
+        or None."""
         if code in ids:
             return None
         ids[code] = len(codes)
         codes.append(code)
+        values.append(rule(*args))
         return ids[code]
 
     def parts(i: int, tag: str) -> tuple[int, ...]:
@@ -617,22 +627,23 @@ def _closure(
         return code[1] if code[0] == tag else (i,)
 
     def store(i: int, g: Graph) -> None:
-        if keep is None or keep(g):
+        if keep is None or keep(g, values[i]):
             levels[g.n].append((i, g))
 
-    levels[0] = [(new_id(("K0",)), gr.empty_graph(0))]
+    levels[0] = [(new_id(("K0",), lambda: polarity.K0_VALUE), gr.empty_graph(0))]
     bases = [(("K1",), complete_graph(1))]
     bases += [(("base", k), _ext_graphs()[k]) for k in _EXPLICIT_BASES.get(class_id, ())]
     for code, g in bases:
         if g.n <= n_max:
-            store(new_id(code), g)
+            rule = polarity._module_rule(disjoint_union(g, complete_graph(1)))
+            store(new_id(code, rule, polarity.K0_VALUE), g)
             yield g
 
     for m in range(2, n_max + 1):
         for op, (base, builders) in enumerate(ops):
             for h_id, h in levels.get(m - base, ()):
                 for b, build in enumerate(builders):
-                    i = new_id((op, b, h_id))
+                    i = new_id((op, b, h_id), rules[op][b], values[h_id])
                     if i is not None:
                         g = build(h)
                         store(i, g)
@@ -640,8 +651,9 @@ def _closure(
         for a in range(1, m // 2 + 1):
             for x_id, x in levels[a]:
                 for y_id, y in levels[m - a]:
-                    for tag, build in combine:
-                        i = new_id((tag, tuple(sorted(parts(x_id, tag) + parts(y_id, tag)))))
+                    for tag, build, rule in combine:
+                        code = (tag, tuple(sorted(parts(x_id, tag) + parts(y_id, tag))))
+                        i = new_id(code, rule, values[x_id], values[y_id])
                         if i is not None:
                             g = build(x, y)
                             store(i, g)

@@ -576,6 +576,14 @@ def list_induced_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
     return [_bits_to_tuple(m) for m in p4_masks(g)]
 
 
+def _has_c5(g: Graph) -> bool:
+    """Induced C5 test: C5 is the only 2-regular graph on five vertices."""
+    return any(
+        all((g.adj[v] & mask).bit_count() == 2 for v in quint)
+        for quint, mask in _k_subsets(range(g.n), 5)
+    )
+
+
 # ---------------------------------------------------------------------------
 # graph6 codec (single-byte header, n <= 62)
 

@@ -35,10 +35,12 @@ from .polarity import (
     POLAR,
     PolarPartition,
     PolarSpec,
-    find_polar_partition,
+    _meets,
+    _witness,
     satisfies,
     sk_polar,
 )
+from .polarity import find_polar_partition  # noqa: F401 -- perfbench/spans.py rebinds it here
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,13 @@ def _deletions_satisfy(g: Graph, spec: PolarSpec) -> bool:
 def is_minimal_obstruction(g: Graph, spec: PolarSpec) -> ObstructionReport:
     """Check obstruction-ness and minimality, collecting deletion witnesses.
     Verdicts come first; witnesses are searched for only once ``g`` is
-    proven minimal, since a report that is not minimal carries none."""
+    proven minimal, since a report that is not minimal carries none, and
+    then by the sized passes alone, since every deletion is known to pass."""
     if satisfies(g, spec):
         return ObstructionReport(g, spec, False, False)
     if not _deletions_satisfy(g, spec):
         return ObstructionReport(g, spec, True, False)
-    witnesses = {v: find_polar_partition(g.delete_vertex(v), spec) for v in range(g.n)}
+    witnesses = {v: _witness(g.delete_vertex(v), spec) for v in range(g.n)}
     return ObstructionReport(g, spec, True, True, witnesses)
 
 
@@ -93,16 +96,29 @@ def enumerate_minimal_obstructions(
     Nothing is built on a member that lacks the property (``_closure``'s
     ``keep``); it is hereditary, so every minimal obstruction is still built
     as in the full closure. The members that lack it are the candidates, and
-    each gets one deletion screen, in build order, unlabeled and with no
-    witness search. ``workers`` > 1 fans only that screen over a process
-    pool, order-preserving, so output does not depend on the worker count.
+    each gets one deletion screen, in build order and unlabeled.
+
+    For an (s,k) spec both come from the value ``_closure`` folds for each
+    member: the verdict from its polarity profile and the screen from its
+    deletions' profiles, with no solver search. Unipolarity has no profile,
+    so there each candidate's deletions are decided by ``satisfies``;
+    ``workers`` > 1 fans only that screen over a process pool,
+    order-preserving, so output does not depend on the worker count.
     Only the obstructions found are keyed."""
     candidates = []
+    found = []
 
-    def keep(g: Graph) -> bool:
-        if satisfies(g, spec):
+    def keep(g: Graph, value) -> bool:
+        if spec.clique_side:
+            if satisfies(g, spec):
+                return True
+            candidates.append(g)
+            return False
+        profile, deletions = value
+        if _meets(profile, spec):
             return True
-        candidates.append(g)
+        if all(_meets(p, spec) for p in deletions):
+            found.append(g)
         return False
 
     for _ in _closure(class_id, n_max, keep):
@@ -116,7 +132,7 @@ def enumerate_minimal_obstructions(
             verdicts = list(pool.map(screen, candidates, chunksize=chunk))
     else:
         verdicts = map(screen, candidates)
-    found = [g for g, minimal in zip(candidates, verdicts) if minimal]
+    found += [g for g, minimal in zip(candidates, verdicts) if minimal]
     return sorted(found, key=lambda g: (g.n, g.canonical_key()))
 
 

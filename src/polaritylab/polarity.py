@@ -11,16 +11,21 @@ order. Both sides are hereditary, so a prefix of A or of B that fails cuts
 every extension of it. A size-free pass decides whether a partition exists;
 only then is the witness found, the first valid split in increasing |A| and
 then lexicographic A order, so witnesses are deterministic.
+
+Members of the cograph superclasses need no search for (s,k) verdicts: a
+polarity profile, folded over the operations that build a member, answers
+every (s,k) spec at once, and the profiles of its one-vertex deletions
+answer minimality (see "polarity profiles" below).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
-from .classes import _has_c5
 from .errors import BadParameter, CapExceeded
-from .graphs import Graph, _bits_to_tuple, _co_rows, _k_subsets, _mask_of
+from .graphs import Graph, _bits_to_tuple, _co_rows, _has_c5, _k_subsets, _mask_of
 
 SEARCH_CAP = 20  # exponential A-side search guard
 
@@ -211,17 +216,209 @@ def _first_a(g: Graph, spec: PolarSpec, size: Optional[int]) -> Optional[int]:
     return walk(0, 0, 0)
 
 
-def find_polar_partition(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
-    """First valid partition in (|A|, lexicographic A) order, or None."""
-    if _first_a(g, spec, None) is None:
-        return None
+def _witness(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
+    """First valid partition in (|A|, lexicographic A) order, or None, found
+    by the sized passes alone: for a graph whose verdict is already known."""
     full = (1 << g.n) - 1
     for size in range(g.n + 1):
         amask = _first_a(g, spec, size)
         if amask is not None:
             return PolarPartition(_bits_to_tuple(amask), _bits_to_tuple(full ^ amask))
+    return None
+
+
+def find_polar_partition(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
+    """First valid partition in (|A|, lexicographic A) order, or None."""
+    if _first_a(g, spec, None) is None:
+        return None
+    return _witness(g, spec)
 
 
 def satisfies(g: Graph, spec: PolarSpec) -> bool:
     """Whether a partition exists: the size-free pass alone, no witness."""
     return _first_a(g, spec, None) is not None
+
+
+# ---------------------------------------------------------------------------
+# polarity profiles
+#
+# The profile P(G) is the set of Pareto-minimal pairs (a, b) over G's
+# partitions (A, B), where a counts the parts of A and b the cliques of B
+# (0 for an empty side). G is (s,k)-polar exactly when some pair has a <= s
+# and b <= k, so one profile answers every (s,k) spec. A member's value is
+# (P(G), D(G)), D(G) the distinct profiles of its one-vertex deletions: G is
+# a minimal obstruction exactly when P(G) fails the spec and every profile
+# in D(G) meets it. Values are folded over the operations that build a
+# member (``classes._closure``): the empty graph K0 has {(0,0)}, K1 has
+# {(0,1), (1,0)}, and union, join and the head operations have exact rules.
+# Each rule maps a pair of every input to a pair of the output through
+# counts that are monotone in each input pair, so Pareto-minimal inputs
+# reach every Pareto-minimal output. Profiles are sorted tuples, and the
+# rules are memoised on them; few distinct ones recur, so they are interned.
+
+Profile = tuple[tuple[int, int], ...]
+Value = tuple[Profile, tuple[Profile, ...]]
+
+K0_VALUE: Value = (((0, 0),), ())
+_INTERNED: dict = {}
+
+
+def _interned(item):
+    """The one kept copy of an equal profile or set of profiles."""
+    return _INTERNED.setdefault(item, item)
+
+
+def _pareto(pairs) -> Profile:
+    """The Pareto-minimal pairs, ascending in a."""
+    front: list[tuple[int, int]] = []
+    for a, b in sorted(set(pairs)):
+        if not front or b < front[-1][1]:
+            front.append((a, b))
+    return _interned(tuple(front))
+
+
+def _distinct(profiles) -> tuple[Profile, ...]:
+    return _interned(tuple(sorted(set(profiles))))
+
+
+def _meets(profile: Profile, spec: PolarSpec) -> bool:
+    """Whether a graph with this profile is (s,k)-polar."""
+    return any(
+        (spec.s is None or a <= spec.s) and (spec.k is None or b <= spec.k)
+        for a, b in profile
+    )
+
+
+def _merge(p: int, q: int) -> Optional[int]:
+    """Parts of G[A1] + G[A2] from the parts of each side (0 when empty), or
+    None when it is not complete multipartite. One with two parts or more is
+    connected, so two nonempty sides must each be one part (edgeless), and
+    they make one part. In the complement this counts the cliques of G[B1]
+    join G[B2]. Monotone in p and q, with None above every count."""
+    if not p or not q:
+        return p + q
+    return 1 if p == q == 1 else None
+
+
+@lru_cache(maxsize=None)
+def _union_profile(p: Profile, q: Profile) -> Profile:
+    """P(G1 + G2): a split of a disjoint union is one split of each part, b
+    adds up, and a follows ``_merge``."""
+    return _pareto(
+        (a, b1 + b2) for a1, b1 in p for a2, b2 in q if (a := _merge(a1, a2)) is not None
+    )
+
+
+def _co_profile(p: Profile) -> Profile:
+    """Profile of the complement: A's parts are its complement's cliques."""
+    return _pareto((b, a) for a, b in p)
+
+
+@lru_cache(maxsize=None)
+def _join_profile(p: Profile, q: Profile) -> Profile:
+    """P(G1 join G2), the union rule on complements: a adds up, and b
+    follows ``_merge``."""
+    return _co_profile(_union_profile(_co_profile(p), _co_profile(q)))
+
+
+def _sum_value(rule, x: Value, y: Value) -> Value:
+    """Value of a union or join: a deletion falls in one of the two sides."""
+    (px, dx), (py, dy) = x, y
+    return rule(px, py), _distinct([rule(d, py) for d in dx] + [rule(px, d) for d in dy])
+
+
+@lru_cache(maxsize=None)
+def _union_value(x: Value, y: Value) -> Value:
+    return _sum_value(_union_profile, x, y)
+
+
+@lru_cache(maxsize=None)
+def _join_value(x: Value, y: Value) -> Value:
+    return _sum_value(_join_profile, x, y)
+
+
+def _module_side(rows, mask: int, attach: int) -> Optional[tuple[int, int]]:
+    """(parts, fit) of G[mask] on ``rows``, or None when it is not complete
+    multipartite. ``fit`` says how a module H seeing exactly ``attach``
+    can be added:
+    - 0: H sees all of mask, so H's parts add to the parts;
+    - 1: the vertices H misses are one whole part, which an edgeless H
+      joins (a vertex of H misses exactly its own part);
+    - 2: no nonempty H fits.
+    """
+    if not _is_cm_mask(rows, mask, len(rows)):
+        return None
+    parts = len({mask & ~rows[v] for v in _bits_to_tuple(mask)})
+    missed = mask & ~attach
+    if not missed:
+        return parts, 0
+    v = (missed & -missed).bit_length() - 1
+    return parts, 1 if missed == mask & ~rows[v] else 2
+
+
+def _with_module(parts: int, fit: int, h: int) -> Optional[int]:
+    """Parts once the module's side with h parts (0 when empty) is added to
+    a base side (``_module_side``), or None. Monotone in h."""
+    if not h:
+        return parts
+    if fit == 0:
+        return parts + h
+    return parts if fit == 1 and h == 1 else None
+
+
+@lru_cache(maxsize=None)
+def _module_table(probe: Graph) -> tuple:
+    """The distinct (A parts, A fit, B cliques, B fit) of ``_module_side``
+    over every split of the base of a head operation (see ``_module_rule``
+    for ``probe``): a brute force over its 2^n splits, built once. B is read
+    on the complement rows, where the module sees the base outside the
+    attach mask and cliques are parts."""
+    head = probe.n - 1
+    rows = probe.delete_vertex(head).adj
+    attach = probe.adj[head]
+    full = (1 << head) - 1
+    co = _co_rows(rows, full)
+    table = set()
+    for amask in range(full + 1):
+        a_side = _module_side(rows, amask, attach)
+        b_side = _module_side(co, full ^ amask, full ^ attach)
+        if a_side is not None and b_side is not None:
+            table.add(a_side + b_side)
+    return tuple(sorted(table))
+
+
+def _attached(table: tuple, head: Profile) -> Profile:
+    """Profile of a base with a module attached, from the base's table and
+    the module's profile."""
+    return _pareto(
+        (a, b)
+        for a_parts, a_fit, b_parts, b_fit in table
+        for ha, hb in head
+        if (a := _with_module(a_parts, a_fit, ha)) is not None
+        and (b := _with_module(b_parts, b_fit, hb)) is not None
+    )
+
+
+@lru_cache(maxsize=None)
+def _module_rule(probe: Graph) -> Callable[[Value], Value]:
+    """Value rule of a head operation, as a function of the head's value.
+
+    ``probe`` is the operation's build over K1: the base, then one head
+    vertex that sees exactly the base vertices the head is attached to. A
+    split of the member is a split of the base plus one of the head, and
+    the head is a module, so only the part and clique counts of its sides
+    matter (``_module_table``). A deletion removes a head vertex (the head's
+    deletion profiles) or a base vertex, whose table is that of the probe
+    without it. A fixed base (K1, C5, P5, the house) is the rule of the
+    base plus an isolated vertex, applied to the K0 head."""
+    table = _module_table(probe)
+    cut = [_module_table(probe.delete_vertex(u)) for u in range(probe.n - 1)]
+
+    @lru_cache(maxsize=None)
+    def rule(head: Value) -> Value:
+        hp, hd = head
+        return _attached(table, hp), _distinct(
+            [_attached(table, d) for d in hd] + [_attached(t, hp) for t in cut]
+        )
+
+    return rule

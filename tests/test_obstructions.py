@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from polaritylab import classes, graphs as graphs_module, obstructions
+from polaritylab import classes, graphs as graphs_module, obstructions, polarity
 from polaritylab.classes import sigma_j, sigma_sep, tau_j
 from polaritylab.errors import BadParameter, UnknownClaim, UnknownId
 from polaritylab.graphs import (
@@ -88,6 +88,18 @@ def test_non_minimal_obstruction():
     assert report.deletion_witnesses == {}
 
 
+def test_minimality_report_runs_one_size_free_pass_per_graph(monkeypatch):
+    # the screen decides every deletion; the witnesses then come from the
+    # sized passes alone
+    sizes = []
+    walk = polarity._first_a
+    monkeypatch.setattr(polarity, "_first_a",
+                        lambda g, spec, size: sizes.append(size) or walk(g, spec, size))
+    g = catalog("e9")
+    assert is_minimal_obstruction(g, sk_polar(2, 1)).is_minimal
+    assert sizes.count(None) == g.n + 1
+
+
 def test_enumerate_unipolar_small():
     got = enumerate_minimal_obstructions("p4sparse", UNIPOLAR, 6)
     assert keyset(got) == keyset([two_p3(), catalog("k2,3")])
@@ -118,13 +130,17 @@ def _witness_screen(g, spec):
     return all(find_polar_partition(g.delete_vertex(v), spec) is not None for v in range(g.n))
 
 
-ORACLE_SPECS = ("unipolar", "sk:1,1", "sk:2,1", "sk:1,2", "sk:inf,1", "sk:1,inf", "sk:2,2", "polar")
+# sk:0,2 and sk:2,0 reach the empty-side branches of the union and join
+# profile rules
+ORACLE_SPECS = ("unipolar", "sk:1,1", "sk:2,1", "sk:1,2", "sk:inf,1", "sk:1,inf", "sk:2,2",
+                "polar", "sk:0,2", "sk:2,0", "sk:3,1", "sk:1,3")
 
 
-@pytest.mark.parametrize("class_id", ["cograph", "p4sparse", "p4extendible"])
+@pytest.mark.parametrize("class_id", ["cograph", "p4sparse", "p4extendible", "62"])
 def test_pruned_enumeration_matches_the_unpruned_screen(class_id):
     # the whole closure, screened member by member with witness searches, is
-    # the reference for the closure pruned by the property
+    # the reference for the closure pruned by the property (by profiles for
+    # the (s,k) specs)
     members = list(classes._closure(class_id, 8))
     for text in ORACLE_SPECS:
         spec = parse_spec(text)
@@ -138,7 +154,7 @@ def test_pruned_enumeration_matches_the_unpruned_screen(class_id):
 @pytest.mark.parametrize("class_id", classes.CLASS_IDS)
 def test_closure_keeping_everything_is_the_closure(class_id):
     plain = [graph6_encode(g) for g in classes._closure(class_id, 8)]
-    kept = [graph6_encode(g) for g in classes._closure(class_id, 8, keep=lambda g: True)]
+    kept = [graph6_encode(g) for g in classes._closure(class_id, 8, keep=lambda g, value: True)]
     assert kept == plain
 
 
@@ -161,6 +177,25 @@ def test_enumeration_builds_on_members_with_the_property_and_finds_no_witness(mo
     # the full closure has 994 members; members built on one lacking (2,1)
     # polarity are skipped
     assert len(built) == 859
+
+
+@pytest.mark.parametrize("class_id, spec, digest", [
+    ("p4sparse", "sk:2,1", "bb34e737e5d3765d3d9556810760ff1783f03d168ccc7bf7a9371f63f06c5b3d"),
+    ("p4sparse", "sk:inf,1", "41d8dc2f4f1906d27527b78470bbc07c230af7faea27fe6df30e305ca563cf55"),
+    ("p4sparse", "polar", "f76d7cf573b37e3ebeb35e7ff323798c401de184cf77608e025002d01014fea3"),
+    ("p4extendible", "sk:2,1", "dbfbd2bc4229b7a22b2b5f232e816192a4a5ab29f170158ded4de22ef6104cae"),
+    ("p4extendible", "sk:inf,1", "1078fab8d170b24db0bed8cf1086cedb46c037fad3b7a59795d351e3155d6f0c"),
+    ("p4extendible", "polar", "f76d7cf573b37e3ebeb35e7ff323798c401de184cf77608e025002d01014fea3"),
+])
+def test_sk_enumeration_runs_no_solver_search(monkeypatch, class_id, spec, digest):
+    # verdicts and deletion screens come from the folded profiles; the lists
+    # at order 8 are pinned (digests of the graph6 of the returned graphs)
+    def search(*args):
+        raise AssertionError("solver search on the (s,k) path")
+
+    monkeypatch.setattr(polarity, "_first_a", search)
+    got = enumerate_minimal_obstructions(class_id, parse_spec(spec), 8, workers=2)
+    assert sha256_of("\n".join(graph6_encode(g) for g in got)) == digest
 
 
 def test_construction_matches_catalog_at_s2():

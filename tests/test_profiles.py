@@ -1,0 +1,127 @@
+"""Polarity profiles folded through the class closure, against a brute force
+over every split and against the solver.
+
+The profile of a graph is the set of Pareto-minimal (a, b) pairs over its
+partitions, a the parts of A and b the cliques of B; a member's value adds
+the profiles of its one-vertex deletions. The brute force here counts
+cliques by closed neighborhoods, so it shares no code with the solver or
+with the fold.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polaritylab import classes, polarity
+from polaritylab.classes import CLASS_IDS, _closure, _ext_graphs, sigma_j, sigma_sep, tau_j
+from polaritylab.graphs import complete_graph, disjoint_union, empty_graph, join
+from polaritylab.obstructions import _deletions_satisfy
+from polaritylab.polarity import satisfies, sk_polar
+
+BOUNDS = (0, 1, 2, 3, None)
+SPECS = [sk_polar(s, k) for s in BOUNDS for k in BOUNDS]
+
+
+def _cliques(rows, mask):
+    """Cliques of G[mask] when it is a disjoint union of cliques, else None:
+    it is one exactly when the distinct closed neighborhoods partition it."""
+    hoods = set()
+    rest = mask
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        hoods.add(rows[v] & mask | 1 << v)
+    return len(hoods) if sum(h.bit_count() for h in hoods) == mask.bit_count() else None
+
+
+@lru_cache(maxsize=None)
+def brute_profile(adj):
+    """Pareto-minimal (parts of A, cliques of B) over all 2^n splits of the
+    graph with these rows (the four closures share many members)."""
+    full = (1 << len(adj)) - 1
+    co = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
+    pairs = set()
+    for a in range(full + 1):
+        parts = _cliques(co, a)  # A is complete multipartite
+        cliques = _cliques(adj, full ^ a)
+        if parts is not None and cliques is not None:
+            pairs.add((parts, cliques))
+    return tuple(p for p in sorted(pairs)
+                 if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs))
+
+
+def closure_values(class_id, n_max):
+    seen = []
+    list(_closure(class_id, n_max, keep=lambda g, value: seen.append((g, value)) or True))
+    return seen
+
+
+@pytest.mark.parametrize("class_id", CLASS_IDS)
+def test_closure_values_match_the_brute_force(class_id):
+    for g, (profile, deletions) in closure_values(class_id, 8):
+        assert profile == brute_profile(g.adj), g
+        assert deletions == tuple(sorted({brute_profile(g.delete_vertex(v).adj)
+                                          for v in range(g.n)})), g
+
+
+def test_profile_verdicts_match_the_solver():
+    # P4-extendible holds the other three classes' members, built by the same
+    # rules; the values were checked against the brute force above
+    for g, (profile, deletions) in closure_values("p4extendible", 8):
+        for spec in SPECS:
+            assert polarity._meets(profile, spec) == satisfies(g, spec), (g, spec)
+
+
+@st.composite
+def built_members(draw, max_n=11):
+    """A member built by random unions, joins and head operations, with its
+    value folded by the same rules as the closure's."""
+    bases = [complete_graph(1), *(_ext_graphs()[k] for k in ("c5", "p5", "house"))]
+    heads = [(lambda h, j=j: sigma_j(h, j)) for j in (2, 3)]
+    heads += [(lambda h: tau_j(h, 3))]
+    heads += [(lambda h, k=k: sigma_sep(k, h)) for k in classes.SEPARABLE_KINDS]
+
+    def member(budget):
+        op = draw(st.sampled_from(["base", "union", "join", "head"] if budget > 1 else ["base"]))
+        if op == "base":
+            g = draw(st.sampled_from([b for b in bases if b.n <= budget]))
+            rule = polarity._module_rule(disjoint_union(g, complete_graph(1)))
+            return g, rule(polarity.K0_VALUE)
+        if op == "head":
+            build = draw(st.sampled_from(heads))
+            base_n = build(complete_graph(0)).n
+            if base_n > budget:
+                return member(budget)
+            if base_n == budget or not draw(st.booleans()):
+                h, hv = complete_graph(0), polarity.K0_VALUE
+            else:
+                h, hv = member(budget - base_n)
+            return build(h), polarity._module_rule(build(complete_graph(1)))(hv)
+        x, xv = member(budget - 1)
+        y, yv = member(budget - x.n)
+        if op == "union":
+            return disjoint_union(x, y), polarity._union_value(xv, yv)
+        return join(x, y), polarity._join_value(xv, yv)
+
+    return member(draw(st.integers(1, max_n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(built_members(), st.sampled_from(SPECS + [sk_polar(4, 1), sk_polar(1, 4)]))
+def test_folded_verdicts_match_the_solver(member, spec):
+    g, (profile, deletions) = member
+    assert polarity._meets(profile, spec) == satisfies(g, spec)
+    assert all(polarity._meets(p, spec) for p in deletions) == _deletions_satisfy(g, spec)
+
+
+def test_small_profiles():
+    k0 = polarity.K0_VALUE
+    k1 = polarity._module_rule(empty_graph(2))(k0)
+    assert k1 == (((0, 1), (1, 0)), (((0, 0),),))
+    assert polarity._union_value(k0, k1) == k1
+    # 2K1 is one part or two cliques, K2 two parts or one clique
+    assert polarity._union_profile(k1[0], k1[0]) == ((0, 2), (1, 0))
+    assert polarity._join_profile(k1[0], k1[0]) == ((0, 1), (2, 0))
+    assert polarity._pareto([(2, 0), (1, 3), (1, 1), (0, 4), (3, 0)]) == ((0, 4), (1, 1), (2, 0))
