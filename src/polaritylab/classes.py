@@ -562,6 +562,7 @@ def _closure(
     class_id: ClassId,
     n_max: int,
     keep: Optional[Callable[[Graph, polarity.Value], bool]] = None,
+    cluster: bool = False,
 ) -> Iterator[Graph]:
     """Each member of orders 1..n_max once, in the order it is first built.
 
@@ -588,7 +589,9 @@ def _closure(
     its one-vertex deletions (``polarity.Value``), folded from the values of
     its parts by the same operation: ``polarity._union_value``,
     ``_join_value`` and, for a head operation or a fixed base, the
-    ``_module_rule`` of its build over K1. No solver search runs.
+    ``_module_rule`` of its build over K1. The profile is P, which answers
+    the (s,k) specs, or with ``cluster`` the unipolar profile Q, whose side A
+    is a cluster too. No solver search runs.
 
     A member for which ``keep(g, value)`` is false is yielded but not stored,
     so nothing is built from it. For a hereditary ``keep`` this is exact on
@@ -601,7 +604,7 @@ def _closure(
     if class_id not in CLASS_IDS:
         raise BadParameter(f"unknown class id {class_id!r}")
     ops = _head_operations(class_id, n_max)
-    rules = [[polarity._module_rule(build(complete_graph(1))) for build in builders]
+    rules = [[polarity._module_rule(build(complete_graph(1)), cluster) for build in builders]
              for _base, builders in ops]
     combine = (
         ("U", disjoint_union, polarity._union_value),
@@ -635,7 +638,7 @@ def _closure(
     bases += [(("base", k), _ext_graphs()[k]) for k in _EXPLICIT_BASES.get(class_id, ())]
     for code, g in bases:
         if g.n <= n_max:
-            rule = polarity._module_rule(disjoint_union(g, complete_graph(1)))
+            rule = polarity._module_rule(disjoint_union(g, complete_graph(1)), cluster)
             store(new_id(code, rule, polarity.K0_VALUE), g)
             yield g
 
@@ -653,7 +656,7 @@ def _closure(
                 for y_id, y in levels[m - a]:
                     for tag, build, rule in combine:
                         code = (tag, tuple(sorted(parts(x_id, tag) + parts(y_id, tag))))
-                        i = new_id(code, rule, values[x_id], values[y_id])
+                        i = new_id(code, rule, values[x_id], values[y_id], cluster)
                         if i is not None:
                             g = build(x, y)
                             store(i, g)

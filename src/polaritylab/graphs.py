@@ -45,7 +45,8 @@ class Graph:
 
     ``adj[v]`` is the neighborhood of ``v`` as a bitmask. Construction
     validates the vertex cap, symmetry, absence of loops, and that no bit
-    index reaches n.
+    index reaches n; the library's own derived graphs, valid by
+    construction, skip the checks (``_built``).
     """
 
     __slots__ = ("n", "adj", "_bits", "_perm", "_p4s")
@@ -105,7 +106,7 @@ class Graph:
 
     def complement(self) -> Graph:
         full = (1 << self.n) - 1
-        return Graph(
+        return _built(
             self.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(self.adj))
         )
 
@@ -123,7 +124,7 @@ class Graph:
                 if (r >> u) & 1:
                     row |= 1 << pos[u]
             rows.append(row)
-        return Graph(len(vs), tuple(rows))
+        return _built(len(vs), tuple(rows))
 
     def induced_mask(self, mask: int) -> Graph:
         return self.induced(_bits_to_tuple(mask))
@@ -172,6 +173,16 @@ class Graph:
 
 # ---------------------------------------------------------------------------
 # construction
+
+
+def _built(n: int, adj: tuple[int, ...]) -> Graph:
+    """A graph on rows that are valid by construction, derived from valid
+    graphs within the vertex cap, with none of the constructor's checks."""
+    g = object.__new__(Graph)
+    g.n = n
+    g.adj = adj
+    g._bits = g._perm = g._p4s = None
+    return g
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -236,11 +247,14 @@ def headless_spider(j: int, thick: bool = False) -> Graph:
 
 def _attach_head(base: Graph, attach: int, head: Graph) -> Graph:
     """``base`` plus ``head`` shifted by |V_base|, with every vertex of the
-    mask ``attach`` joined to every head vertex."""
+    mask ``attach`` (base vertices only) joined to every head vertex."""
+    n = base.n + head.n
+    if n > VERTEX_CAP:
+        raise CapExceeded(f"n={n} exceeds cap {VERTEX_CAP}")
     hmask = ((1 << head.n) - 1) << base.n
     rows = [row | hmask if (attach >> v) & 1 else row for v, row in enumerate(base.adj)]
     rows.extend((row << base.n) | attach for row in head.adj)
-    return Graph(base.n + head.n, tuple(rows))
+    return _built(n, tuple(rows))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -703,7 +717,7 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
                 col = _column(mask, pperm)
                 if _greedy_below(child_rows, pcols + [col]):
                     continue
-                child = Graph(m + 1, child_rows)
+                child = _built(m + 1, child_rows)
                 free = child.canonical_bits
                 if free in accepted:
                     continue

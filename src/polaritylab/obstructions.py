@@ -10,7 +10,7 @@ a PolarSpec plugs in unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import graphs as gr
@@ -98,22 +98,14 @@ def enumerate_minimal_obstructions(
     as in the full closure. The members that lack it are the candidates, and
     each gets one deletion screen, in build order and unlabeled.
 
-    For an (s,k) spec both come from the value ``_closure`` folds for each
-    member: the verdict from its polarity profile and the screen from its
-    deletions' profiles, with no solver search. Unipolarity has no profile,
-    so there each candidate's deletions are decided by ``satisfies``;
-    ``workers`` > 1 fans only that screen over a process pool,
-    order-preserving, so output does not depend on the worker count.
-    Only the obstructions found are keyed."""
-    candidates = []
+    Both come from the value ``_closure`` folds for each member: the verdict
+    from its profile (P for an (s,k) spec, the unipolar profile Q for a
+    clique side) and the screen from its deletions' profiles, with no solver
+    search. ``workers`` is accepted for callers that pass it and changes no
+    work. Only the obstructions found are keyed."""
     found = []
 
     def keep(g: Graph, value) -> bool:
-        if spec.clique_side:
-            if satisfies(g, spec):
-                return True
-            candidates.append(g)
-            return False
         profile, deletions = value
         if _meets(profile, spec):
             return True
@@ -121,18 +113,8 @@ def enumerate_minimal_obstructions(
             found.append(g)
         return False
 
-    for _ in _closure(class_id, n_max, keep):
+    for _ in _closure(class_id, n_max, keep, spec.clique_side):
         pass
-    screen = partial(_deletions_satisfy, spec=spec)
-    if workers > 1 and len(candidates) > workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(candidates) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(screen, candidates, chunksize=chunk))
-    else:
-        verdicts = map(screen, candidates)
-    found += [g for g, minimal in zip(candidates, verdicts) if minimal]
     return sorted(found, key=lambda g: (g.n, g.canonical_key()))
 
 

@@ -12,10 +12,11 @@ every extension of it. A size-free pass decides whether a partition exists;
 only then is the witness found, the first valid split in increasing |A| and
 then lexicographic A order, so witnesses are deterministic.
 
-Members of the cograph superclasses need no search for (s,k) verdicts: a
+Members of the cograph superclasses need no search for their verdicts: a
 polarity profile, folded over the operations that build a member, answers
-every (s,k) spec at once, and the profiles of its one-vertex deletions
-answer minimality (see "polarity profiles" below).
+every (s,k) spec at once, a second one with both sides clusters answers
+unipolarity, and the profiles of its one-vertex deletions answer
+minimality (see "polarity profiles" below).
 """
 
 from __future__ import annotations
@@ -245,16 +246,24 @@ def satisfies(g: Graph, spec: PolarSpec) -> bool:
 # The profile P(G) is the set of Pareto-minimal pairs (a, b) over G's
 # partitions (A, B), where a counts the parts of A and b the cliques of B
 # (0 for an empty side). G is (s,k)-polar exactly when some pair has a <= s
-# and b <= k, so one profile answers every (s,k) spec. A member's value is
-# (P(G), D(G)), D(G) the distinct profiles of its one-vertex deletions: G is
-# a minimal obstruction exactly when P(G) fails the spec and every profile
-# in D(G) meets it. Values are folded over the operations that build a
+# and b <= k, so one profile answers every (s,k) spec. The unipolar profile
+# Q(G) is the same with A a cluster too, a counting its cliques: A is one
+# clique exactly when it is a cluster with at most one clique, so G is
+# unipolar exactly when some pair of Q(G) has a <= 1. A member's value is a
+# profile and D, the distinct profiles of its one-vertex deletions: G is a
+# minimal obstruction exactly when its profile fails the spec and every
+# profile in D meets it. Values are folded over the operations that build a
 # member (``classes._closure``): the empty graph K0 has {(0,0)}, K1 has
-# {(0,1), (1,0)}, and union, join and the head operations have exact rules.
-# Each rule maps a pair of every input to a pair of the output through
-# counts that are monotone in each input pair, so Pareto-minimal inputs
-# reach every Pareto-minimal output. Profiles are sorted tuples, and the
-# rules are memoised on them; few distinct ones recur, so they are interned.
+# {(0, 1), (1, 0)}, and union, join and the head operations have exact
+# rules. One rule family serves both profiles, with the side type of A as
+# its ``cluster`` argument. Under a union the counts of cluster sides add up
+# and the parts of multipartite ones follow ``_merge``; under a join it is
+# the other way round, as complements swap the two side types. A head rule
+# reads a cluster side on the complement rows. Each rule maps a pair of
+# every input to a pair of the output through counts that are monotone in
+# each input pair, so Pareto-minimal inputs reach every Pareto-minimal
+# output. Profiles are sorted tuples, and the rules are memoised on them;
+# few distinct ones recur, so they are interned.
 
 Profile = tuple[tuple[int, int], ...]
 Value = tuple[Profile, tuple[Profile, ...]]
@@ -282,11 +291,11 @@ def _distinct(profiles) -> tuple[Profile, ...]:
 
 
 def _meets(profile: Profile, spec: PolarSpec) -> bool:
-    """Whether a graph with this profile is (s,k)-polar."""
-    return any(
-        (spec.s is None or a <= spec.s) and (spec.k is None or b <= spec.k)
-        for a, b in profile
-    )
+    """Whether a graph with this profile has the property: P for an (s,k)
+    spec, Q for a clique side, which is a cluster side with at most one
+    clique."""
+    s = 1 if spec.clique_side else spec.s
+    return any((s is None or a <= s) and (spec.k is None or b <= spec.k) for a, b in profile)
 
 
 def _merge(p: int, q: int) -> Optional[int]:
@@ -300,41 +309,50 @@ def _merge(p: int, q: int) -> Optional[int]:
     return 1 if p == q == 1 else None
 
 
-@lru_cache(maxsize=None)
-def _union_profile(p: Profile, q: Profile) -> Profile:
-    """P(G1 + G2): a split of a disjoint union is one split of each part, b
-    adds up, and a follows ``_merge``."""
+def _count(p: int, q: int, adds: bool) -> Optional[int]:
+    return p + q if adds else _merge(p, q)
+
+
+def _sum_profile(p: Profile, q: Profile, a_adds: bool, b_adds: bool) -> Profile:
+    """Profile of a union or join: a split of it is one split of each
+    side, and each count adds up or follows ``_merge``."""
     return _pareto(
-        (a, b1 + b2) for a1, b1 in p for a2, b2 in q if (a := _merge(a1, a2)) is not None
+        (a, b)
+        for a1, b1 in p
+        for a2, b2 in q
+        if (a := _count(a1, a2, a_adds)) is not None
+        and (b := _count(b1, b2, b_adds)) is not None
     )
 
 
-def _co_profile(p: Profile) -> Profile:
-    """Profile of the complement: A's parts are its complement's cliques."""
-    return _pareto((b, a) for a, b in p)
+@lru_cache(maxsize=None)
+def _union_profile(p: Profile, q: Profile, cluster: bool = False) -> Profile:
+    """Profile of G1 + G2: cliques add up, and parts follow ``_merge``."""
+    return _sum_profile(p, q, cluster, True)
 
 
 @lru_cache(maxsize=None)
-def _join_profile(p: Profile, q: Profile) -> Profile:
-    """P(G1 join G2), the union rule on complements: a adds up, and b
-    follows ``_merge``."""
-    return _co_profile(_union_profile(_co_profile(p), _co_profile(q)))
+def _join_profile(p: Profile, q: Profile, cluster: bool = False) -> Profile:
+    """Profile of G1 join G2: parts add up, and cliques follow ``_merge``."""
+    return _sum_profile(p, q, not cluster, False)
 
 
-def _sum_value(rule, x: Value, y: Value) -> Value:
+def _sum_value(rule, x: Value, y: Value, cluster: bool) -> Value:
     """Value of a union or join: a deletion falls in one of the two sides."""
     (px, dx), (py, dy) = x, y
-    return rule(px, py), _distinct([rule(d, py) for d in dx] + [rule(px, d) for d in dy])
+    return rule(px, py, cluster), _distinct(
+        [rule(d, py, cluster) for d in dx] + [rule(px, d, cluster) for d in dy]
+    )
 
 
 @lru_cache(maxsize=None)
-def _union_value(x: Value, y: Value) -> Value:
-    return _sum_value(_union_profile, x, y)
+def _union_value(x: Value, y: Value, cluster: bool = False) -> Value:
+    return _sum_value(_union_profile, x, y, cluster)
 
 
 @lru_cache(maxsize=None)
-def _join_value(x: Value, y: Value) -> Value:
-    return _sum_value(_join_profile, x, y)
+def _join_value(x: Value, y: Value, cluster: bool = False) -> Value:
+    return _sum_value(_join_profile, x, y, cluster)
 
 
 def _module_side(rows, mask: int, attach: int) -> Optional[tuple[int, int]]:
@@ -367,20 +385,22 @@ def _with_module(parts: int, fit: int, h: int) -> Optional[int]:
 
 
 @lru_cache(maxsize=None)
-def _module_table(probe: Graph) -> tuple:
+def _module_table(probe: Graph, cluster: bool = False) -> tuple:
     """The distinct (A parts, A fit, B cliques, B fit) of ``_module_side``
     over every split of the base of a head operation (see ``_module_rule``
-    for ``probe``): a brute force over its 2^n splits, built once. B is read
-    on the complement rows, where the module sees the base outside the
-    attach mask and cliques are parts."""
+    for ``probe``): a brute force over its 2^n splits, built once. A cluster
+    side is read on the complement rows, where the module sees the base
+    outside the attach mask and cliques are parts; B always is, and A is
+    when ``cluster``."""
     head = probe.n - 1
     rows = probe.delete_vertex(head).adj
     attach = probe.adj[head]
     full = (1 << head) - 1
     co = _co_rows(rows, full)
+    a_rows, a_attach = (co, full ^ attach) if cluster else (rows, attach)
     table = set()
     for amask in range(full + 1):
-        a_side = _module_side(rows, amask, attach)
+        a_side = _module_side(a_rows, amask, a_attach)
         b_side = _module_side(co, full ^ amask, full ^ attach)
         if a_side is not None and b_side is not None:
             table.add(a_side + b_side)
@@ -400,7 +420,7 @@ def _attached(table: tuple, head: Profile) -> Profile:
 
 
 @lru_cache(maxsize=None)
-def _module_rule(probe: Graph) -> Callable[[Value], Value]:
+def _module_rule(probe: Graph, cluster: bool = False) -> Callable[[Value], Value]:
     """Value rule of a head operation, as a function of the head's value.
 
     ``probe`` is the operation's build over K1: the base, then one head
@@ -411,8 +431,8 @@ def _module_rule(probe: Graph) -> Callable[[Value], Value]:
     deletion profiles) or a base vertex, whose table is that of the probe
     without it. A fixed base (K1, C5, P5, the house) is the rule of the
     base plus an isolated vertex, applied to the K0 head."""
-    table = _module_table(probe)
-    cut = [_module_table(probe.delete_vertex(u)) for u in range(probe.n - 1)]
+    table = _module_table(probe, cluster)
+    cut = [_module_table(probe.delete_vertex(u), cluster) for u in range(probe.n - 1)]
 
     @lru_cache(maxsize=None)
     def rule(head: Value) -> Value:

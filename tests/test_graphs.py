@@ -20,7 +20,7 @@ from polaritylab.errors import (
     VertexOutOfRange,
 )
 from polaritylab import graphs as graphs_module
-from polaritylab.classes import CLASS_IDS, generate_class
+from polaritylab.classes import CLASS_IDS, _closure, generate_class
 from polaritylab.graphs import (
     Graph,
     _column,
@@ -90,6 +90,16 @@ def test_graph_validation():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+def test_derived_graphs_pass_the_constructor_checks(graphs_to_7):
+    # the graphs the library derives itself skip the checks: unions, joins
+    # and head operations (every closure member), complements, deletions and
+    # enumerated children; rebuilt through the checks, none raises or differs
+    members = [g for class_id in CLASS_IDS for g in _closure(class_id, 8)]
+    for g in members + graphs_to_7:
+        for h in (g, g.complement(), *(g.delete_vertex(v) for v in range(g.n))):
+            assert type(h.adj) is tuple and Graph(h.n, h.adj) == h
 
 
 def test_complement():

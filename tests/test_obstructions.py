@@ -186,10 +186,15 @@ def test_enumeration_builds_on_members_with_the_property_and_finds_no_witness(mo
     ("p4extendible", "sk:2,1", "dbfbd2bc4229b7a22b2b5f232e816192a4a5ab29f170158ded4de22ef6104cae"),
     ("p4extendible", "sk:inf,1", "1078fab8d170b24db0bed8cf1086cedb46c037fad3b7a59795d351e3155d6f0c"),
     ("p4extendible", "polar", "f76d7cf573b37e3ebeb35e7ff323798c401de184cf77608e025002d01014fea3"),
+    ("p4sparse", "unipolar",
+     "37768cc4a5940e1bbd81a7a383a8b26f72f30b22b324c171266431d0724bed4f"),
+    ("p4extendible", "unipolar",
+     "f1ac801d53db43137af019e5abe27f8e323bf48c105a036bd48e6e3b4d6a0793"),
 ])
 def test_sk_enumeration_runs_no_solver_search(monkeypatch, class_id, spec, digest):
-    # verdicts and deletion screens come from the folded profiles; the lists
-    # at order 8 are pinned (digests of the graph6 of the returned graphs)
+    # verdicts and deletion screens come from the folded profiles (the
+    # unipolar profile for unipolarity); the lists at order 8 are pinned
+    # (digests of the graph6 of the returned graphs)
     def search(*args):
         raise AssertionError("solver search on the (s,k) path")
 

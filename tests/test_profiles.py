@@ -2,7 +2,8 @@
 over every split and against the solver.
 
 The profile of a graph is the set of Pareto-minimal (a, b) pairs over its
-partitions, a the parts of A and b the cliques of B; a member's value adds
+partitions, a the parts of A and b the cliques of B; the unipolar profile is
+the same with A a cluster too, a counting its cliques. A member's value adds
 the profiles of its one-vertex deletions. The brute force here counts
 cliques by closed neighborhoods, so it shares no code with the solver or
 with the fold.
@@ -18,7 +19,7 @@ from polaritylab import classes, polarity
 from polaritylab.classes import CLASS_IDS, _closure, _ext_graphs, sigma_j, sigma_sep, tau_j
 from polaritylab.graphs import complete_graph, disjoint_union, empty_graph, join
 from polaritylab.obstructions import _deletions_satisfy
-from polaritylab.polarity import satisfies, sk_polar
+from polaritylab.polarity import UNIPOLAR, satisfies, sk_polar
 
 BOUNDS = (0, 1, 2, 3, None)
 SPECS = [sk_polar(s, k) for s in BOUNDS for k in BOUNDS]
@@ -37,14 +38,17 @@ def _cliques(rows, mask):
 
 
 @lru_cache(maxsize=None)
-def brute_profile(adj):
+def brute_profile(adj, cluster=False):
     """Pareto-minimal (parts of A, cliques of B) over all 2^n splits of the
-    graph with these rows (the four closures share many members)."""
+    graph with these rows (the four closures share many members); with
+    ``cluster``, (cliques of A, cliques of B) over the splits into two
+    clusters."""
     full = (1 << len(adj)) - 1
     co = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
     pairs = set()
     for a in range(full + 1):
-        parts = _cliques(co, a)  # A is complete multipartite
+        # A is complete multipartite (its complement a cluster) or a cluster
+        parts = _cliques(adj if cluster else co, a)
         cliques = _cliques(adj, full ^ a)
         if parts is not None and cliques is not None:
             pairs.add((parts, cliques))
@@ -52,18 +56,35 @@ def brute_profile(adj):
                  if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs))
 
 
-def closure_values(class_id, n_max):
+def closure_values(class_id, n_max, cluster=False):
     seen = []
-    list(_closure(class_id, n_max, keep=lambda g, value: seen.append((g, value)) or True))
+    list(_closure(class_id, n_max, lambda g, value: seen.append((g, value)) or True, cluster))
     return seen
+
+
+def check_closure_values(class_id, cluster):
+    for g, (profile, deletions) in closure_values(class_id, 8, cluster):
+        assert profile == brute_profile(g.adj, cluster), g
+        assert deletions == tuple(sorted({brute_profile(g.delete_vertex(v).adj, cluster)
+                                          for v in range(g.n)})), g
 
 
 @pytest.mark.parametrize("class_id", CLASS_IDS)
 def test_closure_values_match_the_brute_force(class_id):
-    for g, (profile, deletions) in closure_values(class_id, 8):
-        assert profile == brute_profile(g.adj), g
-        assert deletions == tuple(sorted({brute_profile(g.delete_vertex(v).adj)
-                                          for v in range(g.n)})), g
+    check_closure_values(class_id, False)
+
+
+@pytest.mark.parametrize("class_id", CLASS_IDS)
+def test_unipolar_closure_values_match_the_brute_force(class_id):
+    check_closure_values(class_id, True)
+
+
+@pytest.mark.parametrize("class_id", CLASS_IDS)
+def test_unipolar_verdicts_match_the_solver(class_id):
+    for g, (profile, deletions) in closure_values(class_id, 8, cluster=True):
+        assert polarity._meets(profile, UNIPOLAR) == satisfies(g, UNIPOLAR), g
+        assert all(polarity._meets(p, UNIPOLAR) for p in deletions) == _deletions_satisfy(
+            g, UNIPOLAR), g
 
 
 def test_profile_verdicts_match_the_solver():
@@ -74,10 +95,13 @@ def test_profile_verdicts_match_the_solver():
             assert polarity._meets(profile, spec) == satisfies(g, spec), (g, spec)
 
 
+SIDES = (False, True)  # side A multipartite (P), or a cluster (Q)
+
+
 @st.composite
 def built_members(draw, max_n=11):
     """A member built by random unions, joins and head operations, with its
-    value folded by the same rules as the closure's."""
+    values, P's and Q's, folded by the same rules as the closure's."""
     bases = [complete_graph(1), *(_ext_graphs()[k] for k in ("c5", "p5", "house"))]
     heads = [(lambda h, j=j: sigma_j(h, j)) for j in (2, 3)]
     heads += [(lambda h: tau_j(h, 3))]
@@ -87,31 +111,33 @@ def built_members(draw, max_n=11):
         op = draw(st.sampled_from(["base", "union", "join", "head"] if budget > 1 else ["base"]))
         if op == "base":
             g = draw(st.sampled_from([b for b in bases if b.n <= budget]))
-            rule = polarity._module_rule(disjoint_union(g, complete_graph(1)))
-            return g, rule(polarity.K0_VALUE)
+            probe = disjoint_union(g, complete_graph(1))
+            return g, [polarity._module_rule(probe, c)(polarity.K0_VALUE) for c in SIDES]
         if op == "head":
             build = draw(st.sampled_from(heads))
             base_n = build(complete_graph(0)).n
             if base_n > budget:
                 return member(budget)
             if base_n == budget or not draw(st.booleans()):
-                h, hv = complete_graph(0), polarity.K0_VALUE
+                h, hv = complete_graph(0), [polarity.K0_VALUE] * len(SIDES)
             else:
                 h, hv = member(budget - base_n)
-            return build(h), polarity._module_rule(build(complete_graph(1)))(hv)
+            probe = build(complete_graph(1))
+            return build(h), [polarity._module_rule(probe, c)(v) for c, v in zip(SIDES, hv)]
         x, xv = member(budget - 1)
         y, yv = member(budget - x.n)
-        if op == "union":
-            return disjoint_union(x, y), polarity._union_value(xv, yv)
-        return join(x, y), polarity._join_value(xv, yv)
+        build, rule = ((disjoint_union, polarity._union_value) if op == "union"
+                       else (join, polarity._join_value))
+        return build(x, y), [rule(u, v, c) for c, u, v in zip(SIDES, xv, yv)]
 
     return member(draw(st.integers(1, max_n)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(built_members(), st.sampled_from(SPECS + [sk_polar(4, 1), sk_polar(1, 4)]))
+@given(built_members(), st.sampled_from(SPECS + [sk_polar(4, 1), sk_polar(1, 4), UNIPOLAR]))
 def test_folded_verdicts_match_the_solver(member, spec):
-    g, (profile, deletions) = member
+    g, values = member
+    profile, deletions = values[spec.clique_side]
     assert polarity._meets(profile, spec) == satisfies(g, spec)
     assert all(polarity._meets(p, spec) for p in deletions) == _deletions_satisfy(g, spec)
 
@@ -125,3 +151,17 @@ def test_small_profiles():
     assert polarity._union_profile(k1[0], k1[0]) == ((0, 2), (1, 0))
     assert polarity._join_profile(k1[0], k1[0]) == ((0, 1), (2, 0))
     assert polarity._pareto([(2, 0), (1, 3), (1, 1), (0, 4), (3, 0)]) == ((0, 4), (1, 1), (2, 0))
+
+
+def test_small_unipolar_profiles():
+    k0 = polarity.K0_VALUE
+    k1 = polarity._module_rule(empty_graph(2), True)(k0)
+    assert k1 == (((0, 1), (1, 0)), (((0, 0),),))
+    # 2K1 is two cliques on either side, or one on each; K2 one clique
+    assert polarity._union_profile(k1[0], k1[0], True) == ((0, 2), (1, 1), (2, 0))
+    assert polarity._join_profile(k1[0], k1[0], True) == ((0, 1), (1, 0))
+    # 2P3 and K2,3 are not unipolar: every split leaves two cliques in A
+    p3 = polarity._join_value(polarity._union_value(k1, k1, True), k1, True)
+    two_p3 = polarity._union_value(p3, p3, True)
+    assert min(a for a, b in two_p3[0]) == 2
+    assert all(min(a for a, b in d) <= 1 for d in two_p3[1])
