@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import combinations
 from typing import Callable, Iterator, Literal, Optional, Union
 
 from . import graphs as gr
@@ -27,7 +28,6 @@ from .graphs import (
     _co_rows,
     _component_masks,
     _has_c5,
-    _k_subsets,
     _mask_of,
     catalog,
     complete_graph,
@@ -266,45 +266,20 @@ def extension_set(g: Graph, w) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # definitional recognizers
 
-# Fingerprints of the seven forbidden 5-vertex graphs for P4-sparseness
-# ({C5, P5, P, F} in the graph and in its complement). Two fingerprints are
-# shared with innocent graphs and need a triangle count to split:
-# (4,(1,1,2,2,2)) is P5 or K3+K2, and (6,(2,2,2,3,3)) is the house or K_{2,3}.
-_FORBIDDEN_ALWAYS = {
-    (4, (1, 1, 1, 2, 3)),  # fork
-    (5, (2, 2, 2, 2, 2)),  # C5
-    (5, (1, 2, 2, 2, 3)),  # banner (0 triangles) or co-banner (1); both forbidden
-    (6, (1, 2, 3, 3, 3)),  # kite
-}
-_FORBIDDEN_NO_TRIANGLE = (4, (1, 1, 2, 2, 2))  # P5
-_FORBIDDEN_ONE_TRIANGLE = (6, (2, 2, 2, 3, 3))  # house
-
-
-def _triangles_in(adj, mask: int, verts) -> int:
-    count = 0
-    for v in verts:
-        nv = adj[v] & mask
-        row = nv >> (v + 1) << (v + 1)  # neighbors above v
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
-            count += (adj[u] & nv >> (u + 1) << (u + 1)).bit_count()
-    return count
-
-
 def p4_sparse_certificate(g: Graph) -> Optional[tuple[int, ...]]:
-    """A 5-vertex set inducing two P4s, or None when the graph is P4-sparse."""
-    adj = g.adj
-    for quint, mask in _k_subsets(range(g.n), 5):
-        degs = tuple(sorted((adj[v] & mask).bit_count() for v in quint))
-        fp = (sum(degs) // 2, degs)
-        if fp in _FORBIDDEN_ALWAYS:
-            return quint
-        if fp == _FORBIDDEN_NO_TRIANGLE and _triangles_in(adj, mask, quint) == 0:
-            return quint
-        if fp == _FORBIDDEN_ONE_TRIANGLE and _triangles_in(adj, mask, quint) == 1:
-            return quint
-    return None
+    """The lexicographically first 5-vertex set inducing two P4s, or None
+    when the graph is P4-sparse.
+
+    Two distinct P4s inside five vertices share three of them, so those sets
+    are the unions of two P4s that meet in three vertices: P4s are grouped
+    by each of their four 3-subsets.
+    """
+    by_triple: dict[int, list[int]] = {}
+    for m in p4_masks(g):
+        for v in _bits_to_tuple(m):
+            by_triple.setdefault(m ^ (1 << v), []).append(m)
+    quints = {x | y for ms in by_triple.values() for x, y in combinations(ms, 2)}
+    return min(map(_bits_to_tuple, quints)) if quints else None
 
 
 def p4_extendible_certificate(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -339,8 +339,19 @@ def _co_rows(adj, mask: int) -> list[int]:
 # collapses the factorial blowup on symmetric graphs.
 #
 # Each state also carries its minimal column and the set of vertices holding
-# it. Placing one of them splits the rest by adjacency to it, so a child gets
-# both in O(1); the planes are rescanned only when that set runs empty.
+# it. Placing one of them splits the rest by adjacency to it, so a child's
+# minimal column falls in one of three tiers, each known in O(1):
+#   - best·0, when a remaining holder is not adjacent to the placed vertex;
+#   - best·1, when every remaining holder is adjacent to it;
+#   - a rescan of the planes, when no holder is left. Every other unplaced
+#     vertex was above best already, so a rescan is above best·1.
+# Only children of the lowest tier can reach the minimal labeling, so a level
+# stores the lowest tier seen so far and drops the rest when a lower one
+# appears; the planes are read only when a level ends with rescans alone.
+# A key fixes its tier, so no winner was stored before the last drop: the
+# winners keep their first-insertion order and chains, and the search returns
+# the same first minimal labeling (whose perm enumerate_graphs reads) as one
+# that stores every child.
 #
 # Twins (true or false, in the whole graph) are placed in index order only:
 # swapping two unplaced twins is an automorphism that fixes the placed
@@ -391,10 +402,12 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
     ids in placement order.
 
     A state maps its packed key to (chain, its minimal column << m | the
-    vertices holding it), so the least column over all states is the least
-    second entry shifted down. A perm is a chain (parent chain, vertex),
-    which keeps states small. The last level merges every state into one
-    key, so exactly one perm is left.
+    vertices holding it); a level's states all share one column, ``best``.
+    Children of the lowest tier seen so far are kept (see above); a level
+    left with rescans alone reads their columns off the planes and keeps
+    the least. A perm is a chain (parent chain, vertex), which keeps states
+    small. The last level merges every state into one key, so exactly one
+    perm is left.
     """
     m = len(adj)
     if m == 0:
@@ -406,20 +419,16 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
     # each vertex's previous twin as a bit (0 for none), which must be placed
     lower = [1 << t if t >= 0 else 0 for t in _twin_before(adj)]
     states = {0: (None, full)}
-    bits = 0
+    best = bits = 0
     expanded = 0
     for k in range(m):
-        best = min(s[1] for s in states.values()) >> m
         bits = (bits << k) | best
         at = k * m
-        # a child's minimal column is best followed by 0 when some holder
-        # is not adjacent to the vertex placed, else by 1
         zero = best << (m + 1)
         one = zero | (1 << m)
         nxt = {}
+        tier = 3  # lowest tier stored: 0 best·0, 1 best·1, 2 rescan
         for key, (chain, mincol) in states.items():
-            if mincol >> m != best:
-                continue
             placed = key >> placed_at
             cand = mincol & full
             todo = cand
@@ -431,21 +440,28 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
                     continue
                 expanded += 1
                 row = adj[i] & ~placed
-                key2 = (key & drop[i]) | (row << at) | (low << placed_at)
-                if key2 in nxt:
-                    continue
                 rest = cand ^ low
                 apart = rest & ~row
-                if apart:
-                    nxt[key2] = ((chain, i), zero | apart)
-                elif rest:
-                    nxt[key2] = ((chain, i), one | rest)
-                else:
-                    nxt[key2] = ((chain, i),
-                                 _min_column(key2, k + 1, m, full & ~placed & ~low))
+                t = 0 if apart else 1 if rest else 2
+                if t > tier:
+                    continue
+                key2 = (key & drop[i]) | (row << at) | (low << placed_at)
+                if t < tier:
+                    nxt = {}
+                    tier = t
+                elif key2 in nxt:
+                    continue
+                nxt[key2] = ((chain, i), zero | apart if t == 0 else one | rest if t == 1 else 0)
             if expanded > LABEL_CAP:
                 raise CapExceeded(
                     f"canonical labeling of n={m} passed {LABEL_CAP} states")
+        if tier < 2:
+            best = (best << 1) | tier
+        else:  # rescans alone: read their columns off the planes
+            for key, (chain, _) in nxt.items():
+                nxt[key] = (chain, _min_column(key, k + 1, m, full & ~(key >> placed_at)))
+            best = min(s[1] for s in nxt.values()) >> m
+            nxt = {key: s for key, s in nxt.items() if s[1] >> m == best}
         states = nxt
     perm = []
     chain = next(iter(states.values()))[0]
@@ -573,29 +589,52 @@ def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     return None
 
 
+def _p4_paths(adj) -> Iterator[tuple[int, int, int, int]]:
+    """Each induced P4 once, as its path (a, b, c, d): the middle edge b-c
+    with b < c, an end a in N(b) but not N[c], and an end d in N(c) but not
+    N[b] that is not adjacent to a."""
+    for b, row in enumerate(adj):
+        closed = row | (1 << b)
+        above = row >> (b + 1) << (b + 1)
+        while above:
+            low = above & -above
+            above ^= low
+            c = low.bit_length() - 1
+            a_side = row & ~adj[c] & ~low
+            if not a_side:
+                continue
+            d_side = adj[c] & ~closed
+            while d_side:
+                dlow = d_side & -d_side
+                d_side ^= dlow
+                d = dlow.bit_length() - 1
+                ends = a_side & ~adj[d]
+                while ends:
+                    alow = ends & -ends
+                    ends ^= alow
+                    yield alow.bit_length() - 1, b, c, d
+
+
 def p4_masks(g: Graph) -> tuple[int, ...]:
-    """Masks of all vertex sets inducing a P4, ascending (cached on g)."""
+    """Masks of all vertex sets inducing a P4, in lexicographic order of
+    their sorted vertex tuples, as ``_k_subsets`` lists them: (0,1,2,5) comes
+    before (0,1,3,4) although its mask is larger (cached on g)."""
     if g._p4s is None:
-        found = []
-        for quad, mask in _k_subsets(range(g.n), 4):
-            degs = [(g.adj[v] & mask).bit_count() for v in quad]
-            if sum(degs) == 6 and min(degs) == 1 and max(degs) == 2:  # 3 edges
-                found.append(mask)
-        g._p4s = tuple(found)
+        quads = sorted(tuple(sorted(path)) for path in _p4_paths(g.adj))
+        g._p4s = tuple(map(_mask_of, quads))
     return g._p4s
 
 
 def list_induced_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
-    """All 4-sets inducing a P4, each once, ascending."""
+    """All 4-sets inducing a P4, each once, in lexicographic order."""
     return [_bits_to_tuple(m) for m in p4_masks(g)]
 
 
 def _has_c5(g: Graph) -> bool:
-    """Induced C5 test: C5 is the only 2-regular graph on five vertices."""
-    return any(
-        all((g.adj[v] & mask).bit_count() == 2 for v in quint)
-        for quint, mask in _k_subsets(range(g.n), 5)
-    )
+    """Induced C5 test: some P4 a-b-c-d closes into a C5 through a fifth
+    vertex adjacent to a and d and to neither b nor c."""
+    adj = g.adj
+    return any(adj[a] & adj[d] & ~adj[b] & ~adj[c] for a, b, c, d in _p4_paths(adj))
 
 
 # ---------------------------------------------------------------------------

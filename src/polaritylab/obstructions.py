@@ -102,14 +102,23 @@ def enumerate_minimal_obstructions(
     from its profile (P for an (s,k) spec, the unipolar profile Q for a
     clique side) and the screen from its deletions' profiles, with no solver
     search. ``workers`` is accepted for callers that pass it and changes no
-    work. Only the obstructions found are keyed."""
+    work. Only the obstructions found are keyed. Profiles and deletion sets
+    are interned and few, so each verdict is read once per call."""
     found = []
+    has: dict = {}  # profile -> verdict
+    screened: dict = {}  # deletion set -> every deletion has the property
 
     def keep(g: Graph, value) -> bool:
         profile, deletions = value
-        if _meets(profile, spec):
+        ok = has.get(profile)
+        if ok is None:
+            ok = has[profile] = _meets(profile, spec)
+        if ok:
             return True
-        if all(_meets(p, spec) for p in deletions):
+        minimal = screened.get(deletions)
+        if minimal is None:
+            minimal = screened[deletions] = all(_meets(p, spec) for p in deletions)
+        if minimal:
             found.append(g)
         return False
 

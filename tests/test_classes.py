@@ -2,7 +2,9 @@
 
 The definitional recognizers are checked against naive re-derivations (the
 five-subset double-P4 scan, and an extension-set recomputation from raw
-quadruple scans), and both against the structural recursion.
+quadruple scans), and both against the structural recursion. The edge walks
+that find P4s and C5s are checked against the 4- and 5-subset scans they
+replaced.
 """
 
 import hashlib
@@ -29,6 +31,8 @@ from polaritylab.classes import (
     is_cograph,
     is_p4_extendible,
     is_p4_sparse,
+    p4_extendible_certificate,
+    p4_sparse_certificate,
     rebuild,
     recognizer,
     sigma_j,
@@ -37,6 +41,8 @@ from polaritylab.classes import (
 )
 from polaritylab.errors import BadParameter, CapExceeded, NotAP4, NotInClass
 from polaritylab.graphs import (
+    _has_c5,
+    _k_subsets,
     canonical_key,
     catalog,
     complete_graph,
@@ -50,6 +56,7 @@ from polaritylab.graphs import (
     is_isomorphic,
     join,
     list_induced_p4s,
+    p4_masks,
     path_graph,
     union_all,
 )
@@ -96,6 +103,99 @@ def _double_p4_scan(g):
 def test_sparse_definitional_vs_double_p4_scan(graphs_to_7):
     for g in graphs_to_7:
         assert is_p4_sparse(g) == (not _double_p4_scan(g))
+
+
+# --- subset-scan oracles ------------------------------------------------------
+# The 4- and 5-subset scans that found P4s and C5s before the edge walks.
+
+
+def scan_p4_masks(g):
+    """Masks of the 4-sets inducing a P4 (three edges, degrees 1 to 2), in
+    ``_k_subsets`` order."""
+    found = []
+    for quad, mask in _k_subsets(range(g.n), 4):
+        degs = [(g.adj[v] & mask).bit_count() for v in quad]
+        if sum(degs) == 6 and min(degs) == 1 and max(degs) == 2:
+            found.append(mask)
+    return tuple(found)
+
+
+def scan_has_c5(g):
+    """C5 is the only 2-regular graph on five vertices."""
+    return any(
+        all((g.adj[v] & mask).bit_count() == 2 for v in quint)
+        for quint, mask in _k_subsets(range(g.n), 5)
+    )
+
+
+# Fingerprints (edges, sorted degrees) of the seven forbidden 5-vertex graphs
+# for P4-sparseness ({C5, P5, P, F} and their complements). Two are shared
+# with innocent graphs and need a triangle count to split: (4,(1,1,2,2,2)) is
+# P5 or K3+K2, and (6,(2,2,2,3,3)) is the house or K_{2,3}.
+_FORBIDDEN_ALWAYS = {
+    (4, (1, 1, 1, 2, 3)),  # fork
+    (5, (2, 2, 2, 2, 2)),  # C5
+    (5, (1, 2, 2, 2, 3)),  # banner (0 triangles) or co-banner (1); both forbidden
+    (6, (1, 2, 3, 3, 3)),  # kite
+}
+_FORBIDDEN_NO_TRIANGLE = (4, (1, 1, 2, 2, 2))  # P5
+_FORBIDDEN_ONE_TRIANGLE = (6, (2, 2, 2, 3, 3))  # house
+
+
+def _triangles_in(adj, mask, verts):
+    count = 0
+    for v in verts:
+        nv = adj[v] & mask
+        row = nv >> (v + 1) << (v + 1)  # neighbors above v
+        while row:
+            u = (row & -row).bit_length() - 1
+            row &= row - 1
+            count += (adj[u] & nv >> (u + 1) << (u + 1)).bit_count()
+    return count
+
+
+def scan_sparse_certificate(g):
+    """The first 5-set, in ``_k_subsets`` order, inducing a forbidden graph."""
+    adj = g.adj
+    for quint, mask in _k_subsets(range(g.n), 5):
+        degs = tuple(sorted((adj[v] & mask).bit_count() for v in quint))
+        fp = (sum(degs) // 2, degs)
+        if fp in _FORBIDDEN_ALWAYS:
+            return quint
+        if fp == _FORBIDDEN_NO_TRIANGLE and _triangles_in(adj, mask, quint) == 0:
+            return quint
+        if fp == _FORBIDDEN_ONE_TRIANGLE and _triangles_in(adj, mask, quint) == 1:
+            return quint
+    return None
+
+
+def check_scans(g):
+    """The edge walks give what the subset scans give, P4 order included."""
+    assert p4_masks(g) == scan_p4_masks(g), g
+    assert _has_c5(g) == scan_has_c5(g), g
+    assert p4_sparse_certificate(g) == scan_sparse_certificate(g), g
+
+
+def test_edge_walks_match_the_subset_scans(graphs_to_7):
+    for g in graphs_to_7:
+        check_scans(g)
+
+
+@pytest.mark.parametrize("class_id", CLASS_IDS)
+def test_edge_walks_match_the_subset_scans_on_the_closures(class_id):
+    for g in generate_class(class_id, 8):
+        check_scans(g)
+
+
+def test_p4s_come_in_lexicographic_order_not_mask_order():
+    # the net with pendants 0, 1, 2 on the triangle 5, 4, 3: the masks of its
+    # P4s fall in the reverse of the vertex tuples' order, and the first W of
+    # the P4-extendible certificate (like the CLI's cograph certificate) is
+    # the first tuple
+    net = from_edges(6, [(0, 5), (1, 4), (2, 3), (3, 4), (3, 5), (4, 5)])
+    assert list_induced_p4s(net) == [(0, 1, 4, 5), (0, 2, 3, 5), (1, 2, 3, 4)]
+    assert p4_masks(net) == (51, 45, 30)
+    assert p4_extendible_certificate(net) == ((0, 1, 4, 5), (2, 3))
 
 
 def _naive_extension_set(g, w):

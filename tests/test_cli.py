@@ -55,6 +55,14 @@ def test_recognize_predicate():
     assert code == 1 and "false" in out
 
 
+def test_cograph_certificate_is_the_lexicographically_first_p4():
+    # the net labeled so that its P4 masks run against the vertex tuples'
+    # order: (0,1,4,5) has the largest mask of its three P4s
+    code, out = cli(["recognize", "--class", "cograph", "--format", "json"], "E@UW\n")
+    assert code == 1
+    assert json.loads(out)["certificate"] == [0, 1, 4, 5]
+
+
 def test_recognize_classify_mode():
     code, out = cli(["recognize"], "@\n")
     assert code == 0

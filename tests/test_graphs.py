@@ -324,6 +324,19 @@ def test_twin_free_symmetric_graphs_label_like_the_unpruned_search(name, monkeyp
     assert rescans
 
 
+def test_sparse_graph_rescans_only_levels_without_a_holder(monkeypatch):
+    # 14 vertices, 8 edges: every unplaced non-neighbour of the prefix ties
+    # for the minimal column, so most children land in the rescan tier.
+    # Storing every child rescanned 202,246 times; a level reads the planes
+    # only when no child kept a holder.
+    g = graph6_decode("MG?G?c?H??????@?_")
+    rescans = []
+    scan = graphs_module._min_column
+    monkeypatch.setattr(graphs_module, "_min_column", lambda *a: rescans.append(a) or scan(*a))
+    assert _min_bits(g.adj) == (69122474368, (0, 8, 10, 11, 3, 6, 4, 1, 9, 12, 13, 2, 5, 7))
+    assert len(rescans) <= 16_000
+
+
 def test_twin_classes_collapse():
     for g in (empty_graph(32), complete_graph(32)):
         start = time.perf_counter()

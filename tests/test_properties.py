@@ -27,6 +27,7 @@ from polaritylab.graphs import (
 )
 from polaritylab.obstructions import is_minimal_obstruction
 from polaritylab.polarity import UNIPOLAR, find_polar_partition, parse_spec, satisfies, sk_polar
+from test_classes import check_scans
 from test_graphs import _check_greedy_rejection, _unpruned_min_bits
 from test_polarity import _scan_witness
 
@@ -82,6 +83,12 @@ def test_labeling_matches_the_unpruned_search(g, data):
     assert _min_bits(g.adj) == (bits, perm_g)
     assert _min_bits(h.adj) == _unpruned_min_bits(h.adj)
     assert _min_bits(h.adj)[0] == bits
+
+
+@SWEEP
+@given(graphs(max_n=14))
+def test_edge_walks_match_the_subset_scans(g):
+    check_scans(g)
 
 
 @SWEEP
