@@ -207,10 +207,7 @@ def _find_ext_spider_masked(g: Graph, mask: int) -> Optional[ExtSpiderPartition]
     adj = g.adj
     p4s = [m for m in p4_masks(g) if not m & ~mask]
     for w in p4s:
-        d = w
-        for m in p4s:
-            if m & w:
-                d |= m
+        d = _p4s_meeting(w, p4s)
         if d.bit_count() > 5 or d == mask:
             continue
         kind = _ext_kind_of(g, d)
@@ -251,16 +248,21 @@ def sigma_sep(kind: str, head: Graph) -> Graph:
     return _attach_head(_ext_graphs()[kind], _separable_mids(kind), head)
 
 
+def _p4s_meeting(w: int, p4s) -> int:
+    """W plus every P4 mask in ``p4s`` that shares a vertex with W."""
+    acc = w
+    for m in p4s:
+        if m & w:
+            acc |= m
+    return acc
+
+
 def extension_set(g: Graph, w) -> tuple[int, ...]:
     """S(W): vertices outside W lying on a P4 that shares a vertex with W."""
     wmask = _mask_of(w)
     if wmask not in p4_masks(g):
         raise NotAP4(f"{tuple(sorted(w))} does not induce a P4")
-    acc = 0
-    for m in p4_masks(g):
-        if m & wmask:
-            acc |= m
-    return _bits_to_tuple(acc & ~wmask)
+    return _bits_to_tuple(_p4s_meeting(wmask, p4_masks(g)) & ~wmask)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +288,7 @@ def p4_extendible_certificate(g: Graph) -> Optional[tuple[tuple[int, ...], tuple
     """(W, S(W)) with |S(W)| >= 2, or None when the graph is P4-extendible."""
     masks = p4_masks(g)
     for w in masks:
-        acc = 0
-        for m in masks:
-            if m & w:
-                acc |= m
-        acc &= ~w
+        acc = _p4s_meeting(w, masks) & ~w
         if acc.bit_count() >= 2:
             return _bits_to_tuple(w), _bits_to_tuple(acc)
     return None
@@ -562,11 +560,11 @@ def _closure(
 
     Each id also carries a value, its polarity profile and the profiles of
     its one-vertex deletions (``polarity.Value``), folded from the values of
-    its parts by the same operation: ``polarity._union_value``,
-    ``_join_value`` and, for a head operation or a fixed base, the
-    ``_module_rule`` of its build over K1. The profile is P, which answers
-    the (s,k) specs, or with ``cluster`` the unipolar profile Q, whose side A
-    is a cluster too. No solver search runs.
+    its parts by the same operation: ``polarity._combine_value`` for a union
+    or join, with the side flags of its module, and the ``_module_rule`` of
+    its build over K1 for a head operation or a fixed base. The profile is
+    P, which answers the (s,k) specs, or with ``cluster`` the unipolar
+    profile Q, whose side A is a cluster too. No solver search runs.
 
     A member for which ``keep(g, value)`` is false is yielded but not stored,
     so nothing is built from it. For a hereditary ``keep`` this is exact on
@@ -581,10 +579,7 @@ def _closure(
     ops = _head_operations(class_id, n_max)
     rules = [[polarity._module_rule(build(complete_graph(1)), cluster) for build in builders]
              for _base, builders in ops]
-    combine = (
-        ("U", disjoint_union, polarity._union_value),
-        ("J", join, polarity._join_value),
-    )
+    combine = (("U", disjoint_union, (cluster, True)), ("J", join, (not cluster, False)))
     ids: dict[tuple, int] = {}
     codes: list[tuple] = []
     values: list[polarity.Value] = []
@@ -629,9 +624,10 @@ def _closure(
         for a in range(1, m // 2 + 1):
             for x_id, x in levels[a]:
                 for y_id, y in levels[m - a]:
-                    for tag, build, rule in combine:
+                    for tag, build, flags in combine:
                         code = (tag, tuple(sorted(parts(x_id, tag) + parts(y_id, tag))))
-                        i = new_id(code, rule, values[x_id], values[y_id], cluster)
+                        i = new_id(code, polarity._combine_value, values[x_id], values[y_id],
+                                   *flags)
                         if i is not None:
                             g = build(x, y)
                             store(i, g)

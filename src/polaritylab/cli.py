@@ -22,7 +22,7 @@ from . import graphs as gr
 from . import obstructions as ob
 from . import polarity as po
 from .errors import BadParameter, CapExceeded, NotInClass, PolarityLabError
-from .graphs import Graph, graph6_decode, graph6_encode, list_induced_p4s
+from .graphs import Graph, _has_c5, graph6_decode, graph6_encode, list_induced_p4s
 
 DEFAULT_MAX_N = 8
 
@@ -83,11 +83,12 @@ def _run_lines(args, handle) -> int:
 
 
 def _classify(g: Graph, records: bool) -> tuple[bool, str, dict]:
+    extendible = cl.is_p4_extendible(g)
     classes = {
         "cograph": cl.is_cograph(g),
         "p4sparse": cl.is_p4_sparse(g),
-        "p4extendible": cl.is_p4_extendible(g),
-        "62": cl.is_62_graph(g),
+        "p4extendible": extendible,
+        "62": extendible and not _has_c5(g),  # is_62_graph, with one extendibility scan
     }
     p4_count = len(list_induced_p4s(g))
     flags = " ".join(f"{k}={str(v).lower()}" for k, v in classes.items())

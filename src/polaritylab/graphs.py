@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -284,12 +283,6 @@ def _mask_of(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def _k_subsets(verts, k: int):
-    """Every k-subset of ``verts`` as (vertices, mask), in lexicographic order."""
-    verts = tuple(verts)
-    return zip(combinations(verts, k), map(sum, combinations([1 << v for v in verts], k)))
 
 
 def _bits_to_tuple(mask: int) -> tuple[int, ...]:
@@ -617,8 +610,8 @@ def _p4_paths(adj) -> Iterator[tuple[int, int, int, int]]:
 
 def p4_masks(g: Graph) -> tuple[int, ...]:
     """Masks of all vertex sets inducing a P4, in lexicographic order of
-    their sorted vertex tuples, as ``_k_subsets`` lists them: (0,1,2,5) comes
-    before (0,1,3,4) although its mask is larger (cached on g)."""
+    their sorted vertex tuples: (0,1,2,5) comes before (0,1,3,4) although
+    its mask is larger (cached on g)."""
     if g._p4s is None:
         quads = sorted(tuple(sorted(path)) for path in _p4_paths(g.adj))
         g._p4s = tuple(map(_mask_of, quads))

@@ -306,13 +306,13 @@ def verify_claim(claim_id: str, n_max: int, workers: int = 1) -> ClaimReport:
     P3 plus a monopolar obstruction that is not a polar one); spider_not_obs
     (spiders with nonempty head obstruct no (1,k), and class-restricted
     (k,1) obstructions are never connected with connected complement except
-    C5).
+    C5). ``workers`` is accepted for callers and changes no work.
     """
     try:
         run = _CLAIMS[claim_id.strip().lower()]
     except KeyError:
         raise UnknownClaim(f"unknown claim {claim_id!r}") from None
-    return run(n_max, workers)
+    return run(n_max)
 
 
 def _sparse_count_claim(claim: str, specs: dict[str, PolarSpec], is_bad):
@@ -320,11 +320,11 @@ def _sparse_count_claim(claim: str, specs: dict[str, PolarSpec], is_bad):
     each labeled spec, passes a per-graph test; ``is_bad(g, spec)`` flags
     a counterexample."""
 
-    def run(n_max: int, workers: int) -> ClaimReport:
+    def run(n_max: int) -> ClaimReport:
         bad = []
         counts = {}
         for label, spec in specs.items():
-            obs = enumerate_minimal_obstructions("p4sparse", spec, n_max, workers)
+            obs = enumerate_minimal_obstructions("p4sparse", spec, n_max)
             counts[label] = len(obs)
             bad.extend(g for g in obs if is_bad(g, spec))
         return ClaimReport(
@@ -335,7 +335,7 @@ def _sparse_count_claim(claim: str, specs: dict[str, PolarSpec], is_bad):
     return run
 
 
-def _claim_disc_polar(n_max: int, workers: int) -> ClaimReport:
+def _claim_disc_polar(n_max: int) -> ClaimReport:
     details = {}
     bad = []
     p3 = path_graph(3)
@@ -354,7 +354,7 @@ def _claim_disc_polar(n_max: int, workers: int) -> ClaimReport:
         }
         got = {
             g.canonical_key()
-            for g in enumerate_minimal_obstructions(class_id, POLAR, n_max, workers)
+            for g in enumerate_minimal_obstructions(class_id, POLAR, n_max)
             if not g.is_connected()
         }
         details[class_id] = {
@@ -367,7 +367,7 @@ def _claim_disc_polar(n_max: int, workers: int) -> ClaimReport:
     return ClaimReport("disc_polar", n_max, not bad, bad, details)
 
 
-def _claim_spider_not_obs(n_max: int, workers: int) -> ClaimReport:
+def _claim_spider_not_obs(n_max: int) -> ClaimReport:
     bad = []
     checked = 0
     specs = [sk_polar(1, k) for k in (1, 2, 3)]
@@ -386,7 +386,7 @@ def _claim_spider_not_obs(n_max: int, workers: int) -> ClaimReport:
     c5_key = cycle_graph(5).canonical_key()
     for class_id in ("p4sparse", "p4extendible"):
         for k in (1, 2, 3):
-            for g in enumerate_minimal_obstructions(class_id, sk_polar(k, 1), n_max, workers):
+            for g in enumerate_minimal_obstructions(class_id, sk_polar(k, 1), n_max):
                 if (
                     g.is_connected()
                     and g.complement().is_connected()

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import BadParameter, CapExceeded
-from .graphs import Graph, _bits_to_tuple, _co_rows, _has_c5, _k_subsets, _mask_of
+from .graphs import Graph, _bits_to_tuple, _co_rows, _mask_of
 
 SEARCH_CAP = 20  # exponential A-side search guard
 
@@ -166,13 +166,13 @@ def is_complete_multipartite(g: Graph, s: Optional[int] = None) -> bool:
 
 
 def is_split(g: Graph) -> bool:
-    """Split graphs are the {2K2, C4, C5}-free graphs."""
-    adj = g.adj
-    for quad, mask in _k_subsets(range(g.n), 4):
-        degs = sorted((adj[v] & mask).bit_count() for v in quad)
-        if degs == [1, 1, 1, 1] or degs == [2, 2, 2, 2]:  # 2K2 or C4
-            return False
-    return not _has_c5(g)
+    """Split graphs are the {2K2, C4, C5}-free graphs; the degrees alone
+    decide it (Hammer and Simeone): with d_0 >= d_1 >= ... and
+    m = #{i : d_i >= i}, G is split exactly when
+    d_0 + ... + d_{m-1} = m(m-1) + d_m + ... + d_{n-1}."""
+    d = sorted((g.degree(v) for v in range(g.n)), reverse=True)
+    m = sum(1 for i, di in enumerate(d) if di >= i)
+    return sum(d[:m]) == m * (m - 1) + sum(d[m:])
 
 
 def _first_a(g: Graph, spec: PolarSpec, size: Optional[int]) -> Optional[int]:
@@ -180,8 +180,9 @@ def _first_a(g: Graph, spec: PolarSpec, size: Optional[int]) -> Optional[int]:
     when None), or None.
 
     Vertices are decided depth-first in index order, "into A" before "into
-    B", so fixed-size A-sides come in the order of ``_k_subsets``. Both sides
-    are hereditary: a prefix of A or of B that fails cuts every extension.
+    B", so fixed-size A-sides come in lexicographic order of sorted vertex
+    tuples. Both sides are hereditary: a prefix of A or of B that fails cuts
+    every extension.
     """
     n = g.n
     if n > SEARCH_CAP:
@@ -252,18 +253,27 @@ def satisfies(g: Graph, spec: PolarSpec) -> bool:
 # unipolar exactly when some pair of Q(G) has a <= 1. A member's value is a
 # profile and D, the distinct profiles of its one-vertex deletions: G is a
 # minimal obstruction exactly when its profile fails the spec and every
-# profile in D meets it. Values are folded over the operations that build a
-# member (``classes._closure``): the empty graph K0 has {(0,0)}, K1 has
-# {(0, 1), (1, 0)}, and union, join and the head operations have exact
-# rules. One rule family serves both profiles, with the side type of A as
-# its ``cluster`` argument. Under a union the counts of cluster sides add up
-# and the parts of multipartite ones follow ``_merge``; under a join it is
-# the other way round, as complements swap the two side types. A head rule
-# reads a cluster side on the complement rows. Each rule maps a pair of
-# every input to a pair of the output through counts that are monotone in
-# each input pair, so Pareto-minimal inputs reach every Pareto-minimal
-# output. Profiles are sorted tuples, and the rules are memoised on them;
-# few distinct ones recur, so they are interned.
+# profile in D meets it.
+#
+# Values are folded over the operations that build a member
+# (``classes._closure``). The empty graph K0 has {(0,0)}, and every other
+# operation attaches a module H to a base and has one rule: a head sees a
+# fixed mask of its base (K1, C5, P5 and the house are bases with the K0
+# head), a union's second graph sees none of the first, and a join's sees
+# all of it. A split of the member is a split of the base plus one of H,
+# and H is a module, so the base enters only through a table: per split,
+# each side's count and how H's side fits it (``_module_side``), and H only
+# through its profile (``_attached``). One rule serves both profiles: a
+# cluster side is read on the complement rows, where its cliques are parts
+# and H sees the base outside its mask; B always is, and A is for Q (the
+# ``cluster`` argument). A head's table is a brute force over its base's
+# splits. A union or join module sees all or none of each side, so the
+# side's fit follows from its count, and the table is read off the base's
+# profile (``_sum_table``). Each rule maps a pair of every input to a pair
+# of the output through counts that are monotone in each input pair, so
+# Pareto-minimal inputs reach every Pareto-minimal output. Profiles are
+# sorted tuples, and the rules are memoised on them; few distinct ones
+# recur, so they are interned.
 
 Profile = tuple[tuple[int, int], ...]
 Value = tuple[Profile, tuple[Profile, ...]]
@@ -296,63 +306,6 @@ def _meets(profile: Profile, spec: PolarSpec) -> bool:
     clique."""
     s = 1 if spec.clique_side else spec.s
     return any((s is None or a <= s) and (spec.k is None or b <= spec.k) for a, b in profile)
-
-
-def _merge(p: int, q: int) -> Optional[int]:
-    """Parts of G[A1] + G[A2] from the parts of each side (0 when empty), or
-    None when it is not complete multipartite. One with two parts or more is
-    connected, so two nonempty sides must each be one part (edgeless), and
-    they make one part. In the complement this counts the cliques of G[B1]
-    join G[B2]. Monotone in p and q, with None above every count."""
-    if not p or not q:
-        return p + q
-    return 1 if p == q == 1 else None
-
-
-def _count(p: int, q: int, adds: bool) -> Optional[int]:
-    return p + q if adds else _merge(p, q)
-
-
-def _sum_profile(p: Profile, q: Profile, a_adds: bool, b_adds: bool) -> Profile:
-    """Profile of a union or join: a split of it is one split of each
-    side, and each count adds up or follows ``_merge``."""
-    return _pareto(
-        (a, b)
-        for a1, b1 in p
-        for a2, b2 in q
-        if (a := _count(a1, a2, a_adds)) is not None
-        and (b := _count(b1, b2, b_adds)) is not None
-    )
-
-
-@lru_cache(maxsize=None)
-def _union_profile(p: Profile, q: Profile, cluster: bool = False) -> Profile:
-    """Profile of G1 + G2: cliques add up, and parts follow ``_merge``."""
-    return _sum_profile(p, q, cluster, True)
-
-
-@lru_cache(maxsize=None)
-def _join_profile(p: Profile, q: Profile, cluster: bool = False) -> Profile:
-    """Profile of G1 join G2: parts add up, and cliques follow ``_merge``."""
-    return _sum_profile(p, q, not cluster, False)
-
-
-def _sum_value(rule, x: Value, y: Value, cluster: bool) -> Value:
-    """Value of a union or join: a deletion falls in one of the two sides."""
-    (px, dx), (py, dy) = x, y
-    return rule(px, py, cluster), _distinct(
-        [rule(d, py, cluster) for d in dx] + [rule(px, d, cluster) for d in dy]
-    )
-
-
-@lru_cache(maxsize=None)
-def _union_value(x: Value, y: Value, cluster: bool = False) -> Value:
-    return _sum_value(_union_profile, x, y, cluster)
-
-
-@lru_cache(maxsize=None)
-def _join_value(x: Value, y: Value, cluster: bool = False) -> Value:
-    return _sum_value(_join_profile, x, y, cluster)
 
 
 def _module_side(rows, mask: int, attach: int) -> Optional[tuple[int, int]]:
@@ -407,6 +360,18 @@ def _module_table(probe: Graph, cluster: bool = False) -> tuple:
     return tuple(sorted(table))
 
 
+def _sum_table(profile: Profile, a_adds: bool, b_adds: bool) -> tuple:
+    """The ``_module_table`` of a union's or join's first graph, read off
+    its profile. ``a_adds`` (``b_adds``) says the module sees all of side A
+    (B) on the rows the side is read on, so their counts add (fit 0). Else
+    it sees none of it, and a side with two parts or more is connected, so
+    a nonempty module fits only a side of one part: fit min(c, 2) for c
+    parts. Both fits are monotone in c, so the Pareto-minimal pairs stand
+    for every split."""
+    return tuple((a, 0 if a_adds else min(a, 2), b, 0 if b_adds else min(b, 2))
+                 for a, b in profile)
+
+
 def _attached(table: tuple, head: Profile) -> Profile:
     """Profile of a base with a module attached, from the base's table and
     the module's profile."""
@@ -417,6 +382,26 @@ def _attached(table: tuple, head: Profile) -> Profile:
         if (a := _with_module(a_parts, a_fit, ha)) is not None
         and (b := _with_module(b_parts, b_fit, hb)) is not None
     )
+
+
+def _attached_value(table: tuple, cut: list, head: Value) -> Value:
+    """Value of a base with a module attached, from the base's table, the
+    tables of its one-vertex deletions (``cut``) and the module's value: a
+    deletion removes a module vertex or a base vertex."""
+    hp, hd = head
+    return _attached(table, hp), _distinct(
+        [_attached(table, d) for d in hd] + [_attached(t, hp) for t in cut]
+    )
+
+
+@lru_cache(maxsize=None)
+def _combine_value(x: Value, y: Value, a_adds: bool, b_adds: bool) -> Value:
+    """Value of a union or join of x and y, y being the module, with the
+    side flags of ``_sum_table``: (cluster, True) for a union and (not
+    cluster, False) for a join, as complements swap the two side types."""
+    px, dx = x
+    cut = [_sum_table(d, a_adds, b_adds) for d in dx]
+    return _attached_value(_sum_table(px, a_adds, b_adds), cut, y)
 
 
 @lru_cache(maxsize=None)
@@ -436,9 +421,6 @@ def _module_rule(probe: Graph, cluster: bool = False) -> Callable[[Value], Value
 
     @lru_cache(maxsize=None)
     def rule(head: Value) -> Value:
-        hp, hd = head
-        return _attached(table, hp), _distinct(
-            [_attached(table, d) for d in hd] + [_attached(t, hp) for t in cut]
-        )
+        return _attached_value(table, cut, head)
 
     return rule

@@ -42,7 +42,6 @@ from polaritylab.classes import (
 from polaritylab.errors import BadParameter, CapExceeded, NotAP4, NotInClass
 from polaritylab.graphs import (
     _has_c5,
-    _k_subsets,
     canonical_key,
     catalog,
     complete_graph,
@@ -107,6 +106,12 @@ def test_sparse_definitional_vs_double_p4_scan(graphs_to_7):
 
 # --- subset-scan oracles ------------------------------------------------------
 # The 4- and 5-subset scans that found P4s and C5s before the edge walks.
+
+
+def _k_subsets(verts, k: int):
+    """Every k-subset of ``verts`` as (vertices, mask), in lexicographic order."""
+    verts = tuple(verts)
+    return zip(combinations(verts, k), map(sum, combinations([1 << v for v in verts], k)))
 
 
 def scan_p4_masks(g):

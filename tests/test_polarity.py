@@ -10,7 +10,6 @@ from polaritylab.errors import BadParameter, CapExceeded
 from polaritylab.graphs import (
     _bits_to_tuple,
     _co_rows,
-    _k_subsets,
     catalog,
     complete_graph,
     cycle_graph,
@@ -37,6 +36,7 @@ from polaritylab.polarity import (
     satisfies,
     sk_polar,
 )
+from test_classes import _k_subsets
 
 
 def test_is_cluster():
@@ -66,8 +66,8 @@ def test_is_split():
     assert not is_split(union_all(complete_graph(2), complete_graph(2)))
 
 
-def test_split_matches_partition_search(graphs_to_6):
-    for g in graphs_to_6:
+def test_split_matches_partition_search(graphs_to_7):
+    for g in graphs_to_7:
         assert is_split(g) == satisfies(g, SPLIT)
 
 

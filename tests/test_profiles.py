@@ -98,6 +98,17 @@ def test_profile_verdicts_match_the_solver():
 SIDES = (False, True)  # side A multipartite (P), or a cluster (Q)
 
 
+def union_value(x, y, cluster=False):
+    """The value of a union: the module sees none of a multipartite side
+    and all of a cluster side, which is read on the complement rows."""
+    return polarity._combine_value(x, y, cluster, True)
+
+
+def join_value(x, y, cluster=False):
+    """The value of a join: the complement of a union of the complements."""
+    return polarity._combine_value(x, y, not cluster, False)
+
+
 @st.composite
 def built_members(draw, max_n=11):
     """A member built by random unions, joins and head operations, with its
@@ -126,8 +137,7 @@ def built_members(draw, max_n=11):
             return build(h), [polarity._module_rule(probe, c)(v) for c, v in zip(SIDES, hv)]
         x, xv = member(budget - 1)
         y, yv = member(budget - x.n)
-        build, rule = ((disjoint_union, polarity._union_value) if op == "union"
-                       else (join, polarity._join_value))
+        build, rule = (disjoint_union, union_value) if op == "union" else (join, join_value)
         return build(x, y), [rule(u, v, c) for c, u, v in zip(SIDES, xv, yv)]
 
     return member(draw(st.integers(1, max_n)))
@@ -146,10 +156,10 @@ def test_small_profiles():
     k0 = polarity.K0_VALUE
     k1 = polarity._module_rule(empty_graph(2))(k0)
     assert k1 == (((0, 1), (1, 0)), (((0, 0),),))
-    assert polarity._union_value(k0, k1) == k1
+    assert union_value(k0, k1) == k1
     # 2K1 is one part or two cliques, K2 two parts or one clique
-    assert polarity._union_profile(k1[0], k1[0]) == ((0, 2), (1, 0))
-    assert polarity._join_profile(k1[0], k1[0]) == ((0, 1), (2, 0))
+    assert union_value(k1, k1)[0] == ((0, 2), (1, 0))
+    assert join_value(k1, k1)[0] == ((0, 1), (2, 0))
     assert polarity._pareto([(2, 0), (1, 3), (1, 1), (0, 4), (3, 0)]) == ((0, 4), (1, 1), (2, 0))
 
 
@@ -158,10 +168,10 @@ def test_small_unipolar_profiles():
     k1 = polarity._module_rule(empty_graph(2), True)(k0)
     assert k1 == (((0, 1), (1, 0)), (((0, 0),),))
     # 2K1 is two cliques on either side, or one on each; K2 one clique
-    assert polarity._union_profile(k1[0], k1[0], True) == ((0, 2), (1, 1), (2, 0))
-    assert polarity._join_profile(k1[0], k1[0], True) == ((0, 1), (1, 0))
+    assert union_value(k1, k1, True)[0] == ((0, 2), (1, 1), (2, 0))
+    assert join_value(k1, k1, True)[0] == ((0, 1), (1, 0))
     # 2P3 and K2,3 are not unipolar: every split leaves two cliques in A
-    p3 = polarity._join_value(polarity._union_value(k1, k1, True), k1, True)
-    two_p3 = polarity._union_value(p3, p3, True)
+    p3 = join_value(union_value(k1, k1, True), k1, True)
+    two_p3 = union_value(p3, p3, True)
     assert min(a for a, b in two_p3[0]) == 2
     assert all(min(a for a, b in d) <= 1 for d in two_p3[1])
