@@ -7,10 +7,13 @@ vertex cap (default 32) keeps each row inside one machine word.
 
 Canonical forms are exact: the key of a graph is its order followed by the
 lexicographically minimal upper-triangle bit string over all vertex
-relabelings, found by a pruned search. Two graphs are isomorphic iff their
-keys are equal. Non-isomorphic enumeration uses canonical augmentation,
-which keeps memory flat: a one-vertex extension is kept iff the parent's own
-minimal labeling, followed by the new vertex, is a minimal labeling of the
+relabelings. Two graphs are isomorphic iff their keys are equal. The search
+that finds it places a maximum independent set first, as a set, since its
+columns are zero in any order, and fixes that set's order only as far as
+the later columns read it. Non-isomorphic enumeration uses canonical
+augmentation, which keeps memory flat: a one-vertex extension is kept iff
+the parent's own minimal labeling (the least perm that reaches the minimal
+string), followed by the new vertex, is a minimal labeling of the
 extension. Two exact tests reject most extensions before they are labeled:
 a swap of two twins of the parent, and a greedy labeling whose bits fall
 below the pinned one's. Either exhibits a labeling below the pinned one, so
@@ -324,36 +327,59 @@ def _co_rows(adj, mask: int) -> list[int]:
 # The search places vertices one position at a time, always extending only
 # the partial labelings whose bit-string prefix is minimal. Bit order is the
 # graph6 column order (0,1),(0,2),(1,2),(0,3),..., so all bits among placed
-# vertices form a prefix. States with identical futures are merged. A state's
-# key is one int: plane j, at offset j*m, holds the unplaced neighbours of the
-# j-th placed vertex, and the placed mask sits at offset m*m. The column of an
-# unplaced vertex (its adjacency to the placed sequence) is read down the
-# planes, so equal keys mean equal placed sets and equal columns, which
-# collapses the factorial blowup on symmetric graphs.
+# vertices form a prefix, and the k-th placed vertex adds its column: its
+# adjacency to the k vertices before it, first vertex highest. It runs in two
+# phases, after the ordered-partition refinement of McKay and Piperno
+# ("Practical graph isomorphism, II", 2014), applied to the minimal string.
 #
-# Each state also carries its minimal column and the set of vertices holding
-# it. Placing one of them splits the rest by adjacency to it, so a child's
-# minimal column falls in one of three tiers, each known in O(1):
-#   - best·0, when a remaining holder is not adjacent to the placed vertex;
-#   - best·1, when every remaining holder is adjacent to it;
-#   - a rescan of the planes, when no holder is left. Every other unplaced
-#     vertex was above best already, so a rescan is above best·1.
-# Only children of the lowest tier can reach the minimal labeling, so a level
-# stores the lowest tier seen so far and drops the rest when a lower one
-# appears; the planes are read only when a level ends with rescans alone.
-# A key fixes its tier, so no winner was stored before the last drop: the
-# winners keep their first-insertion order and chains, and the search returns
-# the same first minimal labeling (whose perm enumerate_graphs reads) as one
-# that stores every child.
+# Phase 1, the independent prefix. A column is zero as long as some unplaced
+# vertex sees no placed one, so the first alpha(G) columns are zero and the
+# first alpha(G) vertices form a maximum independent set S; those bits do
+# not depend on the order of S. Phase 1 grows independent sets in ascending
+# vertex order, one state per set, until none grows: the sets left are the
+# maximum ones.
+#
+# Phase 2, the tail. Each state keeps S as cells, an ordered partition whose
+# orders are the orders of S still open, and places the other vertices. Over
+# the open orders, a candidate u's least column reads each cell's
+# non-neighbours of u and then its neighbours, followed by u's bits against
+# the tail; so a state's minimal column is read cell by cell (the least count
+# of neighbours in the cell) and then down the tail, narrowing the vertices
+# that hold it. Placing a holder v keeps only the open orders that give v
+# that column: every cell splits into v's non-neighbours followed by its
+# neighbours. A later split stays inside a cell, so it never moves a vertex
+# across an earlier one and every placed column stays as it was read. A
+# minimal labeling is thus exactly an order of S that its state's final cells
+# allow followed by its tail, and both phases give the same bits as placing
+# S one vertex at a time.
+#
+# A state's key is one int. Block u, m bits at u*m, holds u's adjacency to
+# the tail (first tail vertex highest) for u in S or unplaced; placed tail
+# vertices keep a zero block, and the placed mask sits above the blocks. The
+# cells group S by block, in block order, so equal keys mean equal cells and
+# equal tail columns: identical futures, merged. Placing v shifts every block
+# up one bit and adds v's adjacency as each block's last bit, in O(1); a tail
+# column has fewer than m bits, so no block spills into the next.
+#
+# Perm. A level is built from its states in order and their holders in
+# ascending order, so of two states with one key the first has the
+# lexicographically least tail, and keeping it keeps the least perm: their
+# cells are equal and come first. The returned perm is the least over the
+# final states, each cell sorted ascending. That is the least perm of any
+# minimal labeling, the one enumerate_graphs reads, and the first one a
+# search placing every vertex one at a time would find.
 #
 # Twins (true or false, in the whole graph) are placed in index order only:
 # swapping two unplaced twins is an automorphism that fixes the placed
-# prefix, so the subtree of the higher twin repeats the lower twin's bits.
-# Twin-free symmetric graphs (spiders, unions of C5) stay exponential, so
-# the search stops with CapExceeded after LABEL_CAP expanded states.
+# prefix, so the subtree of the higher twin repeats the lower twin's bits,
+# and the least perm keeps twins in index order. Twin-free symmetric graphs
+# (large spiders, unions of C5) stay exponential, so the search stops with
+# CapExceeded once its steps pass LABEL_CAP: each set or state it builds is a
+# step, and so is each cell it reads, since a state's read costs about as
+# much per cell as building a child.
 
 
-LABEL_CAP = 2_000_000  # expanded states per canonical search
+LABEL_CAP = 2_000_000  # search steps per canonical search
 
 
 def _twin_before(adj) -> list[int]:
@@ -375,7 +401,8 @@ def _twin_before(adj) -> list[int]:
 
 def _min_column(key: int, k: int, m: int, cand: int) -> int:
     """The minimal column among the vertices ``cand``, read down the first
-    ``k`` planes of a packed key, packed with the vertices holding it as
+    ``k`` planes of a packed key (plane j at offset j*m holds the row of the
+    j-th placed vertex), packed with the vertices holding it as
     ``column << m | holders``."""
     col = 0
     rest = ~key
@@ -390,78 +417,156 @@ def _min_column(key: int, k: int, m: int, cand: int) -> int:
     return (col << m) | cand
 
 
+def _over_cap(m: int) -> CapExceeded:
+    return CapExceeded(f"canonical labeling of n={m} passed {LABEL_CAP} search steps")
+
+
+def _independent_prefix(adj, lower) -> tuple[list[int], int]:
+    """Phase 1: the maximum independent sets whose twins come in index order
+    (``lower[v]`` is the bit of v's previous twin), and the sets grown.
+
+    A state is (set, the vertices above its last that see none of it), so
+    each set is grown once, from its ascending prefix.
+    """
+    m = len(adj)
+    level = [(0, (1 << m) - 1)]
+    grown = 0
+    while True:
+        nxt = []
+        for s, free in level:
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                if not lower[v] & ~s:
+                    nxt.append((s | low, free & ~adj[v]))
+        if not nxt:
+            return [s for s, _ in level], grown
+        grown += len(nxt)
+        if grown > LABEL_CAP:
+            raise _over_cap(m)
+        level = nxt
+
+
+def _split(cells: tuple[int, ...], splits: tuple[int, ...], row: int) -> tuple[int, ...]:
+    """``cells`` with each cell of ``splits`` split into its vertices
+    outside ``row``, followed by those in it."""
+    for c in splits:
+        i = cells.index(c)
+        part = c & row
+        cells = cells[:i] + (c ^ part, part) + cells[i + 1:]
+    return cells
+
+
 def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
     """Return (bits, perm) for the minimal labeling; ``perm`` holds vertex
-    ids in placement order.
+    ids in placement order, the least one of any minimal labeling.
 
-    A state maps its packed key to (chain, its minimal column << m | the
-    vertices holding it); a level's states all share one column, ``best``.
-    Children of the lowest tier seen so far are kept (see above); a level
-    left with rescans alone reads their columns off the planes and keeps
-    the least. A perm is a chain (parent chain, vertex), which keeps states
-    small. The last level merges every state into one key, so exactly one
-    perm is left.
+    Phase 1 finds the sets S (see above). Phase 2 maps each packed key to
+    (chain, cells, live): the chain (parent chain, vertex) holds the tail,
+    the cells are masks in order, and ``live`` masks the blocks of S and of
+    the unplaced vertices. Each state's minimal column is read once, cell by
+    cell and then down the tail blocks of the holders left. A state above
+    the least column read so far at its level is dropped, and a lower one
+    empties the level; a state that ties builds one child per holder. The
+    holders share their count of neighbours in every cell, so the cells
+    that split are the ones where that count is neither 0 nor the size.
     """
     m = len(adj)
     if m == 0:
         return 0, ()
-    full = (1 << m) - 1
-    spread = sum(1 << (j * m) for j in range(m))
-    drop = [~(spread << v) for v in range(m)]  # clears v from every plane
-    placed_at = m * m
-    # each vertex's previous twin as a bit (0 for none), which must be placed
     lower = [1 << t if t >= 0 else 0 for t in _twin_before(adj)]
-    states = {0: (None, full)}
-    best = bits = 0
-    expanded = 0
-    for k in range(m):
-        bits = (bits << k) | best
-        at = k * m
-        zero = best << (m + 1)
-        one = zero | (1 << m)
+    sets, steps = _independent_prefix(adj, lower)
+    alpha = sets[0].bit_count()
+    if alpha == m:  # edgeless: every labeling is minimal
+        return 0, tuple(range(m))
+    full = (1 << m) - 1
+    top = m * m
+    every = (1 << top) - 1  # all m blocks
+    others = [every ^ (full << (v * m)) for v in range(m)]  # all blocks but v's
+    non = {1 << v: ~row for v, row in enumerate(adj)}
+    spread = [sum(1 << (u * m) for u in _bits_to_tuple(row)) for row in adj]
+    states = {s << top: (None, (s,), every) for s in sets}
+    bits = 0
+    for k in range(alpha, m):
         nxt = {}
-        tier = 3  # lowest tier stored: 0 best·0, 1 best·1, 2 rescan
-        for key, (chain, mincol) in states.items():
-            placed = key >> placed_at
-            cand = mincol & full
-            todo = cand
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                i = low.bit_length() - 1
-                if lower[i] & ~placed:  # a lower twin is unplaced
+        best = None
+        for key, (chain, cells, live) in states.items():
+            placed = key >> top
+            hold = full & ~placed
+            col = 0
+            splits = ()
+            for c in cells:
+                if c & (c - 1):
+                    size = c.bit_count()
+                    least = size + 1
+                    todo = hold
+                    while todo:
+                        low = todo & -todo
+                        todo ^= low
+                        t = (adj[low.bit_length() - 1] & c).bit_count()
+                        if t < least:
+                            least, hold = t, low
+                        elif t == least:
+                            hold |= low
+                    if 0 < least < size:
+                        splits += (c,)
+                    col = (col << size) | ((1 << least) - 1)
+                else:
+                    zeros = hold & non[c]
+                    col <<= 1
+                    if zeros:
+                        hold = zeros
+                    else:
+                        col |= 1
+            if hold & (hold - 1):  # the least tail column among the holders
+                least = full
+                todo = hold
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    t = (key >> ((low.bit_length() - 1) * m)) & full
+                    if t < least:
+                        least, hold = t, low
+                    elif t == least:
+                        hold |= low
+            else:
+                least = (key >> ((hold.bit_length() - 1) * m)) & full
+            col = (col << (k - alpha)) | least
+            steps += len(cells)
+            if best is None or col < best:
+                best = col
+                nxt = {}
+            elif col > best:
+                continue
+            shifted = key << 1
+            while hold:
+                low = hold & -hold
+                hold ^= low
+                v = low.bit_length() - 1
+                if lower[v] & ~placed:  # a lower twin is unplaced
                     continue
-                expanded += 1
-                row = adj[i] & ~placed
-                rest = cand ^ low
-                apart = rest & ~row
-                t = 0 if apart else 1 if rest else 2
-                if t > tier:
+                steps += 1
+                live2 = live & others[v]
+                key2 = ((shifted | spread[v]) & live2) | ((placed | low) << top)
+                if key2 in nxt:
                     continue
-                key2 = (key & drop[i]) | (row << at) | (low << placed_at)
-                if t < tier:
-                    nxt = {}
-                    tier = t
-                elif key2 in nxt:
-                    continue
-                nxt[key2] = ((chain, i), zero | apart if t == 0 else one | rest if t == 1 else 0)
-            if expanded > LABEL_CAP:
-                raise CapExceeded(
-                    f"canonical labeling of n={m} passed {LABEL_CAP} states")
-        if tier < 2:
-            best = (best << 1) | tier
-        else:  # rescans alone: read their columns off the planes
-            for key, (chain, _) in nxt.items():
-                nxt[key] = (chain, _min_column(key, k + 1, m, full & ~(key >> placed_at)))
-            best = min(s[1] for s in nxt.values()) >> m
-            nxt = {key: s for key, s in nxt.items() if s[1] >> m == best}
+                if splits:
+                    nxt[key2] = ((chain, v), _split(cells, splits, adj[v]), live2)
+                else:
+                    nxt[key2] = ((chain, v), cells, live2)
+            if steps > LABEL_CAP:
+                raise _over_cap(m)
+        bits = (bits << k) | best
         states = nxt
-    perm = []
-    chain = next(iter(states.values()))[0]
-    while chain:
-        chain, v = chain
-        perm.append(v)
-    return bits, tuple(reversed(perm))
+    perms = []
+    for chain, cells, _ in states.values():
+        tail = []
+        while chain:
+            chain, v = chain
+            tail.append(v)
+        perms.append(sum(map(_bits_to_tuple, cells), ()) + tuple(reversed(tail)))
+    return bits, min(perms)
 
 
 def _column(row: int, perm) -> int:
@@ -535,7 +640,7 @@ def canonical_form(g: Graph) -> Graph:
             u = (row & -row).bit_length() - 1
             row &= row - 1
             rows[i] |= 1 << pos[u]
-    return Graph(g.n, tuple(rows))
+    return _built(g.n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

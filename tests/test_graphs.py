@@ -27,6 +27,8 @@ from polaritylab.graphs import (
     _greedy_below,
     _mask_of,
     _min_bits,
+    _min_column,
+    _twin_before,
     canonical_form,
     canonical_key,
     catalog,
@@ -94,11 +96,13 @@ def test_graph_validation():
 
 def test_derived_graphs_pass_the_constructor_checks(graphs_to_7):
     # the graphs the library derives itself skip the checks: unions, joins
-    # and head operations (every closure member), complements, deletions and
-    # enumerated children; rebuilt through the checks, none raises or differs
+    # and head operations (every closure member), complements, deletions,
+    # canonical forms and enumerated children; rebuilt through the checks,
+    # none raises or differs
     members = [g for class_id in CLASS_IDS for g in _closure(class_id, 8)]
     for g in members + graphs_to_7:
-        for h in (g, g.complement(), *(g.delete_vertex(v) for v in range(g.n))):
+        derived = (g.complement(), canonical_form(g), *(g.delete_vertex(v) for v in range(g.n)))
+        for h in (g, *derived):
             assert type(h.adj) is tuple and Graph(h.n, h.adj) == h
 
 
@@ -304,6 +308,115 @@ def test_greedy_rejection_is_exact(graphs_to_7):
     assert fired > len(graphs_to_7)  # not vacuous: most relabelings lose
 
 
+def _tiered_min_bits(adj, cap=None):
+    """The search that the two-phase one replaced, kept as an oracle: it
+    places every vertex one at a time, the maximum independent prefix too,
+    and returns the first minimal labeling's (bits, perm).
+
+    A state maps a packed key (plane j at offset j*m holds the unplaced
+    neighbours of the j-th placed vertex, the placed mask sits at m*m) to
+    (chain, its minimal column << m | the vertices holding it). A level
+    stores only the children of the lowest tier seen: best·0 (a remaining
+    holder is not adjacent to the placed vertex), best·1 (every one is) or
+    a rescan of the planes (none is left). It raises CapExceeded after
+    ``cap`` expanded states (LABEL_CAP by default).
+    """
+    cap = graphs_module.LABEL_CAP if cap is None else cap
+    m = len(adj)
+    if m == 0:
+        return 0, ()
+    full = (1 << m) - 1
+    spread = sum(1 << (j * m) for j in range(m))
+    drop = [~(spread << v) for v in range(m)]  # clears v from every plane
+    placed_at = m * m
+    lower = [1 << t if t >= 0 else 0 for t in _twin_before(adj)]
+    states = {0: (None, full)}
+    best = bits = 0
+    expanded = 0
+    for k in range(m):
+        bits = (bits << k) | best
+        at = k * m
+        zero = best << (m + 1)
+        one = zero | (1 << m)
+        nxt = {}
+        tier = 3  # lowest tier stored: 0 best·0, 1 best·1, 2 rescan
+        for key, (chain, mincol) in states.items():
+            placed = key >> placed_at
+            cand = mincol & full
+            todo = cand
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                i = low.bit_length() - 1
+                if lower[i] & ~placed:
+                    continue
+                expanded += 1
+                row = adj[i] & ~placed
+                rest = cand ^ low
+                apart = rest & ~row
+                t = 0 if apart else 1 if rest else 2
+                if t > tier:
+                    continue
+                key2 = (key & drop[i]) | (row << at) | (low << placed_at)
+                if t < tier:
+                    nxt = {}
+                    tier = t
+                elif key2 in nxt:
+                    continue
+                nxt[key2] = ((chain, i), zero | apart if t == 0 else one | rest if t == 1 else 0)
+            if expanded > cap:
+                raise CapExceeded(f"passed {cap} states")
+        if tier < 2:
+            best = (best << 1) | tier
+        else:
+            for key, (chain, _) in nxt.items():
+                nxt[key] = (chain, _min_column(key, k + 1, m, full & ~(key >> placed_at)))
+            best = min(s[1] for s in nxt.values()) >> m
+            nxt = {key: s for key, s in nxt.items() if s[1] >> m == best}
+        states = nxt
+    perm = []
+    chain = next(iter(states.values()))[0]
+    while chain:
+        chain, v = chain
+        perm.append(v)
+    return bits, tuple(reversed(perm))
+
+
+def test_two_phase_search_labels_like_the_tiered_search(graphs_to_7):
+    members = [g for c in CLASS_IDS for g in _closure(c, 8)]
+    for g in graphs_to_7 + members:
+        assert _min_bits(g.adj) == _tiered_min_bits(g.adj)
+
+
+@pytest.mark.parametrize("j", range(2, 7))
+@pytest.mark.parametrize("kind", ["thin", "thick"])
+def test_two_phase_search_labels_spiders_like_the_tiered_search(kind, j):
+    g = headless_spider(j, kind == "thick")
+    assert _min_bits(g.adj) == _tiered_min_bits(g.adj)
+
+
+def _gnp(rng, n, p):
+    """Rows of a G(n,p) graph drawn from ``rng``."""
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def test_two_phase_search_labels_sparse_graphs_like_the_tiered_search():
+    # sparse graphs have large independent prefixes: the tiered search
+    # orders them, the two-phase search keeps them as sets
+    rng = random.Random(15)
+    for n in range(8, 15):
+        for p in (0.1, 0.2, 0.3):
+            for _ in range(2):
+                adj = _gnp(rng, n, p)
+                assert _min_bits(adj) == _tiered_min_bits(adj)
+
+
 TWIN_FREE_SYMMETRIC = {
     **{f"{kind}{j}": headless_spider(j, kind == "thick")
        for j in range(2, 6) for kind in ("thin", "thick")},
@@ -314,27 +427,40 @@ TWIN_FREE_SYMMETRIC = {
 
 @pytest.mark.parametrize("name", sorted(TWIN_FREE_SYMMETRIC))
 def test_twin_free_symmetric_graphs_label_like_the_unpruned_search(name, monkeypatch):
-    # on these graphs some state places the last vertex of its minimal
-    # column, so its child reads the next minimum off the planes
+    # on these graphs some placed vertex sees part of a cell of the
+    # independent prefix, so the cell splits
     g = TWIN_FREE_SYMMETRIC[name]
-    rescans = []
-    scan = graphs_module._min_column
-    monkeypatch.setattr(graphs_module, "_min_column", lambda *a: rescans.append(a) or scan(*a))
+    splits = []
+    split = graphs_module._split
+    monkeypatch.setattr(graphs_module, "_split", lambda *a: splits.append(a) or split(*a))
     assert _min_bits(g.adj) == _unpruned_min_bits(g.adj)
-    assert rescans
+    assert splits
 
 
-def test_sparse_graph_rescans_only_levels_without_a_holder(monkeypatch):
-    # 14 vertices, 8 edges: every unplaced non-neighbour of the prefix ties
-    # for the minimal column, so most children land in the rescan tier.
-    # Storing every child rescanned 202,246 times; a level reads the planes
-    # only when no child kept a holder.
+def test_sparse_graph_labels_in_few_steps(monkeypatch):
+    # 14 vertices, 8 edges, an independent prefix of 9: placing the prefix
+    # one vertex at a time expanded 609,126 states; as a set it takes 750
+    # steps
     g = graph6_decode("MG?G?c?H??????@?_")
-    rescans = []
-    scan = graphs_module._min_column
-    monkeypatch.setattr(graphs_module, "_min_column", lambda *a: rescans.append(a) or scan(*a))
+    monkeypatch.setattr(graphs_module, "LABEL_CAP", 1_000)
     assert _min_bits(g.adj) == (69122474368, (0, 8, 10, 11, 3, 6, 4, 1, 9, 12, 13, 2, 5, 7))
-    assert len(rescans) <= 16_000
+
+
+# G(16, 0.1) with 17 edges: the tiered search passes LABEL_CAP on it. Its
+# (bits, perm) were taken once from _tiered_min_bits with a cap of 4*10^6
+# (5 s, 311 MB); the two-phase search takes 1,973 steps.
+PAST_THE_OLD_CAP = "O@G?CHH???p?OEg?OC???"
+
+
+def test_sparse_graph_past_the_old_cap_labels():
+    g = graph6_decode(PAST_THE_OLD_CAP)
+    assert _min_bits(g.adj) == (
+        37926794380383956899856, (6, 15, 3, 13, 14, 1, 5, 11, 9, 10, 4, 7, 12, 8, 0, 2))
+    rng = random.Random(16)
+    for _ in range(20):
+        perm = rng.sample(range(g.n), g.n)
+        h = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert canonical_key(h) == canonical_key(g)
 
 
 def test_twin_classes_collapse():
@@ -350,6 +476,19 @@ def test_label_budget_stops_twin_free_symmetric_graphs():
     assert canonical_key(canonical_form(three)) == canonical_key(three)
     with pytest.raises(CapExceeded):
         canonical_key(union_all(c5, c5, c5, c5))
+
+
+def test_labeling_three_c5_stays_small():
+    # the search that placed the independent prefix one vertex at a time
+    # peaked at about 53 MB here (73 MB RSS); the two-phase one at about 6 MB
+    c5 = cycle_graph(5)
+    tracemalloc.start()
+    try:
+        _min_bits(union_all(c5, c5, c5).adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 # --- graph6 ----------------------------------------------------------------
