@@ -161,25 +161,23 @@ def _ext_key_table() -> dict[bytes, str]:
     return {g.canonical_key(): kind for kind, g in _ext_graphs().items()}
 
 
-def _mids_ends(adj, p4s) -> tuple[int, int]:
-    """(midpoints, endpoints) masks: the vertices of degree 2, resp. 1, inside
-    some P4 among the masks ``p4s``."""
+def _mids(adj, p4s) -> int:
+    """Midpoint mask: the vertices of degree 2 inside some P4 among the masks
+    ``p4s``. In each separable extension graph the midpoints and endpoints
+    of its P4s partition the vertices, so the endpoints are the rest."""
     mids = 0
-    ends = 0
     for m in p4s:
         for v in _bits_to_tuple(m):
             if (adj[v] & m).bit_count() == 2:
                 mids |= 1 << v
-            else:
-                ends |= 1 << v
-    return mids, ends
+    return mids
 
 
 @lru_cache(maxsize=None)
 def _separable_mids(kind: str) -> int:
     """Midpoint mask of a separable extension graph's catalog copy."""
     g = _ext_graphs()[kind]
-    return _mids_ends(g.adj, p4_masks(g))[0]
+    return _mids(g.adj, p4_masks(g))
 
 
 def _ext_kind_of(g: Graph, mask: int) -> Optional[str]:
@@ -213,24 +211,14 @@ def _find_ext_spider_masked(g: Graph, mask: int) -> Optional[ExtSpiderPartition]
         kind = _ext_kind_of(g, d)
         if kind is None or kind not in SEPARABLE_KINDS:
             continue
-        mids, ends = _mids_ends(adj, [m for m in p4s if not m & ~d])
-        if mids & ends or (mids | ends) != d:
-            continue
+        mids = _mids(adj, [m for m in p4s if not m & ~d])
         rest = mask & ~d
-        ok = True
-        r = rest
-        while r:
-            v = (r & -r).bit_length() - 1
-            r &= r - 1
-            if adj[v] & d != mids:
-                ok = False
-                break
-        if not ok:
+        if any(adj[v] & d != mids for v in _bits_to_tuple(rest)):
             continue
         if any(m & d and m & rest for m in p4s):
             continue
         return ExtSpiderPartition(
-            kind, _bits_to_tuple(ends), _bits_to_tuple(mids), _bits_to_tuple(rest)
+            kind, _bits_to_tuple(d & ~mids), _bits_to_tuple(mids), _bits_to_tuple(rest)
         )
     return None
 

@@ -2,8 +2,8 @@
 
 A :class:`Graph` is an immutable value: a vertex count ``n`` plus one integer
 bitmask per vertex holding that vertex's neighborhood. Every operation
-returns a new graph, so values can be shared freely across workers. The
-vertex cap (default 32) keeps each row inside one machine word.
+returns a new graph, so values can be shared freely. The vertex cap
+(default 32) keeps each row inside one machine word.
 
 Canonical forms are exact: the key of a graph is its order followed by the
 lexicographically minimal upper-triangle bit string over all vertex

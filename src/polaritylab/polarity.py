@@ -4,7 +4,8 @@ An (s,k)-polar partition splits the vertices into a side A inducing a
 complete multipartite graph with at most s parts and a side B inducing at
 most k disjoint cliques. Unbounded s or k is written None (the CLI token is
 "inf") and is replaced by the graph's order at evaluation time. A unipolar
-partition instead requires A to be a clique.
+partition instead requires A to be a clique: a cluster side with at most
+one clique. So ``_is_cm_mask`` tests every side (``_sides``).
 
 The solver is an exact depth-first search over the vertices in index
 order. Both sides are hereditary, so a prefix of A or of B that fails cuts
@@ -35,7 +36,8 @@ SEARCH_CAP = 20  # exponential A-side search guard
 class PolarSpec:
     """Partition requirement: s parts on the multipartite side, k cliques on
     the cluster side; ``clique_side`` switches side A to a single clique
-    (unipolarity), in which case s is ignored."""
+    (unipolarity), in which case s is ignored: A is then read as a cluster
+    side with at most one clique."""
 
     s: Optional[int]
     k: Optional[int]
@@ -93,35 +95,32 @@ class PolarPartition:
     b: tuple[int, ...]
 
     def validate(self, g: Graph, spec: PolarSpec) -> bool:
-        amask = _mask_of(self.a)
-        bmask = _mask_of(self.b)
-        full = (1 << g.n) - 1
-        if amask & bmask or amask | bmask != full:
+        amask, bmask = _mask_of(self.a), _mask_of(self.b)
+        if amask & bmask or amask | bmask != (1 << g.n) - 1:
             return False
-        if spec.clique_side:
-            if not _is_clique_mask(g.adj, amask):
-                return False
-        elif not _is_cm_mask(g.adj, amask, _eff(spec.s, g.n)):
-            return False
-        return _is_cm_mask(_co_rows(g.adj, full), bmask, _eff(spec.k, g.n))
+        (a_rows, smax), (b_rows, kmax) = _sides(g, spec)
+        return _is_cm_mask(a_rows, amask, smax) and _is_cm_mask(b_rows, bmask, kmax)
 
 
 def _eff(bound: Optional[int], n: int) -> int:
     return n if bound is None else bound
 
 
+def _a_bound(spec: PolarSpec) -> Optional[int]:
+    """Part bound of side A: one clique for a clique side, else s."""
+    return 1 if spec.clique_side else spec.s
+
+
+def _sides(g: Graph, spec: PolarSpec) -> tuple[tuple[list, int], tuple[list, int]]:
+    """(rows, part bound) of sides A and B for ``_is_cm_mask``; a cluster
+    side, B or a clique side A, is read on the complement rows."""
+    co = _co_rows(g.adj, (1 << g.n) - 1)
+    a_rows = co if spec.clique_side else g.adj
+    return (a_rows, _eff(_a_bound(spec), g.n)), (co, _eff(spec.k, g.n))
+
+
 # ---------------------------------------------------------------------------
 # mask predicates
-
-
-def _is_clique_mask(adj, mask: int) -> bool:
-    rest = mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if adj[v] & mask != mask ^ (1 << v):
-            return False
-    return True
 
 
 def _is_cm_mask(adj, mask: int, smax: int) -> bool:
@@ -182,21 +181,14 @@ def _first_a(g: Graph, spec: PolarSpec, size: Optional[int]) -> Optional[int]:
     Vertices are decided depth-first in index order, "into A" before "into
     B", so fixed-size A-sides come in lexicographic order of sorted vertex
     tuples. Both sides are hereditary: a prefix of A or of B that fails cuts
-    every extension.
+    every extension. ``_is_cm_mask`` tests both sides (``_sides``), a clique
+    side A as a cluster side with one clique.
     """
     n = g.n
     if n > SEARCH_CAP:
         raise CapExceeded(f"order {n} exceeds search cap {SEARCH_CAP}")
-    adj = g.adj
     full = (1 << n) - 1
-    co = _co_rows(adj, full)
-    smax = _eff(spec.s, n)
-    kmax = _eff(spec.k, n)
-
-    def a_ok(amask):
-        if spec.clique_side:
-            return _is_clique_mask(adj, amask)
-        return _is_cm_mask(adj, amask, smax)
+    (a_rows, smax), (co, kmax) = _sides(g, spec)
 
     def walk(v, amask, bmask):
         # vertices below v are decided: amask into A, bmask into B, both valid
@@ -209,7 +201,7 @@ def _first_a(g: Graph, spec: PolarSpec, size: Optional[int]) -> Optional[int]:
         elif v == n:
             return amask
         bit = 1 << v
-        if a_ok(amask | bit):
+        if _is_cm_mask(a_rows, amask | bit, smax):
             hit = walk(v + 1, amask | bit, bmask)
             if hit is not None:
                 return hit
@@ -304,7 +296,7 @@ def _meets(profile: Profile, spec: PolarSpec) -> bool:
     """Whether a graph with this profile has the property: P for an (s,k)
     spec, Q for a clique side, which is a cluster side with at most one
     clique."""
-    s = 1 if spec.clique_side else spec.s
+    s = _a_bound(spec)
     return any((s is None or a <= s) and (spec.k is None or b <= spec.k) for a, b in profile)
 
 

@@ -377,6 +377,23 @@ def test_sigma_sep_no_crossing_p4(graphs_to_6):
                 assert not (m & base_mask and m & head_mask), (kind, head, quad)
 
 
+def test_separable_kinds_split_into_p4_midpoints_and_endpoints():
+    # every vertex of a separable extension graph is a midpoint or an endpoint
+    # of its P4s, never both, so the extension-spider detector takes the
+    # endpoints of its base to be the vertices that are not midpoints
+    for kind in SEPARABLE_KINDS:
+        g = catalog(kind)
+        mids = ends = 0
+        for quad in list_induced_p4s(g):
+            for v in quad:
+                if sum(g.has_edge(v, u) for u in quad) == 2:
+                    mids |= 1 << v
+                else:
+                    ends |= 1 << v
+        assert not mids & ends and mids | ends == (1 << g.n) - 1, kind
+        assert classes._separable_mids(kind) == mids, kind
+
+
 def test_find_ext_spider_examples():
     g = sigma_sep("cobanner", complete_graph(2))
     found = find_ext_spider(g)

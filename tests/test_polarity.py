@@ -26,7 +26,6 @@ from polaritylab.polarity import (
     UNIPOLAR,
     PolarPartition,
     _eff,
-    _is_clique_mask,
     _is_cm_mask,
     find_polar_partition,
     is_cluster,
@@ -129,6 +128,25 @@ def test_degenerate_cases():
             query(empty_graph(21), POLAR)
 
 
+def _is_clique_mask(adj, mask: int) -> bool:
+    """The clique test the solver used before it read a clique side as a
+    cluster side with one clique: every vertex of the mask sees the rest."""
+    rest = mask
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        if adj[v] & mask != mask ^ (1 << v):
+            return False
+    return True
+
+
+def test_clique_is_a_cluster_with_one_clique(graphs_to_6):
+    for g in graphs_to_6:
+        co = _co_rows(g.adj, (1 << g.n) - 1)
+        for mask in range(1 << g.n):
+            assert _is_cm_mask(co, mask, 1) == _is_clique_mask(g.adj, mask), (g, mask)
+
+
 def test_every_witness_validates(graphs_to_6):
     specs = [UNIPOLAR, MONOPOLAR, POLAR, SPLIT, sk_polar(2, 1), sk_polar(2, 2)]
     for g in graphs_to_6:
@@ -149,20 +167,29 @@ def _cliques(vs, adjacent):
     return len({frozenset(u for u in vs if u == v or adjacent(u, v)) for v in vs})
 
 
-def _brute_witness(g, s, k, unipolar):
-    """First (A, B) by |A|, then lexicographic A, straight from the definitions:
-    A is a clique (unipolar) or complete multipartite with at most s parts,
-    B is at most k disjoint cliques; None bounds are unbounded."""
+def _is_split_by_definition(g, spec, a, b):
+    """Whether (A, B) is a valid split, straight from the definitions: A and B
+    partition the vertices; the parts of A are the classes of "equal or
+    non-adjacent", at most s of them, or all pairs of A are adjacent for a
+    clique side; B is at most k disjoint cliques. None bounds are unbounded."""
+    if sorted(a + b) != list(range(g.n)):
+        return False
+    if spec.clique_side:
+        a_ok = all(g.has_edge(u, v) for u, v in combinations(a, 2))
+    else:
+        parts = _cliques(a, lambda u, v: not g.has_edge(u, v))
+        a_ok = parts is not None and (spec.s is None or parts <= spec.s)
+    clusters = _cliques(b, g.has_edge)
+    return a_ok and clusters is not None and (spec.k is None or clusters <= spec.k)
+
+
+def _brute_witness(g, spec):
+    """First (A, B) by |A|, then lexicographic A, that is a valid split by
+    the definitions, or None."""
     for size in range(g.n + 1):
         for a in combinations(range(g.n), size):
             b = tuple(v for v in range(g.n) if v not in a)
-            if unipolar:
-                a_ok = all(g.has_edge(u, v) for u, v in combinations(a, 2))
-            else:
-                parts = _cliques(a, lambda u, v: not g.has_edge(u, v))
-                a_ok = parts is not None and (s is None or parts <= s)
-            clusters = _cliques(b, g.has_edge)
-            if a_ok and clusters is not None and (k is None or clusters <= k):
+            if _is_split_by_definition(g, spec, a, b):
                 return a, b
     return None
 
@@ -170,13 +197,10 @@ def _brute_witness(g, s, k, unipolar):
 def test_witness_is_first_in_size_then_lex_order(graphs_to_6):
     bounds = (1, 2, 3, None)
     for g in graphs_to_6:
-        for s, k, unipolar in [(s, k, False) for s in bounds for k in bounds] + [
-            (None, None, True)
-        ]:
-            spec = UNIPOLAR if unipolar else sk_polar(s, k)
+        for spec in [sk_polar(s, k) for s in bounds for k in bounds] + [UNIPOLAR]:
             w = find_polar_partition(g, spec)
             got = None if w is None else (w.a, w.b)
-            assert got == _brute_witness(g, s, k, unipolar), (g, spec)
+            assert got == _brute_witness(g, spec), (g, spec)
 
 
 BOUNDS = (0, 1, 2, 3, None)
@@ -204,6 +228,27 @@ def _scan_witness(g, spec):
     return None
 
 
+def test_validate_accepts_exactly_the_valid_splits(graphs_to_6):
+    # every A-side mask against its complement, and against the complement
+    # with one vertex of A added (overlapping) or one of B dropped (not
+    # covering); the definitional check decides each pair
+    rejected = 0
+    for g in graphs_to_6:
+        if g.n > 5:
+            continue
+        full = (1 << g.n) - 1
+        for amask in range(full + 1):
+            b_full = full ^ amask
+            bmasks = {b_full, b_full | (amask & -amask), b_full & (b_full - 1)}
+            for bmask in bmasks:
+                w = PolarPartition(_bits_to_tuple(amask), _bits_to_tuple(bmask))
+                for spec in ALL_SPECS:
+                    want = _is_split_by_definition(g, spec, w.a, w.b)
+                    assert w.validate(g, spec) == want, (g, spec, w)
+                    rejected += not want
+    assert rejected
+
+
 def test_pruned_search_matches_the_exhaustive_scan(graphs_to_7):
     for g in graphs_to_7:
         for spec in ALL_SPECS:
@@ -228,12 +273,13 @@ ORDER_20 = {
 def test_order_20_queries_are_cheap(name, monkeypatch):
     g, verdicts = ORDER_20[name]
     calls = [0]
-    for attr in ("_is_cm_mask", "_is_clique_mask"):
-        def counted(*args, real=getattr(polarity, attr)):
-            calls[0] += 1
-            return real(*args)
+    real = polarity._is_cm_mask
 
-        monkeypatch.setattr(polarity, attr, counted)
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(polarity, "_is_cm_mask", counted)
     for spec, verdict in zip(ALL_SPECS, verdicts):
         calls[0] = 0
         assert satisfies(g, spec) == (verdict == "1"), spec
