@@ -4,9 +4,10 @@ Covered families: cographs (P4-free), P4-sparse graphs (no five vertices
 induce two P4s), P4-extendible graphs (every P4 has at most one outside
 vertex on a P4 meeting it), and C5-free P4-extendible graphs ("62").
 
-Each recognizer comes in two independent flavors. The definitional one
-checks the forbidden-structure condition directly; the structural one is
-the decomposition itself: the connectedness recursion (components /
+Each class has one forbidden-structure recognizer, ``certificate``: the
+structure that proves a graph is not in the class, or None for a member.
+The ``is_*`` predicates read it. The structural recognizer is the
+decomposition itself: the connectedness recursion (components /
 co-components / spider nodes) that builds the decomposition trees.
 """
 
@@ -254,7 +255,7 @@ def extension_set(g: Graph, w) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# definitional recognizers
+# forbidden-structure certificates
 
 def p4_sparse_certificate(g: Graph) -> Optional[tuple[int, ...]]:
     """The lexicographically first 5-vertex set inducing two P4s, or None
@@ -282,39 +283,36 @@ def p4_extendible_certificate(g: Graph) -> Optional[tuple[tuple[int, ...], tuple
     return None
 
 
+def certificate(g: Graph, class_id: ClassId) -> Optional[tuple]:
+    """The forbidden structure that proves ``g`` is not in the class, or None
+    for a member: the lexicographically first induced P4 for cographs,
+    ``p4_sparse_certificate`` and ``p4_extendible_certificate`` for the
+    other two. The C5-free class ("62") keeps none."""
+    if class_id == "cograph":
+        p4s = p4_masks(g)
+        return _bits_to_tuple(p4s[0]) if p4s else None
+    if class_id == "p4sparse":
+        return p4_sparse_certificate(g)
+    if class_id == "p4extendible":
+        return p4_extendible_certificate(g)
+    raise BadParameter(f"no certificate for class {class_id!r}")
+
+
 # ---------------------------------------------------------------------------
 # recognizers
 
 
-def _decomposes(g: Graph, class_id: ClassId) -> bool:
-    """Structural membership: order 0, or the decomposition recursion succeeds."""
-    if g.n == 0:
-        return True
-    try:
-        _decompose(g, (1 << g.n) - 1, class_id)
-    except NotInClass:
-        return False
-    return True
-
-
-Mode = Literal["definitional", "structural"]
-
-
 def is_cograph(g: Graph) -> bool:
     """P4-free test."""
-    return not p4_masks(g)
+    return certificate(g, "cograph") is None
 
 
-def is_p4_sparse(g: Graph, mode: Mode = "definitional") -> bool:
-    if mode == "structural":
-        return _decomposes(g, "p4sparse")
-    return p4_sparse_certificate(g) is None
+def is_p4_sparse(g: Graph) -> bool:
+    return certificate(g, "p4sparse") is None
 
 
-def is_p4_extendible(g: Graph, mode: Mode = "definitional") -> bool:
-    if mode == "structural":
-        return _decomposes(g, "p4extendible")
-    return p4_extendible_certificate(g) is None
+def is_p4_extendible(g: Graph) -> bool:
+    return certificate(g, "p4extendible") is None
 
 
 def is_62_graph(g: Graph) -> bool:
@@ -411,18 +409,13 @@ def build_decomposition(g: Graph, class_id: ClassId) -> DecompTree:
     Raises NotInClass (with a certificate) for non-members, and BadParameter
     for the empty graph, which has no tree.
     """
-    if class_id == "p4sparse":
-        cert = p4_sparse_certificate(g)
-        if cert is not None:
-            raise NotInClass("not P4-sparse", certificate=("five_vertex_set", cert))
-    elif class_id == "p4extendible":
-        cert = p4_extendible_certificate(g)
-        if cert is not None:
-            raise NotInClass(
-                "not P4-extendible", certificate=("extension_set",) + cert
-            )
-    else:
+    if class_id not in ("p4sparse", "p4extendible"):
         raise BadParameter(f"no decomposition mode for class {class_id!r}")
+    cert = certificate(g, class_id)
+    if cert is not None:
+        if class_id == "p4sparse":
+            raise NotInClass("not P4-sparse", certificate=("five_vertex_set", cert))
+        raise NotInClass("not P4-extendible", certificate=("extension_set",) + cert)
     if g.n == 0:
         raise BadParameter("the empty graph has no decomposition tree")
     return _decompose(g, (1 << g.n) - 1, class_id)

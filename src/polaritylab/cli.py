@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from functools import partial
 from typing import Iterable, Iterator
 
 from . import classes as cl
@@ -107,24 +106,14 @@ def _cmd_recognize(args) -> int:
     if args.klass is None:
         return _run_lines(args, _classify)
     check = cl.recognizer(args.klass)
-    if args.mode and args.klass in ("p4sparse", "p4extendible"):
-        check = partial(check, mode=args.mode)
 
     def handle(g, records):
         verdict = check(g)
         if not records:
             return verdict, str(verdict).lower(), {}
         record = {"verdict": verdict, "canonical": g.canonical_key().hex()}
-        if not verdict and not args.quiet:
-            cert = None
-            if args.klass in ("cograph", "p4sparse"):
-                cert = cl.p4_sparse_certificate(g)
-                if args.klass == "cograph" and cert is None:
-                    cert = list_induced_p4s(g)[0]
-            elif args.klass == "p4extendible":
-                cert = cl.p4_extendible_certificate(g)
-            if cert is not None:
-                record["certificate"] = cert
+        if not verdict and not args.quiet and args.klass != "62":
+            record["certificate"] = cl.certificate(g, args.klass)
         return verdict, str(verdict).lower(), record
 
     return _run_lines(args, handle)
@@ -327,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", parents=[common],
                        help="class membership per input line")
     p.add_argument("--class", dest="klass", choices=cl.CLASS_IDS, default=None)
-    p.add_argument("--mode", choices=("definitional", "structural"), default=None)
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("decompose", parents=[common],

@@ -57,10 +57,6 @@ class ObstructionReport:
     is_minimal: bool
     deletion_witnesses: dict[int, PolarPartition] = field(default_factory=dict)
 
-    @property
-    def canonical(self) -> bytes:
-        return self.graph.canonical_key()
-
     def witnesses_json(self) -> dict:
         """Deletion witnesses as JSON: deleted vertex -> {"a": A, "b": B}."""
         return {

@@ -53,6 +53,7 @@ from polaritylab.polarity import (
     satisfies,
     sk_polar,
 )
+from test_classes import decomposes
 
 
 def keyset(graphs):
@@ -145,9 +146,9 @@ def test_criterion_07_recognizer_soundness(graphs_to_8):
     assert sum(1 for g in graphs_to_8 if g.n == 8) == 12346
     disagreements = 0
     for g in graphs_to_8:
-        if is_p4_sparse(g) != is_p4_sparse(g, "structural"):
+        if is_p4_sparse(g) != decomposes(g, "p4sparse"):
             disagreements += 1
-        if is_p4_extendible(g) != is_p4_extendible(g, "structural"):
+        if is_p4_extendible(g) != decomposes(g, "p4extendible"):
             disagreements += 1
     assert disagreements == 0
     seven = [g for g in graphs_to_8 if g.n <= 7]

@@ -23,6 +23,7 @@ from polaritylab.classes import (
     SpiderNode,
     UnionNode,
     build_decomposition,
+    certificate,
     extension_set,
     find_ext_spider,
     find_spider,
@@ -65,6 +66,18 @@ def two_p3():
     return union_all(path_graph(3), path_graph(3))
 
 
+def decomposes(g, class_id):
+    """Structural membership, the oracle for the forbidden-structure
+    recognizers: order 0, or the decomposition recursion succeeds."""
+    if g.n == 0:
+        return True
+    try:
+        classes._decompose(g, (1 << g.n) - 1, class_id)
+    except NotInClass:
+        return False
+    return True
+
+
 # --- definitional recognizers -------------------------------------------------
 
 
@@ -78,8 +91,7 @@ def test_is_p4_sparse_examples():
     assert not is_p4_sparse(cycle_graph(5))
     assert is_p4_sparse(catalog("net"))
     assert not is_p4_sparse(catalog("banner"))
-    for mode in ("definitional", "structural"):
-        assert is_p4_sparse(path_graph(4), mode)
+    assert is_p4_sparse(path_graph(4)) and decomposes(path_graph(4), "p4sparse")
 
 
 def test_is_p4_extendible_examples():
@@ -195,7 +207,7 @@ def test_edge_walks_match_the_subset_scans_on_the_closures(class_id):
 def test_p4s_come_in_lexicographic_order_not_mask_order():
     # the net with pendants 0, 1, 2 on the triangle 5, 4, 3: the masks of its
     # P4s fall in the reverse of the vertex tuples' order, and the first W of
-    # the P4-extendible certificate (like the CLI's cograph certificate) is
+    # the P4-extendible certificate (like the cograph certificate) is
     # the first tuple
     net = from_edges(6, [(0, 5), (1, 4), (2, 3), (3, 4), (3, 5), (4, 5)])
     assert list_induced_p4s(net) == [(0, 1, 4, 5), (0, 2, 3, 5), (1, 2, 3, 4)]
@@ -241,8 +253,36 @@ def test_is_62_graph():
 
 def test_mode_agreement_to_7(graphs_to_7):
     for g in graphs_to_7:
-        assert is_p4_sparse(g) == is_p4_sparse(g, "structural")
-        assert is_p4_extendible(g) == is_p4_extendible(g, "structural")
+        assert is_p4_sparse(g) == decomposes(g, "p4sparse")
+        assert is_p4_extendible(g) == decomposes(g, "p4extendible")
+
+
+def _is_induced_p4(g, quad):
+    return is_isomorphic(g.induced(quad), path_graph(4))
+
+
+def test_certificates_are_valid(graphs_to_6):
+    # each class's certificate is None exactly on its members, by oracles
+    # that do not read it, and otherwise is the forbidden structure it names
+    for g in graphs_to_6:
+        p4s = [q for q in combinations(range(g.n), 4) if _is_induced_p4(g, q)]
+        cert = certificate(g, "cograph")
+        assert cert == (p4s[0] if p4s else None), g
+        cert = certificate(g, "p4sparse")
+        assert (cert is None) == decomposes(g, "p4sparse"), g
+        if cert is not None:
+            assert len(cert) == 5 and len(set(cert)) == 5, g
+            assert sum(_is_induced_p4(g, q) for q in combinations(cert, 4)) >= 2, g
+        cert = certificate(g, "p4extendible")
+        assert (cert is None) == decomposes(g, "p4extendible"), g
+        if cert is not None:
+            w, s = cert
+            assert _is_induced_p4(g, w), g
+            assert s == extension_set(g, w) == _naive_extension_set(g, w), g
+            assert len(s) >= 2, g
+    for class_id in ("62", "bogus"):
+        with pytest.raises(BadParameter):
+            certificate(path_graph(4), class_id)
 
 
 def test_complement_closure_to_7(graphs_to_7):
@@ -406,7 +446,7 @@ def test_find_ext_spider_examples():
     g = sigma_sep("p4", path_graph(4))
     found = find_ext_spider(g)
     assert found is not None and found.kind == "p4" and len(found.head) == 4
-    assert is_p4_extendible(g, "structural")
+    assert decomposes(g, "p4extendible")
 
 
 def _all_valid_ext_spider_bases(g):

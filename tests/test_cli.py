@@ -48,11 +48,14 @@ def test_recognize_predicate():
     assert code == 0 and out == "Ch\ttrue\n"
     code, out = cli(["recognize", "--class", "p4sparse"], g6(cycle_graph(5)) + "\n")
     assert code == 1 and "false" in out
+    # the structural verdict is decompose's; recognize has no --mode
     code, out = cli(
-        ["recognize", "--class", "p4extendible", "--mode", "structural"],
-        g6(headless_spider(3)) + "\n",
+        ["decompose", "--class", "p4extendible"], g6(headless_spider(3)) + "\n"
     )
-    assert code == 1 and "false" in out
+    assert code == 1 and "not in class" in out
+    code, _out = cli(["recognize", "--class", "p4extendible", "--mode", "structural"],
+                     g6(headless_spider(3)) + "\n")
+    assert code == 2
 
 
 def test_cograph_certificate_is_the_lexicographically_first_p4():
@@ -61,6 +64,10 @@ def test_cograph_certificate_is_the_lexicographically_first_p4():
     code, out = cli(["recognize", "--class", "cograph", "--format", "json"], "E@UW\n")
     assert code == 1
     assert json.loads(out)["certificate"] == [0, 1, 4, 5]
+    # C5 is not P4-sparse either, and its certificate is still a P4
+    code, out = cli(["recognize", "--class", "cograph", "--format", "json"], "Dhc\n")
+    assert code == 1
+    assert json.loads(out)["certificate"] == [0, 1, 2, 3]
 
 
 def test_recognize_classify_mode():

@@ -175,7 +175,7 @@ def test_builders_at_the_cap(name, n):
 # takes in the sweep. --max-n is always given, and its good values are small,
 # so no command enumerates past order 4.
 COMMANDS = {
-    ("recognize",): ("--class", "--mode"),
+    ("recognize",): ("--class",),
     ("decompose",): ("--class",),
     ("polar",): ("--spec",),
     ("gen",): ("--class",),
@@ -195,7 +195,6 @@ GOOD = {
     "--claim": ("sparse_cog", "bound", "disc_polar", "spider_not_obs"),
     "--s": ("2", "3"),
     "--id": ("polar-sparse", "s1fixed", "egraphs"),
-    "--mode": ("definitional", "structural"),
     "--max-n": ("1", "3", "4"),
 }
 BAD = dict.fromkeys(GOOD, ("bogus", "-1", ""))
