@@ -548,13 +548,22 @@ def _closure(
     profile Q, whose side A is a cluster too. No solver search runs.
 
     A member for which ``keep(g, value)`` is false is yielded but not stored,
-    so nothing is built from it. For a hereditary ``keep`` this is exact on
-    every member whose proper induced subgraphs all pass it: the parts of
-    each of its routes (components, co-components, heads) are such subgraphs,
-    so it is first built as without ``keep``, on the same vertex labels.
+    so nothing is built from it. This is exact on every member whose route
+    parts (components, co-components, sub-unions, sub-joins, heads) pass
+    ``keep``, and whose parts' route parts do in turn: every route to it is
+    then built, from parts first built as without ``keep``, so it is first
+    built as without ``keep``, on the same vertex labels. A hereditary
+    ``keep`` passes the route parts of every member that passes it, since
+    they are induced subgraphs. The obstruction ``keep``
+    (``obstructions.enumerate_minimal_obstructions``) is not hereditary: it
+    also asks that a member be critical, that every one-vertex deletion
+    change its capped profile. It still passes the route parts of every
+    member that passes it. A member's capped profile is a function of its
+    route parts' (``polarity._capped``), so a deletion inside a part that
+    keeps the part's capped profile keeps the member's: a part that is not
+    critical makes the member not critical. The caller checks ``n_max``
+    against its own cap.
     """
-    if n_max > ENUM_CAP:
-        raise CapExceeded(f"n_max={n_max} exceeds generation cap {ENUM_CAP}")
     if class_id not in CLASS_IDS:
         raise BadParameter(f"unknown class id {class_id!r}")
     ops = _head_operations(class_id, n_max)
@@ -622,4 +631,6 @@ def generate_class(class_id: ClassId, n_max: int) -> Iterator[Graph]:
     The members are ``_closure``'s, deduplicated by structural code, so only
     the graphs kept are labeled: each one once, for the sort.
     """
+    if n_max > ENUM_CAP:
+        raise CapExceeded(f"n_max={n_max} exceeds generation cap {ENUM_CAP}")
     yield from sorted(_closure(class_id, n_max), key=lambda g: (g.n, g.canonical_key()))

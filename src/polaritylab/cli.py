@@ -26,7 +26,9 @@ from .graphs import Graph, _has_c5, graph6_decode, graph6_encode, list_induced_p
 DEFAULT_MAX_N = 8
 
 
-def _resolve_max_n(args) -> int:
+def _resolve_max_n(args, cap: int = gr.ENUM_CAP) -> int:
+    """--max-n, else POLARITYLAB_MAX_N, else the default, checked against
+    ``cap``."""
     value = args.max_n
     if value is None:
         env = os.environ.get("POLARITYLAB_MAX_N")
@@ -34,8 +36,8 @@ def _resolve_max_n(args) -> int:
             value = int(env) if env else DEFAULT_MAX_N
         except ValueError:
             raise BadParameter(f"POLARITYLAB_MAX_N={env!r} is not an integer") from None
-    if not 1 <= value <= gr.ENUM_CAP:
-        raise CapExceeded(f"max-n {value} outside 1..{gr.ENUM_CAP}")
+    if not 1 <= value <= cap:
+        raise CapExceeded(f"max-n {value} outside 1..{cap}")
     return value
 
 
@@ -105,15 +107,18 @@ def classify_stream(lines: Iterable[str]) -> Iterator[dict]:
 def _cmd_recognize(args) -> int:
     if args.klass is None:
         return _run_lines(args, _classify)
-    check = cl.recognizer(args.klass)
 
     def handle(g, records):
-        verdict = check(g)
+        if args.klass == "62":
+            cert, verdict = None, cl.is_62_graph(g)
+        else:
+            cert = cl.certificate(g, args.klass)
+            verdict = cert is None
         if not records:
             return verdict, str(verdict).lower(), {}
         record = {"verdict": verdict, "canonical": g.canonical_key().hex()}
-        if not verdict and not args.quiet and args.klass != "62":
-            record["certificate"] = cl.certificate(g, args.klass)
+        if cert is not None and not args.quiet:
+            record["certificate"] = cert
         return verdict, str(verdict).lower(), record
 
     return _run_lines(args, handle)
@@ -229,7 +234,7 @@ def _cmd_obstructions(args) -> int:
         raise BadParameter(f"obstructions {args.action} needs --class")
     if args.action == "enumerate":
         spec = po.parse_spec(args.spec)
-        n_max = _resolve_max_n(args)
+        n_max = _resolve_max_n(args, ob.OBSTRUCTION_CAP)
         with _open_sidecar(args.sidecar) as sidecar:
             graphs = ob.enumerate_minimal_obstructions(
                 args.klass, spec, n_max, workers=args.workers

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from . import graphs as gr
 from .classes import ClassId, _closure, _head_operations, is_cograph
 from .classes import generate_class  # noqa: F401 -- perfbench/spans.py rebinds it here
-from .errors import BadParameter, UnknownClaim, UnknownId
+from .errors import BadParameter, CapExceeded, UnknownClaim, UnknownId
 from .graphs import (
     Graph,
     catalog,
@@ -35,12 +35,17 @@ from .polarity import (
     POLAR,
     PolarPartition,
     PolarSpec,
+    _capped,
+    _caps,
+    _critical,
     _meets,
     _witness,
     satisfies,
     sk_polar,
 )
 from .polarity import find_polar_partition  # noqa: F401 -- perfbench/spans.py rebinds it here
+
+OBSTRUCTION_CAP = 15  # guard for the critical closure; see the README's cap table
 
 
 @dataclass(frozen=True)
@@ -89,20 +94,37 @@ def enumerate_minimal_obstructions(
     """All class members of order <= n_max that are minimal obstructions,
     sorted by (order, canonical key).
 
-    Nothing is built on a member that lacks the property (``_closure``'s
-    ``keep``); it is hereditary, so every minimal obstruction is still built
-    as in the full closure. The members that lack it are the candidates, and
-    each gets one deletion screen, in build order and unlabeled.
+    Nothing is built on a member that lacks the property or is not critical
+    (``_closure``'s ``keep``). A member is critical when every one-vertex
+    deletion changes its profile capped to the spec (``polarity._caps``),
+    and a minimal obstruction is, since ``_meets`` reads only the capped
+    profile and every deletion meets the spec where the member does not.
+    Every route part of a critical member is critical (``_closure``), and
+    every proper part of a minimal obstruction has the property, so each
+    minimal obstruction is still built as in the full closure. The members
+    that lack the property are the candidates, and each gets one deletion
+    screen, in build order and unlabeled.
 
-    Both come from the value ``_closure`` folds for each member: the verdict
-    from its profile (P for an (s,k) spec, the unipolar profile Q for a
-    clique side) and the screen from its deletions' profiles, with no solver
-    search. ``workers`` is accepted for callers that pass it and changes no
-    work. Only the obstructions found are keyed. Profiles and deletion sets
-    are interned and few, so each verdict is read once per call."""
+    All three come from the value ``_closure`` folds for each member: the
+    verdict from its profile (P for an (s,k) spec, the unipolar profile Q for
+    a clique side), criticality and the screen from its deletions' profiles,
+    with no solver search. ``workers`` is accepted for callers that pass it
+    and changes no work. Only the obstructions found are keyed. Profiles,
+    deletion sets and values are few, so each is read once per call."""
+    if n_max > OBSTRUCTION_CAP:
+        raise CapExceeded(f"n_max={n_max} exceeds obstruction cap {OBSTRUCTION_CAP}")
+    caps = _caps(spec, n_max)
     found = []
     has: dict = {}  # profile -> verdict
+    cut: dict = {}  # profile -> capped profile
+    critical: dict = {}  # value -> every deletion changes the capped profile
     screened: dict = {}  # deletion set -> every deletion has the property
+
+    def capped(profile):
+        c = cut.get(profile)
+        if c is None:
+            c = cut[profile] = _capped(profile, caps)
+        return c
 
     def keep(g: Graph, value) -> bool:
         profile, deletions = value
@@ -110,7 +132,10 @@ def enumerate_minimal_obstructions(
         if ok is None:
             ok = has[profile] = _meets(profile, spec)
         if ok:
-            return True
+            crit = critical.get(value)
+            if crit is None:
+                crit = critical[value] = _critical(value, capped)
+            return crit
         minimal = screened.get(deletions)
         if minimal is None:
             minimal = screened[deletions] = all(_meets(p, spec) for p in deletions)

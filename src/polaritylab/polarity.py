@@ -279,13 +279,18 @@ def _interned(item):
     return _INTERNED.setdefault(item, item)
 
 
-def _pareto(pairs) -> Profile:
+def _front(pairs) -> Profile:
     """The Pareto-minimal pairs, ascending in a."""
     front: list[tuple[int, int]] = []
     for a, b in sorted(set(pairs)):
         if not front or b < front[-1][1]:
             front.append((a, b))
-    return _interned(tuple(front))
+    return tuple(front)
+
+
+def _pareto(pairs) -> Profile:
+    """The Pareto-minimal pairs, interned."""
+    return _interned(_front(pairs))
 
 
 def _distinct(profiles) -> tuple[Profile, ...]:
@@ -298,6 +303,38 @@ def _meets(profile: Profile, spec: PolarSpec) -> bool:
     clique."""
     s = _a_bound(spec)
     return any((s is None or a <= s) and (spec.k is None or b <= spec.k) for a, b in profile)
+
+
+def _caps(spec: PolarSpec, n_max: int) -> tuple[int, int]:
+    """The counts of a and b past which no graph of order <= ``n_max`` is
+    told apart by ``_meets``: a bound plus one (at least 2), or 2 for an
+    unbounded side or a bound no such graph can exceed. A clique side is
+    bound 1."""
+
+    def cap(bound: Optional[int]) -> int:
+        return 2 if bound is None or bound >= n_max else max(bound, 1) + 1
+
+    return cap(_a_bound(spec)), cap(spec.k)
+
+
+def _capped(profile: Profile, caps: tuple[int, int]) -> Profile:
+    """The Pareto-minimal pairs of ``profile`` with a and b cut to ``caps``.
+
+    Every cap is at least 2, so each rule below maps capped inputs to the
+    capped output: a count that adds (fit 0) caps the same from capped
+    terms, fit 1 asks h == 1, and a sum table's fit is min(c, 2). The
+    capped profile of a member is therefore a function of its parts'.
+    """
+    ca, cb = caps
+    return _front((min(a, ca), min(b, cb)) for a, b in profile)
+
+
+def _critical(value: Value, capped: Callable[[Profile], Profile]) -> bool:
+    """Whether every one-vertex deletion changes the capped profile;
+    ``capped`` is ``_capped`` with the caller's caps."""
+    profile, deletions = value
+    own = capped(profile)
+    return all(capped(d) != own for d in deletions)
 
 
 def _module_side(rows, mask: int, attach: int) -> Optional[tuple[int, int]]:

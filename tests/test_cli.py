@@ -70,6 +70,22 @@ def test_cograph_certificate_is_the_lexicographically_first_p4():
     assert json.loads(out)["certificate"] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("class_id", ["cograph", "p4sparse", "p4extendible"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_recognize_class_computes_one_certificate_per_line(class_id, fmt, monkeypatch):
+    # the verdict is read off the certificate the JSON record prints
+    _code, lines = cli(["gen", "--class", "all", "--max-n", "6"])
+    calls = []
+    certificate = polaritylab.classes.certificate
+    monkeypatch.setattr(polaritylab.classes, "certificate",
+                        lambda g, c: calls.append(c) or certificate(g, c))
+    code, out = cli(["recognize", "--class", class_id, "--format", fmt], lines)
+    assert code == 1 and len(calls) == len(lines.splitlines()) == 208
+    if fmt == "json":
+        records = [json.loads(line) for line in out.splitlines()]
+        assert all(("certificate" in r) != r["verdict"] for r in records)
+
+
 def test_recognize_classify_mode():
     code, out = cli(["recognize"], "@\n")
     assert code == 0
@@ -248,6 +264,30 @@ def test_cap_violations_exit_3(monkeypatch):
     monkeypatch.setenv("POLARITYLAB_MAX_N", "3")
     code, out = cli(["gen", "--class", "cograph"])
     assert code == 0 and len(out.strip().split("\n")) == 7
+
+
+def test_obstruction_enumeration_has_its_own_cap(monkeypatch):
+    # the critical closure answers past ENUM_CAP, which keeps guarding gen,
+    # verify and exhaustive enumeration
+    code, out = cli(["obstructions", "enumerate", "--class", "p4sparse", "--spec", "sk:3,2",
+                     "--max-n", "12"])
+    assert code == 0 and len(out.splitlines()) == 90
+    over = str(ob.OBSTRUCTION_CAP + 1)
+    code, out = cli(["obstructions", "enumerate", "--class", "p4sparse", "--spec", "sk:3,2",
+                     "--max-n", over])
+    assert code == 3 and out == ""
+    for argv in (["gen", "--class", "cograph", "--max-n", "11"],
+                 ["verify", "--claim", "bound", "--max-n", "11"]):
+        assert cli(argv)[0] == 3, argv
+    monkeypatch.setenv("POLARITYLAB_MAX_N", over)
+    assert cli(["obstructions", "enumerate", "--class", "p4sparse", "--spec", "unipolar"])[0] == 3
+    monkeypatch.setenv("POLARITYLAB_MAX_N", "11")
+    code, out = cli(["obstructions", "enumerate", "--class", "p4sparse", "--spec", "unipolar"])
+    assert code == 0 and len(out.splitlines()) == 2
+    with pytest.raises(polaritylab.CapExceeded):
+        ob.enumerate_minimal_obstructions("p4sparse", polaritylab.UNIPOLAR, ob.OBSTRUCTION_CAP + 1)
+    with pytest.raises(polaritylab.CapExceeded):
+        list(polaritylab.classes.generate_class("cograph", graphs.ENUM_CAP + 1))
 
 
 def test_usage_errors_exit_2():

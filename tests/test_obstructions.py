@@ -139,8 +139,8 @@ ORACLE_SPECS = ("unipolar", "sk:1,1", "sk:2,1", "sk:1,2", "sk:inf,1", "sk:1,inf"
 @pytest.mark.parametrize("class_id", ["cograph", "p4sparse", "p4extendible", "62"])
 def test_pruned_enumeration_matches_the_unpruned_screen(class_id):
     # the whole closure, screened member by member with witness searches, is
-    # the reference for the closure pruned by the property (by profiles for
-    # the (s,k) specs)
+    # the reference for the closure pruned by the property and criticality
+    # (by profiles for the (s,k) specs)
     members = list(classes._closure(class_id, 8))
     for text in ORACLE_SPECS:
         spec = parse_spec(text)
@@ -149,6 +149,53 @@ def test_pruned_enumeration_matches_the_unpruned_screen(class_id):
         got = enumerate_minimal_obstructions(class_id, spec, 8)
         assert [(graph6_encode(g), g.n) for g in got] == [
             (graph6_encode(g), g.n) for g in want], text
+
+
+def property_pruned_obstructions(class_id, spec, n_max):
+    """The enumeration with the property alone as ``_closure``'s ``keep``.
+    The property is hereditary, so every minimal obstruction is built as in
+    the full closure, on every member that has the property."""
+    found = []
+
+    def keep(g, value):
+        profile, deletions = value
+        if polarity._meets(profile, spec):
+            return True
+        if all(polarity._meets(p, spec) for p in deletions):
+            found.append(g)
+        return False
+
+    for _ in classes._closure(class_id, n_max, keep, spec.clique_side):
+        pass
+    return sorted(found, key=lambda g: (g.n, g.canonical_key()))
+
+
+BOUNDS = (0, 1, 2, 3, None)
+# s = 9 and k = 12 are bounds no member of order <= 9 can exceed (cap 2)
+GATE_SPECS = [sk_polar(s, k) for s in BOUNDS for k in BOUNDS] + [
+    UNIPOLAR, sk_polar(9, 2), sk_polar(2, 12)]
+
+
+@pytest.mark.parametrize("class_id", classes.CLASS_IDS)
+def test_critical_enumeration_matches_the_property_pruned_one(class_id):
+    # building only on critical members returns the same graphs, on the
+    # same vertex labels, as building on every member with the property
+    for spec in GATE_SPECS:
+        want = property_pruned_obstructions(class_id, spec, 9)
+        got = enumerate_minimal_obstructions(class_id, spec, 9)
+        assert [(graph6_encode(g), g.n) for g in got] == [
+            (graph6_encode(g), g.n) for g in want], spec.label()
+
+
+def test_p4sparse_32_list_has_four_non_cographs():
+    # the P4-sparse (s,1) and (2,2) lists hold cographs only; the paper's
+    # pattern "every P4-sparse minimal obstruction is a cograph" stops at (3,2)
+    got = enumerate_minimal_obstructions("p4sparse", sk_polar(3, 2), 10)
+    assert len(got) == 83
+    assert Counter(g.n for g in got) == {7: 3, 8: 22, 9: 43, 10: 15}
+    assert sorted(graph6_encode(graphs_module.canonical_form(g))
+                  for g in got if not classes.is_cograph(g)) == [
+        "G?Chxw", "H?Kpz}~", "H?Kr|~~", "H@Tzv~~"]
 
 
 @pytest.mark.parametrize("class_id", classes.CLASS_IDS)
@@ -174,9 +221,9 @@ def test_enumeration_builds_on_members_with_the_property_and_finds_no_witness(mo
                         lambda *args: searches.append(args) or search(*args))
     got = enumerate_minimal_obstructions("p4sparse", sk_polar(2, 1), 8)
     assert len(got) == 9 and searches == []
-    # the full closure has 994 members; members built on one lacking (2,1)
-    # polarity are skipped
-    assert len(built) == 859
+    # the full closure has 994 members; building only on members with (2,1)
+    # polarity leaves 859, and only on the critical ones among them 220
+    assert len(built) == 220
 
 
 @pytest.mark.parametrize("class_id, spec, digest", [

@@ -110,9 +110,10 @@ def join_value(x, y, cluster=False):
 
 
 @st.composite
-def built_members(draw, max_n=11):
+def built_members(draw, max_n=11, cut=lambda value: value):
     """A member built by random unions, joins and head operations, with its
-    values, P's and Q's, folded by the same rules as the closure's."""
+    values, P's and Q's, folded by the same rules as the closure's; ``cut``
+    is applied to every value the rules return."""
     bases = [complete_graph(1), *(_ext_graphs()[k] for k in ("c5", "p5", "house"))]
     heads = [(lambda h, j=j: sigma_j(h, j)) for j in (2, 3)]
     heads += [(lambda h: tau_j(h, 3))]
@@ -123,7 +124,7 @@ def built_members(draw, max_n=11):
         if op == "base":
             g = draw(st.sampled_from([b for b in bases if b.n <= budget]))
             probe = disjoint_union(g, complete_graph(1))
-            return g, [polarity._module_rule(probe, c)(polarity.K0_VALUE) for c in SIDES]
+            return g, [cut(polarity._module_rule(probe, c)(polarity.K0_VALUE)) for c in SIDES]
         if op == "head":
             build = draw(st.sampled_from(heads))
             base_n = build(complete_graph(0)).n
@@ -134,11 +135,11 @@ def built_members(draw, max_n=11):
             else:
                 h, hv = member(budget - base_n)
             probe = build(complete_graph(1))
-            return build(h), [polarity._module_rule(probe, c)(v) for c, v in zip(SIDES, hv)]
+            return build(h), [cut(polarity._module_rule(probe, c)(v)) for c, v in zip(SIDES, hv)]
         x, xv = member(budget - 1)
         y, yv = member(budget - x.n)
         build, rule = (disjoint_union, union_value) if op == "union" else (join, join_value)
-        return build(x, y), [rule(u, v, c) for c, u, v in zip(SIDES, xv, yv)]
+        return build(x, y), [cut(rule(u, v, c)) for c, u, v in zip(SIDES, xv, yv)]
 
     return member(draw(st.integers(1, max_n)))
 
@@ -150,6 +151,58 @@ def test_folded_verdicts_match_the_solver(member, spec):
     profile, deletions = values[spec.clique_side]
     assert polarity._meets(profile, spec) == satisfies(g, spec)
     assert all(polarity._meets(p, spec) for p in deletions) == _deletions_satisfy(g, spec)
+
+
+CAPS = st.tuples(st.integers(2, 5), st.integers(2, 5))
+
+
+def capped_value(value, caps):
+    profile, deletions = value
+    return polarity._capped(profile, caps), tuple(sorted({polarity._capped(d, caps)
+                                                          for d in deletions}))
+
+
+@st.composite
+def capped_members(draw):
+    """Caps of at least 2, and a member whose values are folded from capped
+    values and capped after every rule."""
+    caps = draw(CAPS)
+    return caps, draw(built_members(cut=lambda value: capped_value(value, caps)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(capped_members())
+def test_capped_rules_give_the_capped_profiles(capped_member):
+    # every cap is at least 2, so folding capped values gives the capped
+    # value: a member's capped profile is a function of its parts'
+    caps, (g, values) = capped_member
+    for cluster, value in zip(SIDES, values):
+        assert value == capped_value((brute_profile(g.adj, cluster), [
+            brute_profile(g.delete_vertex(v).adj, cluster) for v in range(g.n)]), caps), cluster
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(built_members(), CAPS)
+def test_critical_read_from_the_value_is_critical(member, caps):
+    # a member is critical when every one-vertex deletion changes its
+    # capped profile
+    g, values = member
+    for cluster, value in zip(SIDES, values):
+        own = polarity._capped(brute_profile(g.adj, cluster), caps)
+        want = all(polarity._capped(brute_profile(g.delete_vertex(v).adj, cluster), caps) != own
+                   for v in range(g.n))
+        assert polarity._critical(value, lambda p: polarity._capped(p, caps)) == want, cluster
+
+
+def test_caps():
+    assert polarity._caps(sk_polar(3, 2), 10) == (4, 3)
+    assert polarity._caps(sk_polar(0, 1), 10) == (2, 2)
+    # a clique side is bound 1; unbounded sides and bounds of n_max or more
+    # cap at 2
+    assert polarity._caps(UNIPOLAR, 10) == (2, 2)
+    assert polarity._caps(sk_polar(None, 3), 10) == (2, 4)
+    assert polarity._caps(sk_polar(14, 14), 14) == (2, 2)
+    assert polarity._caps(sk_polar(14, 14), 15) == (15, 15)
 
 
 def test_small_profiles():
