@@ -13,6 +13,7 @@ co-components / spider nodes) that builds the decomposition trees.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
@@ -515,10 +516,12 @@ def _head_operations(class_id: ClassId, n_max: int) -> list[tuple[int, list]]:
 def _closure(
     class_id: ClassId,
     n_max: int,
-    keep: Optional[Callable[[Graph, polarity.Value], bool]] = None,
+    keep: Optional[Callable[[polarity.Value], bool]] = None,
     cluster: bool = False,
-) -> Iterator[Graph]:
-    """Each member of orders 1..n_max once, in the order it is first built.
+) -> tuple[list[polarity.Value], Callable[[int], Graph]]:
+    """The value of each member of orders 0..n_max by id, and ``member(i)``,
+    which builds id i's graph. Ids are given in the order members are first
+    reached, K0 is id 0, and every part of an id has a smaller id.
 
     Every class closes {K1} under disjoint union, join and its head operations
     (``_head_operations``): the sigma/tau spider builders for P4-sparse, the
@@ -536,8 +539,8 @@ def _closure(
     operation's code is (op index, builder index, head id), and a union's
     (join's) is its tag and the sorted ids of its components
     (co-components): a part that is itself a union (join) contributes its
-    own parts. Codes are interned to ids per call, and a graph is built only
-    for a code not seen before, so the first build in each class is kept.
+    own parts. Codes are interned to ids per call, and each id records the
+    recipe of its first build: the builder and the ids of its parts.
 
     Each id also carries a value, its polarity profile and the profiles of
     its one-vertex deletions (``polarity.Value``), folded from the values of
@@ -545,16 +548,20 @@ def _closure(
     or join, with the side flags of its module, and the ``_module_rule`` of
     its build over K1 for a head operation or a fixed base. The profile is
     P, which answers the (s,k) specs, or with ``cluster`` the unipolar
-    profile Q, whose side A is a cluster too. No solver search runs.
+    profile Q, whose side A is a cluster too. No solver search runs, and the
+    loop builds no graph: only the rule probes do. ``member(i)`` builds id i
+    from its recipe when it is first read, on its parts' memoised graphs, so
+    a member has the vertex labels of its first build, and reading the ids
+    in id order builds them in the order the closure reached them.
 
-    A member for which ``keep(g, value)`` is false is yielded but not stored,
-    so nothing is built from it. This is exact on every member whose route
-    parts (components, co-components, sub-unions, sub-joins, heads) pass
-    ``keep``, and whose parts' route parts do in turn: every route to it is
-    then built, from parts first built as without ``keep``, so it is first
-    built as without ``keep``, on the same vertex labels. A hereditary
-    ``keep`` passes the route parts of every member that passes it, since
-    they are induced subgraphs. The obstruction ``keep``
+    A member for which ``keep(value)`` is false gets an id but is not
+    stored, so nothing is built from it. This is exact on every member whose
+    route parts (components, co-components, sub-unions, sub-joins, heads)
+    pass ``keep``, and whose parts' route parts do in turn: every route to
+    it is then reached, from parts reached as without ``keep``, so its first
+    recipe, and hence its graph, is the one it has without ``keep``. A
+    hereditary ``keep`` passes the route parts of every member that passes
+    it, since they are induced subgraphs. The obstruction ``keep``
     (``obstructions.enumerate_minimal_obstructions``) is not hereditary: it
     also asks that a member be critical, that every one-vertex deletion
     change its capped profile. It still passes the route parts of every
@@ -573,64 +580,65 @@ def _closure(
     ids: dict[tuple, int] = {}
     codes: list[tuple] = []
     values: list[polarity.Value] = []
-    levels: dict[int, list[tuple[int, Graph]]] = {m: [] for m in range(n_max + 1)}
+    recipes: list[Optional[tuple]] = []  # (builder, part ids) of each first build
+    levels: defaultdict[int, list[int]] = defaultdict(list)
 
-    def new_id(code: tuple, rule, *args) -> Optional[int]:
-        """The id of a code not seen before, with its value ``rule(*args)``,
-        or None."""
+    def add(code: tuple, order: int, recipe: Optional[tuple], rule, *args) -> Optional[int]:
+        """The new id of a code not seen before, with its value ``rule(*args)``
+        and its recipe, stored at its order if ``keep`` passes it; or None."""
         if code in ids:
             return None
-        ids[code] = len(codes)
+        i = ids[code] = len(codes)
         codes.append(code)
         values.append(rule(*args))
-        return ids[code]
+        recipes.append(recipe)
+        if keep is None or keep(values[i]):
+            levels[order].append(i)
+        return i
 
     def parts(i: int, tag: str) -> tuple[int, ...]:
         code = codes[i]
         return code[1] if code[0] == tag else (i,)
 
-    def store(i: int, g: Graph) -> None:
-        if keep is None or keep(g, values[i]):
-            levels[g.n].append((i, g))
+    def member(i: int) -> Graph:
+        g = built.get(i)
+        if g is None:
+            build, part_ids = recipes[i]
+            g = built[i] = build(*map(member, part_ids))
+        return g
 
-    levels[0] = [(new_id(("K0",), lambda: polarity.K0_VALUE), gr.empty_graph(0))]
+    built = {add(("K0",), 0, None, lambda: polarity.K0_VALUE): gr.empty_graph(0)}
     bases = [(("K1",), complete_graph(1))]
     bases += [(("base", k), _ext_graphs()[k]) for k in _EXPLICIT_BASES.get(class_id, ())]
     for code, g in bases:
         if g.n <= n_max:
             rule = polarity._module_rule(disjoint_union(g, complete_graph(1)), cluster)
-            store(new_id(code, rule, polarity.K0_VALUE), g)
-            yield g
+            built[add(code, g.n, None, rule, polarity.K0_VALUE)] = g
 
     for m in range(2, n_max + 1):
         for op, (base, builders) in enumerate(ops):
-            for h_id, h in levels.get(m - base, ()):
+            for h_id in levels.get(m - base, ()):
                 for b, build in enumerate(builders):
-                    i = new_id((op, b, h_id), rules[op][b], values[h_id])
-                    if i is not None:
-                        g = build(h)
-                        store(i, g)
-                        yield g
+                    add((op, b, h_id), m, (build, (h_id,)), rules[op][b], values[h_id])
         for a in range(1, m // 2 + 1):
-            for x_id, x in levels[a]:
-                for y_id, y in levels[m - a]:
+            for x_id in levels[a]:
+                for y_id in levels[m - a]:
                     for tag, build, flags in combine:
                         code = (tag, tuple(sorted(parts(x_id, tag) + parts(y_id, tag))))
-                        i = new_id(code, polarity._combine_value, values[x_id], values[y_id],
-                                   *flags)
-                        if i is not None:
-                            g = build(x, y)
-                            store(i, g)
-                            yield g
+                        add(code, m, (build, (x_id, y_id)), polarity._combine_value,
+                            values[x_id], values[y_id], *flags)
+    return values, member
 
 
 def generate_class(class_id: ClassId, n_max: int) -> Iterator[Graph]:
     """One member per isomorphism class, orders 1..n_max, sorted by
     (order, canonical key).
 
-    The members are ``_closure``'s, deduplicated by structural code, so only
-    the graphs kept are labeled: each one once, for the sort.
+    The members are ``_closure``'s, deduplicated by structural code: every
+    id but K0's is built, in id order, so each is built once, on its first
+    recipe, and labeled once, for the sort.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds generation cap {ENUM_CAP}")
-    yield from sorted(_closure(class_id, n_max), key=lambda g: (g.n, g.canonical_key()))
+    values, member = _closure(class_id, n_max)
+    yield from sorted(map(member, range(1, len(values))), key=lambda g: (g.n, g.canonical_key()))

@@ -21,7 +21,7 @@ from . import graphs as gr
 from . import obstructions as ob
 from . import polarity as po
 from .errors import BadParameter, CapExceeded, NotInClass, PolarityLabError
-from .graphs import Graph, _has_c5, graph6_decode, graph6_encode, list_induced_p4s
+from .graphs import Graph, _has_c5, graph6_decode, graph6_encode, p4_masks
 
 DEFAULT_MAX_N = 8
 
@@ -91,7 +91,7 @@ def _classify(g: Graph, records: bool) -> tuple[bool, str, dict]:
         "p4extendible": extendible,
         "62": extendible and not _has_c5(g),  # is_62_graph, with one extendibility scan
     }
-    p4_count = len(list_induced_p4s(g))
+    p4_count = len(p4_masks(g))
     flags = " ".join(f"{k}={str(v).lower()}" for k, v in classes.items())
     record = {"classes": classes, "p4_count": p4_count}
     if records:

@@ -10,7 +10,7 @@ a PolarSpec plugs in unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Iterable, Optional
 
 from . import graphs as gr
@@ -101,50 +101,27 @@ def enumerate_minimal_obstructions(
     profile and every deletion meets the spec where the member does not.
     Every route part of a critical member is critical (``_closure``), and
     every proper part of a minimal obstruction has the property, so each
-    minimal obstruction is still built as in the full closure. The members
-    that lack the property are the candidates, and each gets one deletion
-    screen, in build order and unlabeled.
+    minimal obstruction is still reached as in the full closure, on the same
+    recipe.
 
-    All three come from the value ``_closure`` folds for each member: the
-    verdict from its profile (P for an (s,k) spec, the unipolar profile Q for
-    a clique side), criticality and the screen from its deletions' profiles,
-    with no solver search. ``workers`` is accepted for callers that pass it
-    and changes no work. Only the obstructions found are keyed. Profiles,
-    deletion sets and values are few, so each is read once per call."""
+    All three come from the value ``_closure`` folds for each member, with no
+    solver search: ``keep`` and the verdict from its profile (P for an (s,k)
+    spec, the unipolar profile Q for a clique side), criticality and the
+    minimality screen from its deletions' profiles. The obstructions are
+    read off the values after the fold, each id whose profile fails the spec
+    and whose deletions' profiles all meet it, and only they are built
+    (``member``) and keyed. ``workers`` is accepted for callers that pass it
+    and changes no work. Profiles and values are few and recur, so the
+    verdict, the capped profile and ``keep`` are each computed once per
+    call."""
     if n_max > OBSTRUCTION_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds obstruction cap {OBSTRUCTION_CAP}")
-    caps = _caps(spec, n_max)
-    found = []
-    has: dict = {}  # profile -> verdict
-    cut: dict = {}  # profile -> capped profile
-    critical: dict = {}  # value -> every deletion changes the capped profile
-    screened: dict = {}  # deletion set -> every deletion has the property
-
-    def capped(profile):
-        c = cut.get(profile)
-        if c is None:
-            c = cut[profile] = _capped(profile, caps)
-        return c
-
-    def keep(g: Graph, value) -> bool:
-        profile, deletions = value
-        ok = has.get(profile)
-        if ok is None:
-            ok = has[profile] = _meets(profile, spec)
-        if ok:
-            crit = critical.get(value)
-            if crit is None:
-                crit = critical[value] = _critical(value, capped)
-            return crit
-        minimal = screened.get(deletions)
-        if minimal is None:
-            minimal = screened[deletions] = all(_meets(p, spec) for p in deletions)
-        if minimal:
-            found.append(g)
-        return False
-
-    for _ in _closure(class_id, n_max, keep, spec.clique_side):
-        pass
+    meets = cache(partial(_meets, spec=spec))
+    capped = cache(partial(_capped, caps=_caps(spec, n_max)))
+    keep = cache(lambda value: meets(value[0]) and _critical(value, capped))
+    values, member = _closure(class_id, n_max, keep, spec.clique_side)
+    found = [member(i) for i, (profile, deletions) in enumerate(values)
+             if not meets(profile) and all(map(meets, deletions))]
     return sorted(found, key=lambda g: (g.n, g.canonical_key()))
 
 

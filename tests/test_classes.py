@@ -647,6 +647,13 @@ def test_generate_class_builds_through_the_current_head_operations(monkeypatch):
     assert calls == []
 
 
+def closure_members(class_id, n_max, keep=None, cluster=False):
+    """(graph, value) of each ``_closure`` member of order >= 1, in id order,
+    which is the order the closure first reaches them."""
+    values, member = classes._closure(class_id, n_max, keep, cluster)
+    return [(member(i), values[i]) for i in range(1, len(values))]
+
+
 def _keyed_closure(class_id, n_max):
     """The closure deduplicated by canonical key, as it was before structural
     codes: every graph built is labeled, and the first build per key is kept.
@@ -681,4 +688,4 @@ def test_closure_builds_what_the_keyed_closure_builds(class_id):
     # structural codes keep the same first build per isomorphism class, in
     # the same order; ENUM_CAP (10) was checked the same way, once
     want = [(g.n, g.adj) for g in _keyed_closure(class_id, 9)]
-    assert [(g.n, g.adj) for g in classes._closure(class_id, 9)] == want
+    assert [(g.n, g.adj) for g, _value in closure_members(class_id, 9)] == want

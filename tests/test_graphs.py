@@ -20,7 +20,7 @@ from polaritylab.errors import (
     VertexOutOfRange,
 )
 from polaritylab import graphs as graphs_module
-from polaritylab.classes import CLASS_IDS, _closure, generate_class
+from polaritylab.classes import CLASS_IDS, generate_class
 from polaritylab.graphs import (
     Graph,
     _column,
@@ -50,6 +50,7 @@ from polaritylab.graphs import (
     path_graph,
     union_all,
 )
+from test_classes import closure_members
 
 
 def test_from_edges_examples():
@@ -99,7 +100,7 @@ def test_derived_graphs_pass_the_constructor_checks(graphs_to_7):
     # and head operations (every closure member), complements, deletions,
     # canonical forms and enumerated children; rebuilt through the checks,
     # none raises or differs
-    members = [g for class_id in CLASS_IDS for g in _closure(class_id, 8)]
+    members = [g for class_id in CLASS_IDS for g, _value in closure_members(class_id, 8)]
     for g in members + graphs_to_7:
         derived = (g.complement(), canonical_form(g), *(g.delete_vertex(v) for v in range(g.n)))
         for h in (g, *derived):
@@ -383,7 +384,7 @@ def _tiered_min_bits(adj, cap=None):
 
 
 def test_two_phase_search_labels_like_the_tiered_search(graphs_to_7):
-    members = [g for c in CLASS_IDS for g in _closure(c, 8)]
+    members = [g for c in CLASS_IDS for g, _value in closure_members(c, 8)]
     for g in graphs_to_7 + members:
         assert _min_bits(g.adj) == _tiered_min_bits(g.adj)
 

@@ -45,6 +45,7 @@ from polaritylab.polarity import (
     satisfies,
     sk_polar,
 )
+from test_classes import closure_members
 
 
 def keyset(graphs):
@@ -141,7 +142,7 @@ def test_pruned_enumeration_matches_the_unpruned_screen(class_id):
     # the whole closure, screened member by member with witness searches, is
     # the reference for the closure pruned by the property and criticality
     # (by profiles for the (s,k) specs)
-    members = list(classes._closure(class_id, 8))
+    members = [g for g, _value in closure_members(class_id, 8)]
     for text in ORACLE_SPECS:
         spec = parse_spec(text)
         want = sorted((g for g in members if _witness_screen(g, spec)),
@@ -152,21 +153,18 @@ def test_pruned_enumeration_matches_the_unpruned_screen(class_id):
 
 
 def property_pruned_obstructions(class_id, spec, n_max):
-    """The enumeration with the property alone as ``_closure``'s ``keep``.
-    The property is hereditary, so every minimal obstruction is built as in
+    """The enumeration with the property alone as ``_closure``'s ``keep``,
+    and the obstructions read off the values as the engine reads them. The
+    property is hereditary, so every minimal obstruction is reached as in
     the full closure, on every member that has the property."""
-    found = []
 
-    def keep(g, value):
-        profile, deletions = value
-        if polarity._meets(profile, spec):
-            return True
-        if all(polarity._meets(p, spec) for p in deletions):
-            found.append(g)
-        return False
+    def meets(profile):
+        return polarity._meets(profile, spec)
 
-    for _ in classes._closure(class_id, n_max, keep, spec.clique_side):
-        pass
+    values, member = classes._closure(class_id, n_max, lambda value: meets(value[0]),
+                                      spec.clique_side)
+    found = [member(i) for i, (profile, deletions) in enumerate(values)
+             if not meets(profile) and all(map(meets, deletions))]
     return sorted(found, key=lambda g: (g.n, g.canonical_key()))
 
 
@@ -187,6 +185,18 @@ def test_critical_enumeration_matches_the_property_pruned_one(class_id):
             (graph6_encode(g), g.n) for g in want], spec.label()
 
 
+@pytest.mark.parametrize("class_id", classes.CLASS_IDS)
+def test_lists_are_complement_dual(class_id):
+    # a graph is (s,k)-polar exactly when its complement is (k,s)-polar, and
+    # each class is closed under complement, so the (s,k) list is the
+    # complements of the (k,s) list
+    lists = {(s, k): enumerate_minimal_obstructions(class_id, sk_polar(s, k), 9)
+             for s in BOUNDS for k in BOUNDS}
+    for (s, k), got in lists.items():
+        assert sorted(g.canonical_key() for g in got) == sorted(
+            g.complement().canonical_key() for g in lists[k, s]), (s, k)
+
+
 def test_p4sparse_32_list_has_four_non_cographs():
     # the P4-sparse (s,1) and (2,2) lists hold cographs only; the paper's
     # pattern "every P4-sparse minimal obstruction is a cograph" stops at (3,2)
@@ -200,20 +210,25 @@ def test_p4sparse_32_list_has_four_non_cographs():
 
 @pytest.mark.parametrize("class_id", classes.CLASS_IDS)
 def test_closure_keeping_everything_is_the_closure(class_id):
-    plain = [graph6_encode(g) for g in classes._closure(class_id, 8)]
-    kept = [graph6_encode(g) for g in classes._closure(class_id, 8, keep=lambda g, value: True)]
+    plain = [graph6_encode(g) for g, _value in closure_members(class_id, 8)]
+    kept = [graph6_encode(g) for g, _value in closure_members(class_id, 8, lambda value: True)]
     assert kept == plain
 
 
 def test_enumeration_builds_on_members_with_the_property_and_finds_no_witness(monkeypatch):
-    built = []
+    folded = []
     closure = classes._closure
 
     def counted(*args, **kwargs):
-        for g in closure(*args, **kwargs):
-            built.append(g)
-            yield g
+        values, member = closure(*args, **kwargs)
+        folded.append(len(values) - 1)  # K0 is id 0
+        return values, member
 
+    built = []
+    for name in ("disjoint_union", "join", "sigma_j", "tau_j", "sigma_sep"):
+        build = getattr(classes, name)
+        monkeypatch.setattr(classes, name, lambda *args, _build=build, **kwargs: (
+            built.append(args) or _build(*args, **kwargs)))
     searches = []
     search = obstructions.find_polar_partition
     monkeypatch.setattr(obstructions, "_closure", counted)
@@ -223,7 +238,17 @@ def test_enumeration_builds_on_members_with_the_property_and_finds_no_witness(mo
     assert len(got) == 9 and searches == []
     # the full closure has 994 members; building only on members with (2,1)
     # polarity leaves 859, and only on the critical ones among them 220
-    assert len(built) == 220
+    assert folded == [220]
+    # graphs are built only for the 9 obstructions and their parts (20
+    # builds), plus the 6 rule probes (5 head builders, K1's union with K1);
+    # building every member folded would take 225
+    assert len(built) == 26
+
+
+def test_enumeration_below_order_one_is_empty():
+    for n_max in (0, -1):
+        for spec in (sk_polar(2, 1), UNIPOLAR):
+            assert enumerate_minimal_obstructions("p4extendible", spec, n_max) == []
 
 
 @pytest.mark.parametrize("class_id, spec, digest", [

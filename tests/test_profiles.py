@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polaritylab import classes, polarity
-from polaritylab.classes import CLASS_IDS, _closure, _ext_graphs, sigma_j, sigma_sep, tau_j
+from polaritylab.classes import CLASS_IDS, _ext_graphs, sigma_j, sigma_sep, tau_j
 from polaritylab.graphs import complete_graph, disjoint_union, empty_graph, join
 from polaritylab.obstructions import _deletions_satisfy
 from polaritylab.polarity import UNIPOLAR, satisfies, sk_polar
+from test_classes import closure_members
 
 BOUNDS = (0, 1, 2, 3, None)
 SPECS = [sk_polar(s, k) for s in BOUNDS for k in BOUNDS]
@@ -56,14 +57,8 @@ def brute_profile(adj, cluster=False):
                  if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs))
 
 
-def closure_values(class_id, n_max, cluster=False):
-    seen = []
-    list(_closure(class_id, n_max, lambda g, value: seen.append((g, value)) or True, cluster))
-    return seen
-
-
 def check_closure_values(class_id, cluster):
-    for g, (profile, deletions) in closure_values(class_id, 8, cluster):
+    for g, (profile, deletions) in closure_members(class_id, 8, cluster=cluster):
         assert profile == brute_profile(g.adj, cluster), g
         assert deletions == tuple(sorted({brute_profile(g.delete_vertex(v).adj, cluster)
                                           for v in range(g.n)})), g
@@ -81,7 +76,7 @@ def test_unipolar_closure_values_match_the_brute_force(class_id):
 
 @pytest.mark.parametrize("class_id", CLASS_IDS)
 def test_unipolar_verdicts_match_the_solver(class_id):
-    for g, (profile, deletions) in closure_values(class_id, 8, cluster=True):
+    for g, (profile, deletions) in closure_members(class_id, 8, cluster=True):
         assert polarity._meets(profile, UNIPOLAR) == satisfies(g, UNIPOLAR), g
         assert all(polarity._meets(p, UNIPOLAR) for p in deletions) == _deletions_satisfy(
             g, UNIPOLAR), g
@@ -90,7 +85,7 @@ def test_unipolar_verdicts_match_the_solver(class_id):
 def test_profile_verdicts_match_the_solver():
     # P4-extendible holds the other three classes' members, built by the same
     # rules; the values were checked against the brute force above
-    for g, (profile, deletions) in closure_values("p4extendible", 8):
+    for g, (profile, deletions) in closure_members("p4extendible", 8):
         for spec in SPECS:
             assert polarity._meets(profile, spec) == satisfies(g, spec), (g, spec)
 
