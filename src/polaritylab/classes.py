@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Literal, Optional, Union
 
@@ -139,14 +139,19 @@ def find_spider(g: Graph) -> Optional[SpiderPartition]:
     return _find_spider_masked(g, full, _co_rows(g.adj, full))
 
 
+def _spider_base(j: int, thick: bool = False) -> tuple[Graph, int]:
+    """(headless spider, attach mask): the head sees the whole body 0..j-1."""
+    return gr.headless_spider(j, thick), (1 << j) - 1
+
+
 def sigma_j(head: Graph, j: int) -> Graph:
     """Thin spider with |S| = |K| = j over the given head graph."""
-    return _attach_head(gr.headless_spider(j), (1 << j) - 1, head)
+    return _attach_head(*_spider_base(j), head)
 
 
 def tau_j(head: Graph, j: int) -> Graph:
     """Thick spider with |S| = |K| = j over the given head graph."""
-    return _attach_head(gr.headless_spider(j, thick=True), (1 << j) - 1, head)
+    return _attach_head(*_spider_base(j, thick=True), head)
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +504,21 @@ def rebuild(tree: DecompTree) -> Graph:
 _EXPLICIT_BASES = {"p4extendible": ("c5", "p5", "house"), "62": ("p5", "house")}
 
 
-def _head_operations(class_id: ClassId, n_max: int) -> list[tuple[int, list]]:
-    """(base order, builders) pairs; ``build(head)`` has order base + head.n.
-    Built per call, so the builders use the current ``sigma_j``, ``tau_j`` and
-    ``sigma_sep`` bindings."""
+@lru_cache(maxsize=None)
+def _head_operations(class_id: ClassId, n_max: int) -> tuple:
+    """(base order, ((base, attach), ...)) per head operation, in the order
+    the closure applies them; a head h gives ``_attach_head(base, attach, h)``,
+    of order base + h.n: the sigma/tau spiders (j <= n_max/2), or the five
+    separable extension operations. Built on first use."""
     if class_id == "p4sparse":
-        return [
-            (2 * j, [partial(sigma_j, j=j)] + ([partial(tau_j, j=j)] if j >= 3 else []))
+        return tuple(
+            (2 * j, (_spider_base(j),) + ((_spider_base(j, thick=True),) if j >= 3 else ()))
             for j in range(2, n_max // 2 + 1)
-        ]
+        )
     if class_id in ("p4extendible", "62"):
-        return [(_ext_graphs()[k].n, [partial(sigma_sep, k)]) for k in SEPARABLE_KINDS]
-    return []
+        return tuple((_ext_graphs()[k].n, ((_ext_graphs()[k], _separable_mids(k)),))
+                     for k in SEPARABLE_KINDS)
+    return ()
 
 
 def _closure(
@@ -524,8 +532,8 @@ def _closure(
     reached, K0 is id 0, and every part of an id has a smaller id.
 
     Every class closes {K1} under disjoint union, join and its head operations
-    (``_head_operations``): the sigma/tau spider builders for P4-sparse, the
-    five separable extension operations for P4-extendible. The order-0 graph
+    (``_head_operations``): the sigma/tau spiders for P4-sparse, the five
+    separable extension operations for P4-extendible. The order-0 graph
     is a head at level 0, so the headless spiders and the separable extension
     graphs come out of the same loop; C5, P5 and the house are the other
     P4-extendible bases. The C5-free variant drops C5 (the operations cannot
@@ -536,20 +544,22 @@ def _closure(
     Both classes have a unique tree representation (Jamison and Olariu), so
     the operation that builds a graph, applied to the ids of its parts, names
     its isomorphism class. K1 and the explicit bases have fixed codes, a head
-    operation's code is (op index, builder index, head id), and a union's
+    operation's code is (op index, base index, head id), and a union's
     (join's) is its tag and the sorted ids of its components
     (co-components): a part that is itself a union (join) contributes its
     own parts. Codes are interned to ids per call, and each id records the
-    recipe of its first build: the builder and the ids of its parts.
+    recipe of its first build: the builder, its fixed arguments (a head
+    operation's base and attach mask) and the ids of its parts.
 
     Each id also carries a value, its polarity profile and the profiles of
     its one-vertex deletions (``polarity.Value``), folded from the values of
     its parts by the same operation: ``polarity._combine_value`` for a union
-    or join, with the side flags of its module, and the ``_module_rule`` of
-    its build over K1 for a head operation or a fixed base. The profile is
-    P, which answers the (s,k) specs, or with ``cluster`` the unipolar
-    profile Q, whose side A is a cluster too. No solver search runs, and the
-    loop builds no graph: only the rule probes do. ``member(i)`` builds id i
+    or join, with the side flags of its module, and
+    ``polarity._module_rule(base, attach)`` for a head operation; a fixed
+    base is its own rule with attach mask 0, applied to K0's value. The
+    profile is P, which answers the (s,k) specs, or with ``cluster`` the
+    unipolar profile Q, whose side A is a cluster too. No solver search
+    runs, and no graph is built. ``member(i)`` builds id i
     from its recipe when it is first read, on its parts' memoised graphs, so
     a member has the vertex labels of its first build, and reading the ids
     in id order builds them in the order the closure reached them.
@@ -574,13 +584,12 @@ def _closure(
     if class_id not in CLASS_IDS:
         raise BadParameter(f"unknown class id {class_id!r}")
     ops = _head_operations(class_id, n_max)
-    rules = [[polarity._module_rule(build(complete_graph(1)), cluster) for build in builders]
-             for _base, builders in ops]
+    rules = [[polarity._module_rule(*pair, cluster) for pair in pairs] for _order, pairs in ops]
     combine = (("U", disjoint_union, (cluster, True)), ("J", join, (not cluster, False)))
     ids: dict[tuple, int] = {}
     codes: list[tuple] = []
     values: list[polarity.Value] = []
-    recipes: list[Optional[tuple]] = []  # (builder, part ids) of each first build
+    recipes: list[Optional[tuple]] = []  # (builder, *fixed args, part ids) of each first build
     levels: defaultdict[int, list[int]] = defaultdict(list)
 
     def add(code: tuple, order: int, recipe: Optional[tuple], rule, *args) -> Optional[int]:
@@ -603,8 +612,8 @@ def _closure(
     def member(i: int) -> Graph:
         g = built.get(i)
         if g is None:
-            build, part_ids = recipes[i]
-            g = built[i] = build(*map(member, part_ids))
+            build, *args, part_ids = recipes[i]
+            g = built[i] = build(*args, *map(member, part_ids))
         return g
 
     built = {add(("K0",), 0, None, lambda: polarity.K0_VALUE): gr.empty_graph(0)}
@@ -612,14 +621,15 @@ def _closure(
     bases += [(("base", k), _ext_graphs()[k]) for k in _EXPLICIT_BASES.get(class_id, ())]
     for code, g in bases:
         if g.n <= n_max:
-            rule = polarity._module_rule(disjoint_union(g, complete_graph(1)), cluster)
+            rule = polarity._module_rule(g, 0, cluster)
             built[add(code, g.n, None, rule, polarity.K0_VALUE)] = g
 
     for m in range(2, n_max + 1):
-        for op, (base, builders) in enumerate(ops):
-            for h_id in levels.get(m - base, ()):
-                for b, build in enumerate(builders):
-                    add((op, b, h_id), m, (build, (h_id,)), rules[op][b], values[h_id])
+        for op, (order, pairs) in enumerate(ops):
+            for h_id in levels.get(m - order, ()):
+                for b, (base, attach) in enumerate(pairs):
+                    add((op, b, h_id), m, (_attach_head, base, attach, (h_id,)),
+                        rules[op][b], values[h_id])
         for a in range(1, m // 2 + 1):
             for x_id in levels[a]:
                 for y_id in levels[m - a]:

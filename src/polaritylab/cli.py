@@ -236,9 +236,7 @@ def _cmd_obstructions(args) -> int:
         spec = po.parse_spec(args.spec)
         n_max = _resolve_max_n(args, ob.OBSTRUCTION_CAP)
         with _open_sidecar(args.sidecar) as sidecar:
-            graphs = ob.enumerate_minimal_obstructions(
-                args.klass, spec, n_max, workers=args.workers
-            )
+            graphs = ob.enumerate_minimal_obstructions(args.klass, spec, n_max)
             if sidecar is None:
                 _emit_graphs(args, graphs, None if args.quiet else spec)
                 return 0
@@ -277,7 +275,7 @@ def _cmd_obstructions(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = ob.verify_claim(args.claim, _resolve_max_n(args), workers=args.workers)
+    report = ob.verify_claim(args.claim, _resolve_max_n(args))
     if args.format == "json":
         print(json.dumps(report.__dict__, sort_keys=True))
     else:

@@ -869,8 +869,8 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 # named catalog
 
-_PCK = re.compile(r"^([pck])(\d+(?:,\d+)*)$")
-_SPIDER = re.compile(r"^(thin|thick)(\d+)$")
+_PCK = re.compile(r"^([pck])([0-9]+(?:,[0-9]+)*)$")
+_SPIDER = re.compile(r"^(thin|thick)([0-9]+)$")
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from functools import cache, lru_cache, partial
 from typing import Iterable, Optional
 
 from . import graphs as gr
-from .classes import ClassId, _closure, _head_operations, is_cograph
+from .classes import ClassId, _attach_head, _closure, _head_operations, is_cograph
 from .classes import generate_class  # noqa: F401 -- perfbench/spans.py rebinds it here
 from .errors import BadParameter, CapExceeded, UnknownClaim, UnknownId
 from .graphs import (
@@ -110,10 +110,10 @@ def enumerate_minimal_obstructions(
     minimality screen from its deletions' profiles. The obstructions are
     read off the values after the fold, each id whose profile fails the spec
     and whose deletions' profiles all meet it, and only they are built
-    (``member``) and keyed. ``workers`` is accepted for callers that pass it
-    and changes no work. Profiles and values are few and recur, so the
-    verdict, the capped profile and ``keep`` are each computed once per
-    call."""
+    (``member``) and keyed. ``workers`` is kept for callers that pass it
+    and is not read: there is no pool to size. Profiles and values are few
+    and recur, so the verdict, the capped profile and ``keep`` are each
+    computed once per call."""
     if n_max > OBSTRUCTION_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds obstruction cap {OBSTRUCTION_CAP}")
     meets = cache(partial(_meets, spec=spec))
@@ -295,7 +295,7 @@ class ClaimReport:
     details: dict
 
 
-def verify_claim(claim_id: str, n_max: int, workers: int = 1) -> ClaimReport:
+def verify_claim(claim_id: str, n_max: int) -> ClaimReport:
     """Run one decidable theorem instance at scale n_max.
 
     Claims: sparse_cog (P4-sparse (s,1) obstructions are cographs, s in
@@ -304,7 +304,7 @@ def verify_claim(claim_id: str, n_max: int, workers: int = 1) -> ClaimReport:
     P3 plus a monopolar obstruction that is not a polar one); spider_not_obs
     (spiders with nonempty head obstruct no (1,k), and class-restricted
     (k,1) obstructions are never connected with connected complement except
-    C5). ``workers`` is accepted for callers and changes no work.
+    C5).
     """
     try:
         run = _CLAIMS[claim_id.strip().lower()]
@@ -371,11 +371,8 @@ def _claim_spider_not_obs(n_max: int) -> ClaimReport:
     specs = [sk_polar(1, k) for k in (1, 2, 3)]
     ops = _head_operations("p4sparse", n_max) + _head_operations("p4extendible", n_max)
     for head in enumerate_graphs(max(n_max - 4, 0)):
-        spiders = [
-            build(head) for base, builders in ops if base + head.n <= n_max
-            for build in builders
-        ]
-        for g in spiders:
+        for g in [_attach_head(base, attach, head) for order, pairs in ops
+                  if order + head.n <= n_max for base, attach in pairs]:
             for spec in specs:
                 checked += 1
                 if is_minimal_obstruction(g, spec).is_minimal:

@@ -22,8 +22,9 @@ minimality (see "polarity profiles" below).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .errors import BadParameter, CapExceeded
@@ -70,20 +71,20 @@ _NAMED_SPECS = {
 }
 
 
+_SK_SPEC = re.compile(r"sk:([0-9]+|inf),([0-9]+|inf)")
+
+
 def parse_spec(text: str) -> PolarSpec:
-    """Parse "sk:S,K" (S, K numeric or "inf"), or a named spec kind."""
+    """Parse "sk:S,K" (S, K in ASCII digits or "inf"), or a named spec kind."""
     key = text.strip().lower()
     if key in _NAMED_SPECS:
         return _NAMED_SPECS[key]
-    if key.startswith("sk:"):
-        parts = key[3:].split(",")
-        if len(parts) == 2:
-            try:
-                s = None if parts[0] == "inf" else int(parts[0])
-                k = None if parts[1] == "inf" else int(parts[1])
-            except ValueError:
-                raise BadParameter(f"bad spec {text!r}") from None
-            return sk_polar(s, k)
+    m = _SK_SPEC.fullmatch(key)
+    if m:
+        try:
+            return sk_polar(*(None if x == "inf" else int(x) for x in m.groups()))
+        except ValueError:  # more digits than int() converts
+            pass
     raise BadParameter(f"bad spec {text!r}")
 
 
@@ -366,27 +367,26 @@ def _with_module(parts: int, fit: int, h: int) -> Optional[int]:
     return parts if fit == 1 and h == 1 else None
 
 
-@lru_cache(maxsize=None)
-def _module_table(probe: Graph, cluster: bool = False) -> tuple:
+def _module_table(base: Graph, attach: int, cluster: bool, mask: int) -> tuple:
     """The distinct (A parts, A fit, B cliques, B fit) of ``_module_side``
-    over every split of the base of a head operation (see ``_module_rule``
-    for ``probe``): a brute force over its 2^n splits, built once. A cluster
-    side is read on the complement rows, where the module sees the base
-    outside the attach mask and cliques are parts; B always is, and A is
-    when ``cluster``."""
-    head = probe.n - 1
-    rows = probe.delete_vertex(head).adj
-    attach = probe.adj[head]
-    full = (1 << head) - 1
-    co = _co_rows(rows, full)
-    a_rows, a_attach = (co, full ^ attach) if cluster else (rows, attach)
-    table = set()
-    for amask in range(full + 1):
+    over every split of ``mask``, of the base of a head operation that
+    attaches a module at ``attach``: a brute force over the 2^|mask| splits,
+    so a one-vertex deletion is the base restricted to the other vertices. A
+    cluster side is read on the complement rows, where the module sees the
+    base outside the attach mask and cliques are parts; B always is, and A
+    is when ``cluster``."""
+    full = (1 << base.n) - 1
+    co = _co_rows(base.adj, full)
+    a_rows, a_attach = (co, full ^ attach) if cluster else (base.adj, attach)
+    table, amask = set(), mask
+    while True:  # every submask of mask, mask first
         a_side = _module_side(a_rows, amask, a_attach)
-        b_side = _module_side(co, full ^ amask, full ^ attach)
+        b_side = _module_side(co, mask ^ amask, full ^ attach)
         if a_side is not None and b_side is not None:
             table.add(a_side + b_side)
-    return tuple(sorted(table))
+        if not amask:
+            return tuple(sorted(table))
+        amask = (amask - 1) & mask
 
 
 def _sum_table(profile: Profile, a_adds: bool, b_adds: bool) -> tuple:
@@ -434,22 +434,17 @@ def _combine_value(x: Value, y: Value, a_adds: bool, b_adds: bool) -> Value:
 
 
 @lru_cache(maxsize=None)
-def _module_rule(probe: Graph, cluster: bool = False) -> Callable[[Value], Value]:
-    """Value rule of a head operation, as a function of the head's value.
+def _module_rule(base: Graph, attach: int, cluster: bool = False) -> Callable[[Value], Value]:
+    """Value rule of the head operation that attaches a module to ``base`` at
+    the vertex mask ``attach``, as a function of the head's value.
 
-    ``probe`` is the operation's build over K1: the base, then one head
-    vertex that sees exactly the base vertices the head is attached to. A
-    split of the member is a split of the base plus one of the head, and
+    A split of the member is a split of the base plus one of the head, and
     the head is a module, so only the part and clique counts of its sides
     matter (``_module_table``). A deletion removes a head vertex (the head's
-    deletion profiles) or a base vertex, whose table is that of the probe
-    without it. A fixed base (K1, C5, P5, the house) is the rule of the
-    base plus an isolated vertex, applied to the K0 head."""
-    table = _module_table(probe, cluster)
-    cut = [_module_table(probe.delete_vertex(u), cluster) for u in range(probe.n - 1)]
-
-    @lru_cache(maxsize=None)
-    def rule(head: Value) -> Value:
-        return _attached_value(table, cut, head)
-
-    return rule
+    deletion profiles) or a base vertex, whose table is that of the base
+    restricted to the other vertices. A fixed base (K1, C5, P5, the house)
+    is its own rule with attach mask 0, applied to the K0 head."""
+    full = (1 << base.n) - 1
+    table = _module_table(base, attach, cluster, full)
+    cut = [_module_table(base, attach, cluster, full ^ (1 << u)) for u in range(base.n)]
+    return lru_cache(maxsize=None)(partial(_attached_value, table, cut))

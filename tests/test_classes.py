@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from polaritylab import classes
+from polaritylab import classes, graphs as gr
 from polaritylab.classes import (
     CLASS_IDS,
     SEPARABLE_KINDS,
@@ -622,29 +622,53 @@ def test_generate_class_output_is_pinned(class_id):
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_TO_8_SHA256[class_id]
 
 
-def test_generate_class_builds_through_the_current_head_operations(monkeypatch):
-    # the order-0 head yields the headless spiders and the separable extension
-    # graphs, and the builders are looked up per call (a rebinding is seen)
+def test_head_operations_are_the_pairs_the_builders_attach():
+    # each head operation is a (base, attach) pair, in the order the closure
+    # applies them: per leg count the thin spider, then the thick one (j >= 3),
+    # whose heads see the body 0..j-1; the separable extension operations'
+    # heads see the midpoints of the catalog copies
+    spiders = classes._head_operations("p4sparse", 9)
+    assert spiders == (
+        (4, ((headless_spider(2), 0b11),)),
+        (6, ((headless_spider(3), 0b111), (headless_spider(3, thick=True), 0b111))),
+        (8, ((headless_spider(4), 0b1111), (headless_spider(4, thick=True), 0b1111))),
+    )
+    extensions = classes._head_operations("p4extendible", 9)
+    assert extensions == classes._head_operations("62", 9) == tuple(
+        (catalog(kind).n, ((catalog(kind), mids),))
+        for kind, mids in zip(SEPARABLE_KINDS, (0b110, 0b10110, 0b1001, 0b110, 0b10110)))
+    assert classes._head_operations("cograph", 9) == ()
+    # the public builders attach the same pairs
+    heads = [empty_graph(0)] + list(enumerate_graphs(4))
+    spiders = classes._head_operations("p4sparse", 14)
+    assert [order for order, _pairs in spiders] == [4, 6, 8, 10, 12, 14]
+    for j, (_order, pairs) in enumerate(spiders, start=2):
+        for h in heads:
+            assert [classes._attach_head(*pair, h) for pair in pairs] == (
+                [sigma_j(h, j)] + ([tau_j(h, j)] if j >= 3 else [])), (j, h)
+    for kind, (_order, (pair,)) in zip(SEPARABLE_KINDS, extensions):
+        for h in heads:
+            assert classes._attach_head(*pair, h) == sigma_sep(kind, h), (kind, h)
+
+
+def test_closure_that_reads_no_member_attaches_no_head(monkeypatch):
+    # the rules come from the (base, attach) pairs, so the closure builds no
+    # probe graph: a graph is built only when a member is read
+    def closures():
+        for class_id in CLASS_IDS:
+            for cluster in (False, True):
+                classes._closure(class_id, 9, cluster=cluster)
+
+    closures()  # the catalog graphs and head operations are built on first use
     calls = []
-
-    def recording(real):
-        def build(*args, **kwargs):
-            calls.append((real.__name__, args, kwargs))
-            return real(*args, **kwargs)
-        return build
-
-    for name in ("sigma_j", "tau_j", "sigma_sep"):
-        monkeypatch.setattr(classes, name, recording(getattr(classes, name)))
-    list(generate_class("p4sparse", 6))
-    headless = [(name, kw["j"]) for name, (head,), kw in calls if head.n == 0]
-    assert headless == [("sigma_j", 2), ("sigma_j", 3), ("tau_j", 3)]
-    calls.clear()
-    list(generate_class("p4extendible", 5))
-    headless = [kind for _name, (kind, head), _kw in calls if head.n == 0]
-    assert headless == list(SEPARABLE_KINDS)
-    calls.clear()
-    list(generate_class("cograph", 5))
+    for module in (classes, gr):
+        monkeypatch.setattr(module, "_attach_head", lambda *args, _real=module._attach_head: (
+            calls.append(args) or _real(*args)))
+    closures()
     assert calls == []
+    values, member = classes._closure("p4sparse", 6)
+    member(len(values) - 1)
+    assert calls  # the patches do see builds
 
 
 def closure_members(class_id, n_max, keep=None, cluster=False):
@@ -672,10 +696,10 @@ def _keyed_closure(class_id, n_max):
     for kind in classes._EXPLICIT_BASES.get(class_id, ()):
         yield from add(classes._ext_graphs()[kind])
     for m in range(2, n_max + 1):
-        for base, builders in ops:
-            for h in levels.get(m - base, {}).values():
-                for build in builders:
-                    yield from add(build(h))
+        for order, pairs in ops:
+            for h in levels.get(m - order, {}).values():
+                for base, attach in pairs:
+                    yield from add(classes._attach_head(base, attach, h))
         for a in range(1, m // 2 + 1):
             for x in levels[a].values():
                 for y in levels[m - a].values():

@@ -655,6 +655,10 @@ def test_catalog_names():
         catalog("blob")
     with pytest.raises(CapExceeded):
         catalog("k40")
+    # sizes are ASCII digits only
+    for name in ("p\u0663", "c\u0665", "k2,\u0663", "thin\u0663", "thick\uff13"):
+        with pytest.raises(UnknownName):
+            catalog(name)
 
 
 def test_e_graph_fixed_forms():

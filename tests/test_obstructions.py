@@ -225,7 +225,7 @@ def test_enumeration_builds_on_members_with_the_property_and_finds_no_witness(mo
         return values, member
 
     built = []
-    for name in ("disjoint_union", "join", "sigma_j", "tau_j", "sigma_sep"):
+    for name in ("disjoint_union", "join", "_attach_head"):
         build = getattr(classes, name)
         monkeypatch.setattr(classes, name, lambda *args, _build=build, **kwargs: (
             built.append(args) or _build(*args, **kwargs)))
@@ -239,10 +239,10 @@ def test_enumeration_builds_on_members_with_the_property_and_finds_no_witness(mo
     # the full closure has 994 members; building only on members with (2,1)
     # polarity leaves 859, and only on the critical ones among them 220
     assert folded == [220]
-    # graphs are built only for the 9 obstructions and their parts (20
-    # builds), plus the 6 rule probes (5 head builders, K1's union with K1);
-    # building every member folded would take 225
-    assert len(built) == 26
+    # graphs are built only for the 9 obstructions and their parts, and the
+    # rules come from the head operations' (base, attach) pairs, so no probe
+    # graph is built; building every member folded would take 225
+    assert len(built) == 20
 
 
 def test_enumeration_below_order_one_is_empty():

@@ -368,7 +368,12 @@ def test_parse_spec():
     assert parse_spec("split") == SPLIT
     assert parse_spec("monopolar").label() == "sk:1,inf"
     assert UNIPOLAR.label() == "unipolar"
-    for bad in ("sk:", "sk:1", "sk:a,b", "polarish"):
+    assert parse_spec(" SK:INF,0 ") == sk_polar(None, 0)
+    # S and K are ASCII digits or "inf", with nothing around them: no sign,
+    # space, underscore or other digit, and no number int() cannot read
+    for bad in ("sk:", "sk:1", "sk:a,b", "polarish", "sk:2_0,1", "sk:+2,1", "sk: 2,1",
+                "sk:2, 1", "sk:\u0661,1", "sk:1,\uff12", "sk: inf,1", "sk:-1,2",
+                "sk:1,2,3", "sk:" + "9" * 5000 + ",1"):
         with pytest.raises(BadParameter):
             parse_spec(bad)
     with pytest.raises(BadParameter):

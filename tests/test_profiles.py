@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polaritylab import classes, polarity
-from polaritylab.classes import CLASS_IDS, _ext_graphs, sigma_j, sigma_sep, tau_j
-from polaritylab.graphs import complete_graph, disjoint_union, empty_graph, join
-from polaritylab.obstructions import _deletions_satisfy
+from polaritylab.classes import CLASS_IDS, _ext_graphs
+from polaritylab.graphs import _attach_head, _co_rows, complete_graph, disjoint_union, join
+from polaritylab.obstructions import OBSTRUCTION_CAP, _deletions_satisfy
 from polaritylab.polarity import UNIPOLAR, satisfies, sk_polar
 from test_classes import closure_members
 
@@ -110,27 +110,25 @@ def built_members(draw, max_n=11, cut=lambda value: value):
     values, P's and Q's, folded by the same rules as the closure's; ``cut``
     is applied to every value the rules return."""
     bases = [complete_graph(1), *(_ext_graphs()[k] for k in ("c5", "p5", "house"))]
-    heads = [(lambda h, j=j: sigma_j(h, j)) for j in (2, 3)]
-    heads += [(lambda h: tau_j(h, 3))]
-    heads += [(lambda h, k=k: sigma_sep(k, h)) for k in classes.SEPARABLE_KINDS]
+    # sigma_2, sigma_3, tau_3 and the five separable extension operations
+    heads = [pair for op_class, n in (("p4sparse", 7), ("p4extendible", 5))
+             for _order, pairs in classes._head_operations(op_class, n) for pair in pairs]
 
     def member(budget):
         op = draw(st.sampled_from(["base", "union", "join", "head"] if budget > 1 else ["base"]))
         if op == "base":
             g = draw(st.sampled_from([b for b in bases if b.n <= budget]))
-            probe = disjoint_union(g, complete_graph(1))
-            return g, [cut(polarity._module_rule(probe, c)(polarity.K0_VALUE)) for c in SIDES]
+            return g, [cut(polarity._module_rule(g, 0, c)(polarity.K0_VALUE)) for c in SIDES]
         if op == "head":
-            build = draw(st.sampled_from(heads))
-            base_n = build(complete_graph(0)).n
-            if base_n > budget:
+            base, attach = draw(st.sampled_from(heads))
+            if base.n > budget:
                 return member(budget)
-            if base_n == budget or not draw(st.booleans()):
+            if base.n == budget or not draw(st.booleans()):
                 h, hv = complete_graph(0), [polarity.K0_VALUE] * len(SIDES)
             else:
-                h, hv = member(budget - base_n)
-            probe = build(complete_graph(1))
-            return build(h), [cut(polarity._module_rule(probe, c)(v)) for c, v in zip(SIDES, hv)]
+                h, hv = member(budget - base.n)
+            return _attach_head(base, attach, h), [
+                cut(polarity._module_rule(base, attach, c)(v)) for c, v in zip(SIDES, hv)]
         x, xv = member(budget - 1)
         y, yv = member(budget - x.n)
         build, rule = (disjoint_union, union_value) if op == "union" else (join, join_value)
@@ -189,6 +187,67 @@ def test_critical_read_from_the_value_is_critical(member, caps):
         assert polarity._critical(value, lambda p: polarity._capped(p, caps)) == want, cluster
 
 
+@lru_cache(maxsize=None)
+def probe_table(probe, cluster):
+    """``polarity._module_table`` read off a probe, as the fold once did: the
+    base, then one head vertex that sees exactly the attach mask."""
+    head = probe.n - 1
+    rows = probe.delete_vertex(head).adj
+    attach = probe.adj[head]
+    full = (1 << head) - 1
+    co = _co_rows(rows, full)
+    a_rows, a_attach = (co, full ^ attach) if cluster else (rows, attach)
+    table = set()
+    for amask in range(full + 1):
+        a_side = polarity._module_side(a_rows, amask, a_attach)
+        b_side = polarity._module_side(co, full ^ amask, full ^ attach)
+        if a_side is not None and b_side is not None:
+            table.add(a_side + b_side)
+    return tuple(sorted(table))
+
+
+def probe_rule(probe, cluster):
+    """``polarity._module_rule`` read off a probe: a base vertex's deletion
+    is the probe without it."""
+    table = probe_table(probe, cluster)
+    cut = [probe_table(probe.delete_vertex(u), cluster) for u in range(probe.n - 1)]
+    return lambda head: polarity._attached_value(table, cut, head)
+
+
+def check_pair_rule(base, attach, cluster, heads):
+    """The tables and the rule of a (base, attach) pair equal those read off
+    its probe, the base with a K1 head, on every head value in ``heads``."""
+    probe = _attach_head(base, attach, complete_graph(1))
+    full = (1 << base.n) - 1
+    masks = [full] + [full ^ (1 << u) for u in range(base.n)]
+    want = [probe] + [probe.delete_vertex(u) for u in range(base.n)]
+    assert [polarity._module_table(base, attach, cluster, m) for m in masks] == [
+        probe_table(g, cluster) for g in want]
+    rule, want_rule = polarity._module_rule(base, attach, cluster), probe_rule(probe, cluster)
+    assert [rule(v) for v in heads] == [want_rule(v) for v in heads]
+
+
+@pytest.mark.parametrize("class_id", ["p4sparse", "p4extendible", "62"])
+def test_pair_rules_equal_the_probe_rules(class_id):
+    # every head operation up to the obstruction cap (spiders to j = 7),
+    # on the values of the class's members to order 6, P's and Q's
+    ops = classes._head_operations(class_id, OBSTRUCTION_CAP)
+    pairs = [pair for _order, pairs in ops for pair in pairs]
+    assert len(pairs) == (11 if class_id == "p4sparse" else 5)
+    for cluster in SIDES:
+        heads = [polarity.K0_VALUE] + [v for _g, v in closure_members(class_id, 6, cluster=cluster)]
+        for base, attach in pairs:
+            check_pair_rule(base, attach, cluster, heads)
+
+
+def test_fixed_base_rules_equal_the_probe_rules():
+    # K1, C5, P5 and the house are their own rules with attach mask 0,
+    # applied to K0's value
+    for g in [complete_graph(1), *(_ext_graphs()[k] for k in ("c5", "p5", "house"))]:
+        for cluster in SIDES:
+            check_pair_rule(g, 0, cluster, [polarity.K0_VALUE])
+
+
 def test_caps():
     assert polarity._caps(sk_polar(3, 2), 10) == (4, 3)
     assert polarity._caps(sk_polar(0, 1), 10) == (2, 2)
@@ -202,7 +261,7 @@ def test_caps():
 
 def test_small_profiles():
     k0 = polarity.K0_VALUE
-    k1 = polarity._module_rule(empty_graph(2))(k0)
+    k1 = polarity._module_rule(complete_graph(1), 0)(k0)
     assert k1 == (((0, 1), (1, 0)), (((0, 0),),))
     assert union_value(k0, k1) == k1
     # 2K1 is one part or two cliques, K2 two parts or one clique
@@ -213,7 +272,7 @@ def test_small_profiles():
 
 def test_small_unipolar_profiles():
     k0 = polarity.K0_VALUE
-    k1 = polarity._module_rule(empty_graph(2), True)(k0)
+    k1 = polarity._module_rule(complete_graph(1), 0, True)(k0)
     assert k1 == (((0, 1), (1, 0)), (((0, 0),),))
     # 2K1 is two cliques on either side, or one on each; K2 one clique
     assert union_value(k1, k1, True)[0] == ((0, 2), (1, 1), (2, 0))
