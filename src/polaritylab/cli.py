@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import nullcontext
 from typing import Iterable, Iterator
@@ -33,16 +34,25 @@ def _resolve_max_n(args, cap: int = gr.ENUM_CAP) -> int:
     if value is None:
         env = os.environ.get("POLARITYLAB_MAX_N")
         try:
-            value = int(env) if env else DEFAULT_MAX_N
-        except ValueError:
+            value = _int(env) if env else DEFAULT_MAX_N
+        except (argparse.ArgumentTypeError, ValueError):
             raise BadParameter(f"POLARITYLAB_MAX_N={env!r} is not an integer") from None
     if not 1 <= value <= cap:
         raise CapExceeded(f"max-n {value} outside 1..{cap}")
     return value
 
 
+def _int(text: str) -> int:
+    """An integer in ASCII digits with an optional minus sign, the digits
+    ``parse_spec`` reads; ``int()`` alone also takes spaces, underscores, a
+    plus sign and other scripts' digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
     return value
@@ -305,7 +315,7 @@ def _cmd_gen(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--max-n", type=int, default=None, dest="max_n")
+    common.add_argument("--max-n", type=_int, default=None, dest="max_n")
     common.add_argument("--workers", type=_positive_int, default=1)
     common.add_argument("--quiet", action="store_true")
 
@@ -336,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("enumerate", "construct", "catalog", "check"))
     p.add_argument("--class", dest="klass", choices=("p4sparse", "p4extendible"))
     p.add_argument("--spec")
-    p.add_argument("--s", type=int, default=None)
+    p.add_argument("--s", type=_int, default=None)
     p.add_argument("--id")
     p.add_argument("--sidecar", help="also write a JSON sidecar file")
     p.set_defaults(func=_cmd_obstructions)

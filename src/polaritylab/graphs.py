@@ -361,25 +361,55 @@ def _co_rows(adj, mask: int) -> list[int]:
 # up one bit and adds v's adjacency as each block's last bit, in O(1); a tail
 # column has fewer than m bits, so no block spills into the next.
 #
-# Perm. A level is built from its states in order and their holders in
-# ascending order, so of two states with one key the first has the
-# lexicographically least tail, and keeping it keeps the least perm: their
-# cells are equal and come first. The returned perm is the least over the
-# final states, each cell sorted ascending. That is the least perm of any
-# minimal labeling, the one enumerate_graphs reads, and the first one a
-# search placing every vertex one at a time would find.
-#
 # Twins (true or false, in the whole graph) are placed in index order only:
 # swapping two unplaced twins is an automorphism that fixes the placed
 # prefix, so the subtree of the higher twin repeats the lower twin's bits,
-# and the least perm keeps twins in index order. Twin-free symmetric graphs
-# (large spiders, unions of C5) stay exponential, so the search stops with
-# CapExceeded once its steps pass LABEL_CAP: each set or state it builds is a
-# step, and so is each cell it reads, since a state's read costs about as
-# much per cell as building a child.
+# and the least perm keeps twins in index order.
+#
+# Automorphisms. Twin-free symmetric graphs (spiders, unions of C5) tie in
+# every state: thin7 reached 5,040 final states, all images of one another.
+# So once a level holds more than PRUNE_STATES states with at least
+# PRUNE_LEFT vertices left to place (no labeling of order 8 or less holds
+# more than 30; below PRUNE_LEFT a state's subtree is too small to repay the
+# pairing), each state whose holders would start at least PRUNE_FRESH new
+# states (a holder whose child merges by key costs nothing) prunes them. It
+# pairs its lowest such holder u with each other one v not yet in u's orbit:
+# both sides individualize their vertex on the state's ordered partition
+# (the tail as singletons, the cells, the unplaced vertices), refine to
+# equitable partitions, and individualize the first vertex of their first
+# cell of two or more until both are discrete. The map read off is kept only
+# if it sends every row onto a row, so a failed pairing prunes nothing. A
+# kept map that fixes the state's tail pointwise and S setwise maps the state
+# onto itself (the cells are S grouped by adjacency to the tail), so its
+# holders' children have one future up to that map, and a holder that the
+# kept maps send to a lower holder is dropped: the bits stay the same.
+#
+# Perm. A level is built from its states in order and their holders in
+# ascending order, so of two states with one key the first has the
+# lexicographically least tail, and keeping it keeps the least perm: their
+# cells are equal and come first. Without pruning, the returned perm is the
+# least over the final states, each cell sorted ascending. That is the least
+# perm of any minimal labeling, the one enumerate_graphs reads, and the first
+# one a search placing every vertex one at a time would find. A search that
+# dropped a holder recovers it instead. Every minimal labeling below a state
+# of the level where pruning engaged is an automorphic image of an explored
+# final state's, through the maps that dropped holders, the twin swaps, the
+# tail maps of states merged by key from that level on (equal keys make the
+# map that sends one tail onto the other and fixes every other vertex an
+# automorphism) and the maps between final states (equal bits); and the least
+# perm lies below such a state, by the argument above. The orbit of one final
+# state's perm under the group these maps generate thus holds the least perm
+# and only minimal labelings, and the least perm is its least image, read off
+# a stabilizer chain whose base is that perm (Schreier-Sims).
+#
+# The search stops with CapExceeded once its steps pass LABEL_CAP: each set
+# or state it builds is a step, and so is each cell it reads, since a
+# state's read costs about as much per cell as building a child, each kept
+# map it checks and each cell that pairing and refinement read.
 
 
 LABEL_CAP = 2_000_000  # search steps per canonical search
+PRUNE_STATES, PRUNE_LEFT, PRUNE_FRESH = 32, 4, 3  # when pruning engages (above)
 
 
 def _twin_before(adj) -> list[int]:
@@ -458,6 +488,226 @@ def _split(cells: tuple[int, ...], splits: tuple[int, ...], row: int) -> tuple[i
     return cells
 
 
+def _refine(adj, cells: list[int], queue: list[int]) -> int:
+    """Refine the ordered partition ``cells`` (masks, changed in place) until
+    it is equitable, splitting by the masks in ``queue`` and by every cell a
+    split makes; returns the cells read.
+
+    A cell splits by its vertices' neighbour counts in the splitter, lowest
+    count first, in place. Every choice reads counts and positions only, so
+    two partitions that an automorphism maps onto each other cell by cell
+    refine to two that it still maps so.
+    """
+    steps = 0
+    while queue:
+        w = queue.pop()
+        j = 0
+        while j < len(cells):
+            c = cells[j]
+            steps += 1
+            if c & (c - 1):
+                parts = {}
+                todo = c
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    t = (adj[low.bit_length() - 1] & w).bit_count()
+                    parts[t] = parts.get(t, 0) | low
+                if len(parts) > 1:
+                    parts = [parts[t] for t in sorted(parts)]
+                    cells[j:j + 1] = parts
+                    queue.extend(parts)
+                    j += len(parts)
+                    continue
+            j += 1
+    return steps
+
+
+def _individualize(adj, cells: list[int], x: int) -> int:
+    """Split ``x`` off in front of its cell of the equitable ``cells`` and
+    refine; returns the cells read."""
+    low = 1 << x
+    i = next(j for j, c in enumerate(cells) if c & low)
+    if cells[i] != low:
+        cells[i:i + 1] = [low, cells[i] ^ low]
+    return _refine(adj, cells, [low])
+
+
+def _pair(adj, cells: list[int], u: int, v: int) -> tuple[tuple[int, ...] | None, int]:
+    """An automorphism that maps ``u`` to ``v`` and each cell of the
+    equitable partition ``cells`` onto itself, or None; and the cells read.
+
+    Both sides individualize their vertex, then the first vertex of their
+    first cell of two or more, refining after each, until both partitions
+    are discrete; the map reads one off the other, cell by cell. It is kept
+    only if it sends every row onto a row, so a None proves nothing, except
+    when ``u`` and ``v`` lie in two cells: then no such map exists.
+    """
+    if not any(c >> u & 1 and c >> v & 1 for c in cells):
+        return None, len(cells)
+    a, b = list(cells), list(cells)
+    steps = _individualize(adj, a, u) + _individualize(adj, b, v)
+    while True:
+        if len(a) != len(b) or any(x.bit_count() != y.bit_count() for x, y in zip(a, b)):
+            return None, steps
+        i = next((j for j, c in enumerate(a) if c & (c - 1)), None)
+        if i is None:
+            break
+        x, y = a[i] & -a[i], b[i] & -b[i]
+        steps += _individualize(adj, a, x.bit_length() - 1)
+        steps += _individualize(adj, b, y.bit_length() - 1)
+    g = [0] * len(adj)
+    for x, y in zip(a, b):
+        g[x.bit_length() - 1] = y.bit_length() - 1
+    for w, row in enumerate(adj):
+        image = 0
+        while row:
+            low = row & -row
+            row ^= low
+            image |= 1 << g[low.bit_length() - 1]
+        if image != adj[g[w]]:
+            return None, steps
+    return tuple(g), steps
+
+
+def _orbit_holders(adj, placed, chain, cells, hold, fresh, gens, onto) -> tuple[int, int]:
+    """The holders ``fresh`` (a subset of the state's holders ``hold``)
+    that automorphism pruning keeps, and the steps it took.
+
+    ``gens`` lists the kept automorphisms as (moved mask, map); it grows by
+    the ones paired here. ``onto`` maps each independent set S to how many
+    of them it has checked and the ones that map S onto itself. Those that
+    also fix the state's tail pointwise map the state onto itself: the
+    cells are S grouped by adjacency to the tail, so each cell goes onto
+    itself. Two holders in one orbit of the group they generate therefore
+    have children with one future, and a holder that one of them maps to a
+    lower holder is dropped. The lowest fresh holder is paired with each
+    other fresh holder not yet in its orbit.
+    """
+    s = 0
+    for c in cells:
+        s |= c
+    fixed = placed & ~s  # the tail
+    mine = onto.setdefault(s, [0, []])
+    for moved, g in gens[mine[0]:]:
+        if all(s >> g[x] & 1 for x in _bits_to_tuple(moved & s)):
+            mine[1].append((moved, g))
+    steps = len(gens) - mine[0] + len(mine[1])
+    mine[0] = len(gens)
+    orbit = [1 << v for v in range(len(adj))]
+
+    def unite(moved, g):
+        for v in _bits_to_tuple(hold & moved):
+            w = g[v]
+            if not orbit[v] >> w & 1:
+                joined = orbit[v] | orbit[w]
+                for x in _bits_to_tuple(joined):
+                    orbit[x] = joined
+
+    for moved, g in mine[1]:
+        if not moved & fixed:
+            unite(moved, g)
+    u = (fresh & -fresh).bit_length() - 1
+    base = None
+    for v in _bits_to_tuple(fresh)[1:]:
+        if orbit[u] >> v & 1:
+            continue
+        if base is None:
+            base = [1 << t for t in _tail(chain)] + list(cells) + [(1 << len(adj)) - 1 & ~placed]
+            steps += _refine(adj, base, list(base))
+        g, work = _pair(adj, base, u, v)
+        steps += work
+        if g is not None:
+            moved = _mask_of(w for w, x in enumerate(g) if w != x)
+            gens.append((moved, g))
+            mine[1].append((moved, g))
+            mine[0] += 1
+            unite(moved, g)
+    keep = 0
+    for v in _bits_to_tuple(fresh):
+        if (orbit[v] & -orbit[v]).bit_length() - 1 == v:
+            keep |= 1 << v
+    return keep, steps
+
+
+def _least_image(perm: tuple[int, ...], gens) -> tuple[int, ...]:
+    """The lexicographically least image of ``perm`` (every vertex once)
+    under the group that the maps ``gens`` generate.
+
+    Schreier–Sims builds a stabilizer chain whose base is ``perm``: level i
+    holds the orbit of ``perm[i]`` under the maps that fix ``perm[:i]``,
+    each point with a map that sends ``perm[i]`` there. The least image
+    then takes at each level the point whose image is least under the map
+    chosen so far, and composes its map in.
+    """
+    k = len(perm)
+    ident = tuple(range(k))
+
+    def compose(a, b):  # b, then a
+        return tuple(map(a.__getitem__, b))
+
+    def inverse(a):
+        inv = [0] * k
+        for x, y in enumerate(a):
+            inv[y] = x
+        return tuple(inv)
+
+    strong = [[] for _ in range(k)]  # level i: maps whose first moved base point is perm[i]
+    trans = [{b: (ident, ident)} for b in perm]  # level i, point: (map, its inverse)
+    sifted = [set() for _ in range(k)]  # level i: (point, id of map) pairs whose Schreier map sifted
+
+    def strip(g, i):
+        """g divided by the transversals from level i on, and the level
+        where it left the chain (k once it is the identity)."""
+        for j in range(i, k):
+            x = g[perm[j]]
+            if x != perm[j]:
+                if x not in trans[j]:
+                    return g, j
+                g = compose(trans[j][x][1], g)
+        return g, k
+
+    def close(i):  # the orbit of perm[i] under the maps of level i and above
+        level = trans[i]
+        maps = [s for j in range(i, k) for s in strong[j]]
+        todo = list(level)
+        while todo:
+            y = todo.pop()
+            for s in maps:
+                z = s[y]
+                if z not in level:
+                    u = compose(s, level[y][0])
+                    level[z] = (u, inverse(u))
+                    todo.append(z)
+
+    def schreier(top):
+        """The first Schreier map at or below level ``top`` that does not
+        sift, stripped, or the identity at level k."""
+        for i in range(top, -1, -1):
+            maps = [s for j in range(i, k) for s in strong[j]]
+            for y, (u, _) in list(trans[i].items()):
+                for s in maps:
+                    if (y, id(s)) not in sifted[i]:
+                        sifted[i].add((y, id(s)))
+                        h, j = strip(compose(trans[i][s[y]][1], compose(s, u)), i + 1)
+                        if j < k:
+                            return h, j
+        return ident, k
+
+    for g in gens:
+        g, j = strip(g, 0)
+        while j < k:
+            strong[j].append(g)
+            for i in range(j, -1, -1):
+                close(i)
+            g, j = schreier(j)
+    c = ident
+    for i in range(k):
+        y = min(trans[i], key=lambda z: c[z])
+        c = compose(c, trans[i][y][0])
+    return tuple(c[b] for b in perm)
+
+
 def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
     """Return (bits, perm) for the minimal labeling; ``perm`` holds vertex
     ids in placement order, the least one of any minimal labeling.
@@ -471,6 +721,14 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
     empties the level; a state that ties builds one child per holder. The
     holders share their count of neighbours in every cell, so the cells
     that split are the ones where that count is neither 0 nor the size.
+
+    Once pruning engages (see above), a tied state first drops the holders
+    that ``_orbit_holders`` finds in the orbit of a lower one, and each
+    child merged by key is noted with the state it merged into. A search
+    that dropped a holder returns ``_least_image`` of the first final
+    state's perm under the kept maps, the twin swaps, the merged tails' maps
+    and the maps between final states; one that dropped none returns the
+    least final perm as before.
     """
     m = len(adj)
     if m == 0:
@@ -488,7 +746,13 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
     spread = [sum(1 << (u * m) for u in _bits_to_tuple(row)) for row in adj]
     states = {s << top: (None, (s,), every) for s in sets}
     bits = 0
+    gens = None  # the kept automorphisms, once pruning engages
+    onto = {}  # independent set: (gens checked, the gens mapping it onto itself)
+    merged = []  # (kept chain, merged chain) pairs from then on
+    pruned = False
     for k in range(alpha, m):
+        if gens is None and len(states) > PRUNE_STATES and m - k >= PRUNE_LEFT:
+            gens = []
         nxt = {}
         best = None
         for key, (chain, cells, live) in states.items():
@@ -540,6 +804,22 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
             elif col > best:
                 continue
             shifted = key << 1
+            if gens is not None and hold & (hold - 1):
+                # holders whose children would be new states; the others
+                # merge by key, so pairing them saves nothing
+                fresh = 0
+                seen = set()
+                for v in _bits_to_tuple(hold):
+                    if not lower[v] & ~placed:
+                        key2 = ((shifted | spread[v]) & live & others[v]) | ((placed | 1 << v) << top)
+                        if key2 not in nxt and key2 not in seen:
+                            seen.add(key2)
+                            fresh |= 1 << v
+                if fresh.bit_count() >= PRUNE_FRESH:
+                    keep, work = _orbit_holders(adj, placed, chain, cells, hold, fresh, gens, onto)
+                    steps += work
+                    pruned |= keep != fresh
+                    hold ^= fresh ^ keep
             while hold:
                 low = hold & -hold
                 hold ^= low
@@ -550,6 +830,8 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
                 live2 = live & others[v]
                 key2 = ((shifted | spread[v]) & live2) | ((placed | low) << top)
                 if key2 in nxt:
+                    if gens is not None:
+                        merged.append((nxt[key2][0], (chain, v)))
                     continue
                 if splits:
                     nxt[key2] = ((chain, v), _split(cells, splits, adj[v]), live2)
@@ -559,14 +841,33 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
                 raise _over_cap(m)
         bits = (bits << k) | best
         states = nxt
-    perms = []
-    for chain, cells, _ in states.values():
-        tail = []
-        while chain:
-            chain, v = chain
-            tail.append(v)
-        perms.append(sum(map(_bits_to_tuple, cells), ()) + tuple(reversed(tail)))
-    return bits, min(perms)
+    perms = [sum(map(_bits_to_tuple, cells), ()) + _tail(chain)
+             for chain, cells, _ in states.values()]
+    if not pruned:
+        return bits, min(perms)
+    maps = [g for _, g in gens]
+    maps += [_map(m, ((t, v), (v, t))) for v, t in enumerate(_twin_before(adj)) if t >= 0]
+    maps += [_map(m, zip(_tail(other), _tail(kept))) for kept, other in merged]
+    maps += [_map(m, zip(perms[0], p)) for p in perms[1:]]
+    return bits, _least_image(perms[0], maps)
+
+
+def _tail(chain) -> tuple[int, ...]:
+    """The vertices of a chain (parent chain, vertex), first placed first."""
+    tail = []
+    while chain:
+        chain, v = chain
+        tail.append(v)
+    return tuple(reversed(tail))
+
+
+def _map(m: int, pairs) -> tuple[int, ...]:
+    """The map on 0..m-1 that sends x to y for each (x, y) in ``pairs`` and
+    fixes every other point."""
+    g = list(range(m))
+    for x, y in pairs:
+        g[x] = y
+    return tuple(g)
 
 
 def _column(row: int, perm) -> int:
@@ -908,6 +1209,15 @@ def _named_fixed() -> dict[str, Graph]:
     }
 
 
+def _size(digits: str) -> int:
+    """A catalog size, refused before ``int()`` reads more digits than any
+    size within the vertex cap has (``int()`` stops at 4,300 digits)."""
+    size = digits.lstrip("0") or "0"
+    if len(size) > len(str(VERTEX_CAP)):
+        raise CapExceeded(f"catalog size of {len(size)} digits exceeds vertex cap {VERTEX_CAP}")
+    return int(size)
+
+
 def catalog(name: str) -> Graph:
     """Look up a named graph: Pn, Cn, Kn, Ka,b,..., W4, house, banner,
     cobanner, fork, kite, net, thin<j>/thick<j> spiders, E1..E13."""
@@ -917,10 +1227,10 @@ def catalog(name: str) -> Graph:
         return fixed[key]
     m = _SPIDER.match(key)
     if m:
-        return headless_spider(int(m.group(2)), thick=(m.group(1) == "thick"))
+        return headless_spider(_size(m.group(2)), thick=(m.group(1) == "thick"))
     m = _PCK.match(key)
     if m:
-        kind, nums = m.group(1), [int(x) for x in m.group(2).split(",")]
+        kind, nums = m.group(1), [_size(x) for x in m.group(2).split(",")]
         if sum(nums) > VERTEX_CAP:
             raise CapExceeded(f"{name!r} exceeds vertex cap")
         if kind == "k":

@@ -385,6 +385,24 @@ def test_bad_max_n_environment_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: POLARITYLAB_MAX_N='abc'")
 
 
+def test_integers_are_ascii_digits(monkeypatch, capsys):
+    # int() alone also reads other scripts' digits, underscores, spaces and
+    # a plus sign; each is a usage error, exit 2
+    for bad in ("\u0663", "0_3", " 3", "+3"):
+        for argv in (["gen", "--class", "cograph", "--max-n", bad],
+                     ["gen", "--class", "cograph", "--max-n", "3", "--workers", bad],
+                     ["obstructions", "construct", "--class", "p4sparse", "--s", bad]):
+            assert cli(argv) == (2, ""), argv
+        monkeypatch.setenv("POLARITYLAB_MAX_N", bad)
+        assert cli(["gen", "--class", "cograph"]) == (2, "")
+        assert capsys.readouterr().err.endswith("is not an integer\n")
+    monkeypatch.setenv("POLARITYLAB_MAX_N", "3")
+    code, out = cli(["gen", "--class", "cograph"])
+    assert code == 0 and len(out.splitlines()) == 7
+    # a minus sign still reads, so a negative bound stays a cap violation
+    assert cli(["gen", "--class", "cograph", "--max-n", "-3"])[0] == 3
+
+
 def test_workers_is_a_positive_int_defaulting_to_serial():
     assert _build_parser().parse_args(["verify", "--claim", "bound"]).workers == 1
     for bad in ("0", "-1", "x"):
@@ -487,16 +505,16 @@ def test_golden_output_bytes(command, fmt):
     assert out == "\n".join(GOLDEN_OUTPUT[command, fmt]) + "\n"
 
 
-# 4*C5 is twin-free and symmetric: its canonical labeling passes LABEL_CAP
-FOUR_C5 = g6(union_all(*[cycle_graph(5)] * 4))
+# 6*C5 is twin-free and symmetric: its canonical labeling passes LABEL_CAP
+SIX_C5 = g6(union_all(*[cycle_graph(5)] * 6))
 
 
 def test_over_budget_line_is_a_line_error():
-    code, out = cli(["recognize", "--format", "json"], f"{FOUR_C5}\nCh\n")
+    code, out = cli(["recognize", "--format", "json"], f"{SIX_C5}\nCh\n")
     assert code == 1
     first, second = map(json.loads, out.splitlines())
-    assert first["input"] == FOUR_C5
-    assert first["error"].startswith("CapExceeded: canonical labeling of n=20")
+    assert first["input"] == SIX_C5
+    assert first["error"].startswith("CapExceeded: canonical labeling of n=30")
     assert second["canonical"] == "0434"
 
 
@@ -518,5 +536,5 @@ def test_text_mode_never_labels(command, monkeypatch):
 
 def test_recognize_class_text_mode_never_labels_an_over_budget_line(monkeypatch):
     monkeypatch.setattr(graphs, "_min_bits", _no_labeling)
-    code, out = cli(["recognize", "--class", "cograph"], FOUR_C5 + "\n")
-    assert (code, out) == (1, f"{FOUR_C5}\tfalse\n")
+    code, out = cli(["recognize", "--class", "cograph"], SIX_C5 + "\n")
+    assert (code, out) == (1, f"{SIX_C5}\tfalse\n")

@@ -438,6 +438,113 @@ def test_twin_free_symmetric_graphs_label_like_the_unpruned_search(name, monkeyp
     assert splits
 
 
+def _circulants_relabeled(rng):
+    """Every circulant graph of order 5 to 10, randomly relabeled twice:
+    vertex-transitive, so the least perm often lies in a final state that
+    only the maps between final states reach."""
+    out = []
+    for n in range(5, 11):
+        for jumps in range(1, 1 << (n // 2)):
+            edges = {tuple(sorted((i, (i + j + 1) % n)))
+                     for i in range(n) for j in range(n // 2) if jumps >> j & 1}
+            for _ in range(2):
+                p = rng.sample(range(n), n)
+                out.append(from_edges(n, [(p[u], p[v]) for u, v in edges]))
+    return out
+
+
+def test_pruned_search_labels_like_the_unpruned_search(graphs_to_7, monkeypatch):
+    # 1,563 of these graphs recover their perm through the stabilizer chain;
+    # a recovery without the maps between final states fails on circulants
+    members = [g for c in CLASS_IDS for g in generate_class(c, 8)]
+    circulants = _circulants_relabeled(random.Random(21))
+    recovered = []
+    least = graphs_module._least_image
+    monkeypatch.setattr(graphs_module, "_least_image",
+                        lambda perm, maps: recovered.append(perm) or least(perm, maps))
+    # pruning from the first level, in every state with two or more holders
+    # that start new states
+    monkeypatch.setattr(graphs_module, "PRUNE_STATES", 0)
+    monkeypatch.setattr(graphs_module, "PRUNE_LEFT", 0)
+    monkeypatch.setattr(graphs_module, "PRUNE_FRESH", 2)
+    for g in graphs_to_7 + members + list(TWIN_FREE_SYMMETRIC.values()) + circulants:
+        assert _min_bits(g.adj) == _unpruned_min_bits(g.adj)
+    assert len(recovered) > 1_500
+
+
+def test_least_image_is_the_least_over_the_group():
+    # the group generated by (0 1 2 3 4 5) and (1 5)(2 4) on six points,
+    # listed by closure, against the stabilizer-chain answer
+    gens = [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]
+    group = {tuple(range(6))}
+    todo = list(group)
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[x] for x in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    assert len(group) == 12
+    rng = random.Random(3)
+    for _ in range(20):
+        perm = tuple(rng.sample(range(6), 6))
+        want = min(tuple(g[x] for x in perm) for g in group)
+        assert graphs_module._least_image(perm, gens) == want
+
+
+# (bits, perm) of the symmetric spiders, taken from the search before
+# automorphism pruning (thick9 with LABEL_CAP lifted: 6.2 million steps)
+SPIDER_LABELS = {
+    "thin7": (9404857916273717311, (7, 8, 9, 10, 11, 12, 13, 6, 5, 4, 3, 2, 1, 0)),
+    "thick7": (587985459349670068159, (7, 8, 9, 10, 11, 12, 13, 0, 1, 2, 3, 4, 5, 6)),
+    "thin8": (19532410029638384879648895,
+              (8, 9, 10, 11, 12, 13, 14, 15, 7, 6, 5, 4, 3, 2, 1, 0)),
+    "thick8": (2471039650619413135563423615,
+               (8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7)),
+    "thick9": (82995580474388791022025811586711295,
+               (9, 10, 11, 12, 13, 14, 15, 16, 17, 0, 1, 2, 3, 4, 5, 6, 7, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPIDER_LABELS))
+def test_symmetric_spiders_keep_their_labels(name):
+    assert _min_bits(catalog(name).adj) == SPIDER_LABELS[name]
+
+
+def test_thin7_labels_in_few_steps(monkeypatch):
+    # 24,926 steps with pruning; the search without it passes 40,000 (it
+    # built 8,670 states, 5,040 of them final)
+    g = catalog("thin7")
+    monkeypatch.setattr(graphs_module, "LABEL_CAP", 30_000)
+    assert _min_bits(g.adj) == SPIDER_LABELS["thin7"]
+    monkeypatch.setattr(graphs_module, "PRUNE_STATES", 10**9)
+    with pytest.raises(CapExceeded):
+        _min_bits(g.adj)
+
+
+def test_labeling_thick8_stays_small():
+    # the search without pruning peaked at about 54 MB here
+    tracemalloc.start()
+    try:
+        _min_bits(catalog("thick8").adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_four_c5_labels_invariantly():
+    # 4*C5 passed LABEL_CAP before automorphism pruning; about 10^6 steps now
+    c5 = cycle_graph(5)
+    g = union_all(c5, c5, c5, c5)
+    key = canonical_key(g)
+    rng = random.Random(20)
+    for _ in range(2):
+        p = rng.sample(range(g.n), g.n)
+        assert canonical_key(from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])) == key
+
+
 def test_sparse_graph_labels_in_few_steps(monkeypatch):
     # 14 vertices, 8 edges, an independent prefix of 9: placing the prefix
     # one vertex at a time expanded 609,126 states; as a set it takes 750
@@ -472,11 +579,13 @@ def test_twin_classes_collapse():
 
 
 def test_label_budget_stops_twin_free_symmetric_graphs():
+    # 6*C5 grows about 1.8 million independent sets before its 15,625
+    # maximum ones tie
     c5 = cycle_graph(5)
     three = union_all(c5, c5, c5)
     assert canonical_key(canonical_form(three)) == canonical_key(three)
     with pytest.raises(CapExceeded):
-        canonical_key(union_all(c5, c5, c5, c5))
+        canonical_key(union_all(*[c5] * 6))
 
 
 def test_labeling_three_c5_stays_small():
@@ -655,6 +764,13 @@ def test_catalog_names():
         catalog("blob")
     with pytest.raises(CapExceeded):
         catalog("k40")
+    # a size past int()'s 4,300-digit limit is refused before it is read
+    for name in ("p" + "9" * 5000, "thin" + "9" * 5000, "k2," + "9" * 5000):
+        with pytest.raises(CapExceeded):
+            catalog(name)
+    assert catalog("p0005") == path_graph(5)
+    with pytest.raises(UnknownName):  # C0: zeros are read as one
+        catalog("c" + "0" * 5000)
     # sizes are ASCII digits only
     for name in ("p\u0663", "c\u0665", "k2,\u0663", "thin\u0663", "thick\uff13"):
         with pytest.raises(UnknownName):
