@@ -12,13 +12,13 @@ that finds it places a maximum independent set first, as a set, since its
 columns are zero in any order, and fixes that set's order only as far as
 the later columns read it. Non-isomorphic enumeration uses canonical
 augmentation, which keeps memory flat: a one-vertex extension is kept iff
-the parent's own minimal labeling (the least perm that reaches the minimal
-string), followed by the new vertex, is a minimal labeling of the
-extension. Two exact tests reject most extensions before they are labeled:
-a swap of two twins of the parent, and a greedy labeling whose bits fall
-below the pinned one's. Either exhibits a labeling below the pinned one, so
-the pinned test would fail; an extension that passes both is searched in
-full.
+the parent's own minimal labeling (a perm that reaches the minimal string
+and keeps each twin class in index order), followed by the new vertex, is a
+minimal labeling of the extension. Two exact tests reject most extensions
+before they are labeled: a swap of two twins of the parent, and a greedy
+labeling whose bits fall below the pinned one's. Either exhibits a labeling
+below the pinned one, so the pinned test would fail; an extension that
+passes both is searched in full.
 """
 
 from __future__ import annotations
@@ -363,8 +363,11 @@ def _co_rows(adj, mask: int) -> list[int]:
 #
 # Twins (true or false, in the whole graph) are placed in index order only:
 # swapping two unplaced twins is an automorphism that fixes the placed
-# prefix, so the subtree of the higher twin repeats the lower twin's bits,
-# and the least perm keeps twins in index order.
+# prefix, so the subtree of the higher twin repeats the lower twin's bits.
+# Every perm the search returns keeps twins in index order: S holds the
+# lower twin whenever it holds the higher one, false twins in S share every
+# cell and each cell is read in ascending order, and the tail places the
+# lower twin first.
 #
 # Automorphisms. Twin-free symmetric graphs (spiders, unions of C5) tie in
 # every state: thin7 reached 5,040 final states, all images of one another.
@@ -384,23 +387,17 @@ def _co_rows(adj, mask: int) -> list[int]:
 # holders' children have one future up to that map, and a holder that the
 # kept maps send to a lower holder is dropped: the bits stay the same.
 #
-# Perm. A level is built from its states in order and their holders in
-# ascending order, so of two states with one key the first has the
-# lexicographically least tail, and keeping it keeps the least perm: their
-# cells are equal and come first. Without pruning, the returned perm is the
-# least over the final states, each cell sorted ascending. That is the least
-# perm of any minimal labeling, the one enumerate_graphs reads, and the first
-# one a search placing every vertex one at a time would find. A search that
-# dropped a holder recovers it instead. Every minimal labeling below a state
-# of the level where pruning engaged is an automorphic image of an explored
-# final state's, through the maps that dropped holders, the twin swaps, the
-# tail maps of states merged by key from that level on (equal keys make the
-# map that sends one tail onto the other and fixes every other vertex an
-# automorphism) and the maps between final states (equal bits); and the least
-# perm lies below such a state, by the argument above. The orbit of one final
-# state's perm under the group these maps generate thus holds the least perm
-# and only minimal labelings, and the least perm is its least image, read off
-# a stabilizer chain whose base is that perm (Schreier-Sims).
+# Perm. The returned perm is the least over the final states explored, each
+# cell sorted ascending: a minimal labeling that keeps each twin class in
+# index order, which is all its readers need. canonical_form reads the bits
+# through it, and enumerate_graphs's canonical augmentation holds for any
+# minimal perm of the parent (see there). A level is built from its states
+# in order and their holders in ascending order, so of two states with one
+# key the first has the lexicographically least tail, after equal cells; a
+# search that drops no holder thus returns the least perm of any minimal
+# labeling, the first one a search placing every vertex one at a time would
+# find. One that drops a holder may miss it, as McKay and Piperno's search
+# returns a canonical labeling, not the least one.
 #
 # The search stops with CapExceeded once its steps pass LABEL_CAP: each set
 # or state it builds is a step, and so is each cell it reads, since a
@@ -630,87 +627,10 @@ def _orbit_holders(adj, placed, chain, cells, hold, fresh, gens, onto) -> tuple[
     return keep, steps
 
 
-def _least_image(perm: tuple[int, ...], gens) -> tuple[int, ...]:
-    """The lexicographically least image of ``perm`` (every vertex once)
-    under the group that the maps ``gens`` generate.
-
-    Schreier–Sims builds a stabilizer chain whose base is ``perm``: level i
-    holds the orbit of ``perm[i]`` under the maps that fix ``perm[:i]``,
-    each point with a map that sends ``perm[i]`` there. The least image
-    then takes at each level the point whose image is least under the map
-    chosen so far, and composes its map in.
-    """
-    k = len(perm)
-    ident = tuple(range(k))
-
-    def compose(a, b):  # b, then a
-        return tuple(map(a.__getitem__, b))
-
-    def inverse(a):
-        inv = [0] * k
-        for x, y in enumerate(a):
-            inv[y] = x
-        return tuple(inv)
-
-    strong = [[] for _ in range(k)]  # level i: maps whose first moved base point is perm[i]
-    trans = [{b: (ident, ident)} for b in perm]  # level i, point: (map, its inverse)
-    sifted = [set() for _ in range(k)]  # level i: (point, id of map) pairs whose Schreier map sifted
-
-    def strip(g, i):
-        """g divided by the transversals from level i on, and the level
-        where it left the chain (k once it is the identity)."""
-        for j in range(i, k):
-            x = g[perm[j]]
-            if x != perm[j]:
-                if x not in trans[j]:
-                    return g, j
-                g = compose(trans[j][x][1], g)
-        return g, k
-
-    def close(i):  # the orbit of perm[i] under the maps of level i and above
-        level = trans[i]
-        maps = [s for j in range(i, k) for s in strong[j]]
-        todo = list(level)
-        while todo:
-            y = todo.pop()
-            for s in maps:
-                z = s[y]
-                if z not in level:
-                    u = compose(s, level[y][0])
-                    level[z] = (u, inverse(u))
-                    todo.append(z)
-
-    def schreier(top):
-        """The first Schreier map at or below level ``top`` that does not
-        sift, stripped, or the identity at level k."""
-        for i in range(top, -1, -1):
-            maps = [s for j in range(i, k) for s in strong[j]]
-            for y, (u, _) in list(trans[i].items()):
-                for s in maps:
-                    if (y, id(s)) not in sifted[i]:
-                        sifted[i].add((y, id(s)))
-                        h, j = strip(compose(trans[i][s[y]][1], compose(s, u)), i + 1)
-                        if j < k:
-                            return h, j
-        return ident, k
-
-    for g in gens:
-        g, j = strip(g, 0)
-        while j < k:
-            strong[j].append(g)
-            for i in range(j, -1, -1):
-                close(i)
-            g, j = schreier(j)
-    c = ident
-    for i in range(k):
-        y = min(trans[i], key=lambda z: c[z])
-        c = compose(c, trans[i][y][0])
-    return tuple(c[b] for b in perm)
-
-
 def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
     """Return (bits, perm) for the minimal labeling; ``perm`` holds vertex
-    ids in placement order, the least one of any minimal labeling.
+    ids in placement order, a minimal labeling that keeps each twin class in
+    index order.
 
     Phase 1 finds the sets S (see above). Phase 2 maps each packed key to
     (chain, cells, live): the chain (parent chain, vertex) holds the tail,
@@ -723,12 +643,8 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
     that split are the ones where that count is neither 0 nor the size.
 
     Once pruning engages (see above), a tied state first drops the holders
-    that ``_orbit_holders`` finds in the orbit of a lower one, and each
-    child merged by key is noted with the state it merged into. A search
-    that dropped a holder returns ``_least_image`` of the first final
-    state's perm under the kept maps, the twin swaps, the merged tails' maps
-    and the maps between final states; one that dropped none returns the
-    least final perm as before.
+    that ``_orbit_holders`` finds in the orbit of a lower one. The perm
+    returned is the least over the final states explored.
     """
     m = len(adj)
     if m == 0:
@@ -748,8 +664,6 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
     bits = 0
     gens = None  # the kept automorphisms, once pruning engages
     onto = {}  # independent set: (gens checked, the gens mapping it onto itself)
-    merged = []  # (kept chain, merged chain) pairs from then on
-    pruned = False
     for k in range(alpha, m):
         if gens is None and len(states) > PRUNE_STATES and m - k >= PRUNE_LEFT:
             gens = []
@@ -818,7 +732,6 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
                 if fresh.bit_count() >= PRUNE_FRESH:
                     keep, work = _orbit_holders(adj, placed, chain, cells, hold, fresh, gens, onto)
                     steps += work
-                    pruned |= keep != fresh
                     hold ^= fresh ^ keep
             while hold:
                 low = hold & -hold
@@ -830,8 +743,6 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
                 live2 = live & others[v]
                 key2 = ((shifted | spread[v]) & live2) | ((placed | low) << top)
                 if key2 in nxt:
-                    if gens is not None:
-                        merged.append((nxt[key2][0], (chain, v)))
                     continue
                 if splits:
                     nxt[key2] = ((chain, v), _split(cells, splits, adj[v]), live2)
@@ -841,15 +752,8 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
                 raise _over_cap(m)
         bits = (bits << k) | best
         states = nxt
-    perms = [sum(map(_bits_to_tuple, cells), ()) + _tail(chain)
-             for chain, cells, _ in states.values()]
-    if not pruned:
-        return bits, min(perms)
-    maps = [g for _, g in gens]
-    maps += [_map(m, ((t, v), (v, t))) for v, t in enumerate(_twin_before(adj)) if t >= 0]
-    maps += [_map(m, zip(_tail(other), _tail(kept))) for kept, other in merged]
-    maps += [_map(m, zip(perms[0], p)) for p in perms[1:]]
-    return bits, _least_image(perms[0], maps)
+    return bits, min(sum(map(_bits_to_tuple, cells), ()) + _tail(chain)
+                     for chain, cells, _ in states.values())
 
 
 def _tail(chain) -> tuple[int, ...]:
@@ -859,15 +763,6 @@ def _tail(chain) -> tuple[int, ...]:
         chain, v = chain
         tail.append(v)
     return tuple(reversed(tail))
-
-
-def _map(m: int, pairs) -> tuple[int, ...]:
-    """The map on 0..m-1 that sends x to y for each (x, y) in ``pairs`` and
-    fixes every other point."""
-    g = list(range(m))
-    for x, y in pairs:
-        g[x] = y
-    return tuple(g)
 
 
 def _column(row: int, perm) -> int:
@@ -1109,7 +1004,11 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     m attached by an arbitrary neighborhood mask) is kept iff one labeling,
     the parent's cached perm followed by m, reaches the child's minimal bits;
     isomorphic children of the same parent are deduplicated by key. Output
-    per order is sorted by canonical key.
+    per order is sorted by canonical key. Any minimal perm of the parent
+    serves: the first m columns of a child's minimal labeling are its parent
+    class's minimal bits, so the class is accepted from exactly one parent,
+    and from it through the mask whose column under the parent's perm is the
+    child's last column.
 
     A mask that holds the previous twin t of a vertex v but not v itself is
     skipped unlabeled. The parent's perm places t before v, and swapping them

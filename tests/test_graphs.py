@@ -226,14 +226,27 @@ def _unpruned_min_bits(adj):
     return bits, states[0][0]
 
 
+def _relabeled(g, perm):
+    """``g`` with vertex ``perm[i]`` renamed i."""
+    pos = {v: i for i, v in enumerate(perm)}
+    return Graph(g.n, tuple(_mask_of(pos[u] for u in g.neighbors(v)) for v in perm))
+
+
+def _check_minimal_perm(adj, bits, perm):
+    """``perm`` orders every vertex once, its columns reproduce ``bits``, and
+    it keeps each twin class in index order: what enumerate_graphs reads."""
+    assert sorted(perm) == list(range(len(adj)))
+    assert _bits_of(_columns(adj, perm)) == bits
+    pos = {v: i for i, v in enumerate(perm)}
+    assert all(pos[t] < pos[v] for v, t in enumerate(_twin_before(adj)) if t >= 0)
+
+
 def test_twin_pruning_matches_the_unpruned_search(graphs_to_7):
     members = [g for c in CLASS_IDS for g in generate_class(c, 8)]
     for g in graphs_to_7 + members:
         bits, perm = _unpruned_min_bits(g.adj)
         assert _min_bits(g.adj) == (bits, perm)  # enumerate_graphs reads perm
-        pos = {v: i for i, v in enumerate(perm)}
-        rows = tuple(_mask_of(pos[u] for u in g.neighbors(v)) for v in perm)
-        assert canonical_form(g) == Graph(g.n, rows)
+        assert canonical_form(g) == _relabeled(g, perm)
 
 
 def test_enumeration_output_is_pinned(graphs_to_7):
@@ -440,8 +453,7 @@ def test_twin_free_symmetric_graphs_label_like_the_unpruned_search(name, monkeyp
 
 def _circulants_relabeled(rng):
     """Every circulant graph of order 5 to 10, randomly relabeled twice:
-    vertex-transitive, so the least perm often lies in a final state that
-    only the maps between final states reach."""
+    vertex-transitive, so their tied states hold one orbit of holders."""
     out = []
     for n in range(5, 11):
         for jumps in range(1, 1 << (n // 2)):
@@ -453,48 +465,76 @@ def _circulants_relabeled(rng):
     return out
 
 
-def test_pruned_search_labels_like_the_unpruned_search(graphs_to_7, monkeypatch):
-    # 1,563 of these graphs recover their perm through the stabilizer chain;
-    # a recovery without the maps between final states fails on circulants
-    members = [g for c in CLASS_IDS for g in generate_class(c, 8)]
-    circulants = _circulants_relabeled(random.Random(21))
-    recovered = []
-    least = graphs_module._least_image
-    monkeypatch.setattr(graphs_module, "_least_image",
-                        lambda perm, maps: recovered.append(perm) or least(perm, maps))
-    # pruning from the first level, in every state with two or more holders
-    # that start new states
+def _force_pruning(monkeypatch):
+    """Prune from the first level, in every state with two or more holders
+    that start new states."""
     monkeypatch.setattr(graphs_module, "PRUNE_STATES", 0)
     monkeypatch.setattr(graphs_module, "PRUNE_LEFT", 0)
     monkeypatch.setattr(graphs_module, "PRUNE_FRESH", 2)
+
+
+def _count_dropping(monkeypatch):
+    """Wrap ``_orbit_holders``; the list returned gets one entry per call
+    that kept fewer holders than it was given."""
+    drops = []
+    holders = graphs_module._orbit_holders
+
+    def counted(*args):
+        keep, work = holders(*args)
+        if keep != args[5]:  # the fresh holders
+            drops.append(keep)
+        return keep, work
+
+    monkeypatch.setattr(graphs_module, "_orbit_holders", counted)
+    return drops
+
+
+def test_pruned_search_labels_like_the_unpruned_search(graphs_to_7, monkeypatch):
+    # the bits are the unpruned search's and the perm is a minimal labeling
+    # with twins in index order; 1,563 of these searches drop a holder
+    members = [g for c in CLASS_IDS for g in generate_class(c, 8)]
+    circulants = _circulants_relabeled(random.Random(21))
+    drops = _count_dropping(monkeypatch)
+    _force_pruning(monkeypatch)
+    dropping = 0
     for g in graphs_to_7 + members + list(TWIN_FREE_SYMMETRIC.values()) + circulants:
-        assert _min_bits(g.adj) == _unpruned_min_bits(g.adj)
-    assert len(recovered) > 1_500
+        before = len(drops)
+        bits, perm = _min_bits(g.adj)
+        dropping += len(drops) > before
+        want, oracle = _unpruned_min_bits(g.adj)
+        assert bits == want
+        _check_minimal_perm(g.adj, bits, perm)
+        assert canonical_form(Graph(g.n, g.adj)) == _relabeled(g, oracle)  # uncached
+    assert dropping > 1_500
 
 
-def test_least_image_is_the_least_over_the_group():
-    # the group generated by (0 1 2 3 4 5) and (1 5)(2 4) on six points,
-    # listed by closure, against the stabilizer-chain answer
-    gens = [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]
-    group = {tuple(range(6))}
-    todo = list(group)
-    while todo:
-        g = todo.pop()
-        for s in gens:
-            h = tuple(s[x] for x in g)
-            if h not in group:
-                group.add(h)
-                todo.append(h)
-    assert len(group) == 12
-    rng = random.Random(3)
-    for _ in range(20):
-        perm = tuple(rng.sample(range(6), 6))
-        want = min(tuple(g[x] for x in perm) for g in group)
-        assert graphs_module._least_image(perm, gens) == want
+def test_enumeration_reads_only_a_minimal_perm(monkeypatch):
+    # with pruning from the first level the parents' perms need not be the
+    # least ones, and the output keeps test_enumeration_output_is_pinned's pin
+    _force_pruning(monkeypatch)
+    text = "\n".join(graph6_encode(g) for g in enumerate_graphs(7))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "526c7cda9d1e0bd4a91225d88d168fbba15851c5330364c73663363ff4227995")
+
+
+def test_canonical_form_is_invariant_where_holders_drop(monkeypatch):
+    # the search on each of these drops holders, so its perm depends on the
+    # labels it is given; the canonical form does not
+    drops = _count_dropping(monkeypatch)
+    c5 = cycle_graph(5)
+    rng = random.Random(22)
+    for g in (catalog("thin7"), catalog("thin8"), catalog("thick9"), union_all(c5, c5, c5)):
+        form = canonical_form(g)
+        for _ in range(2):
+            p = rng.sample(range(g.n), g.n)
+            before = len(drops)
+            assert canonical_form(from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])) == form
+            assert len(drops) > before
 
 
 # (bits, perm) of the symmetric spiders, taken from the search before
-# automorphism pruning (thick9 with LABEL_CAP lifted: 6.2 million steps)
+# automorphism pruning (thick9 with LABEL_CAP lifted: 6.2 million steps); the
+# pruned search reaches the bits through a perm that may differ
 SPIDER_LABELS = {
     "thin7": (9404857916273717311, (7, 8, 9, 10, 11, 12, 13, 6, 5, 4, 3, 2, 1, 0)),
     "thick7": (587985459349670068159, (7, 8, 9, 10, 11, 12, 13, 0, 1, 2, 3, 4, 5, 6)),
@@ -507,9 +547,16 @@ SPIDER_LABELS = {
 }
 
 
+def _check_spider_label(g, name):
+    bits, perm = _min_bits(g.adj)
+    assert bits == SPIDER_LABELS[name][0]
+    _check_minimal_perm(g.adj, bits, perm)
+    assert canonical_form(g) == _relabeled(g, SPIDER_LABELS[name][1])
+
+
 @pytest.mark.parametrize("name", sorted(SPIDER_LABELS))
 def test_symmetric_spiders_keep_their_labels(name):
-    assert _min_bits(catalog(name).adj) == SPIDER_LABELS[name]
+    _check_spider_label(catalog(name), name)
 
 
 def test_thin7_labels_in_few_steps(monkeypatch):
@@ -517,7 +564,7 @@ def test_thin7_labels_in_few_steps(monkeypatch):
     # built 8,670 states, 5,040 of them final)
     g = catalog("thin7")
     monkeypatch.setattr(graphs_module, "LABEL_CAP", 30_000)
-    assert _min_bits(g.adj) == SPIDER_LABELS["thin7"]
+    _check_spider_label(g, "thin7")
     monkeypatch.setattr(graphs_module, "PRUNE_STATES", 10**9)
     with pytest.raises(CapExceeded):
         _min_bits(g.adj)
