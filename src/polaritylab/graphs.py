@@ -7,18 +7,17 @@ returns a new graph, so values can be shared freely. The vertex cap
 
 Canonical forms are exact: the key of a graph is its order followed by the
 lexicographically minimal upper-triangle bit string over all vertex
-relabelings. Two graphs are isomorphic iff their keys are equal. The search
-that finds it places a maximum independent set first, as a set, since its
-columns are zero in any order, and fixes that set's order only as far as
-the later columns read it. Non-isomorphic enumeration uses canonical
-augmentation, which keeps memory flat: a one-vertex extension is kept iff
-the parent's own minimal labeling (a perm that reaches the minimal string
-and keeps each twin class in index order), followed by the new vertex, is a
-minimal labeling of the extension. Two exact tests reject most extensions
-before they are labeled: a swap of two twins of the parent, and a greedy
-labeling whose bits fall below the pinned one's. Either exhibits a labeling
-below the pinned one, so the pinned test would fail; an extension that
-passes both is searched in full.
+relabelings, and the canonical form is the graph that string spells. Two
+graphs are isomorphic iff their keys are equal. The search that finds it
+places a maximum independent set first, as a set, since its columns are zero
+in any order, and fixes that set's order only as far as the later columns
+read it. Non-isomorphic enumeration is orderly and keeps memory flat: every
+graph it holds is a canonical form, and a one-vertex extension is kept iff
+it is one too, that is iff its own labeling spells its minimal bits. Two
+exact tests reject most extensions before they are labeled: a swap of two
+twins of the parent, and a greedy labeling whose bits fall below the
+extension's own. Either exhibits a labeling below the extension's, so the
+test would fail; an extension that passes both is searched in full.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class Graph:
     construction, skip the checks (``_built``).
     """
 
-    __slots__ = ("n", "adj", "_bits", "_perm", "_p4s")
+    __slots__ = ("n", "adj", "_bits", "_p4s")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         if n > VERTEX_CAP:
@@ -74,19 +73,24 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self._bits = None
-        self._perm = None
         self._p4s = None
 
     # -- basic accessors ---------------------------------------------------
 
+    def _vertex(self, v: int) -> int:
+        """``v``, checked to lie in 0..n-1."""
+        if not 0 <= v < self.n:
+            raise VertexOutOfRange(f"vertex {v} outside 0..{self.n - 1}")
+        return v
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
+        return bool((self.adj[self._vertex(u)] >> self._vertex(v)) & 1)
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.adj[self._vertex(v)].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return _bits_to_tuple(self.adj[v])
+        return _bits_to_tuple(self.adj[self._vertex(v)])
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ascending pairs, in lexicographic order."""
@@ -132,7 +136,7 @@ class Graph:
         return self.induced(_bits_to_tuple(mask))
 
     def delete_vertex(self, v: int) -> Graph:
-        return self.induced([u for u in range(self.n) if u != v])
+        return self.induced_mask(((1 << self.n) - 1) ^ (1 << self._vertex(v)))
 
     # -- connectivity ------------------------------------------------------
 
@@ -147,10 +151,10 @@ class Graph:
 
     @property
     def canonical_bits(self) -> int:
-        """Minimal upper-triangle bit string packed into an int (cached with
-        the labeling that reaches it, which ``canonical_form`` reads)."""
+        """Minimal upper-triangle bit string packed into an int, in graph6
+        column order (cached)."""
         if self._bits is None:
-            self._bits, self._perm = _min_bits(self.adj)
+            self._bits = _min_bits(self.adj)
         return self._bits
 
     def canonical_key(self) -> bytes:
@@ -183,7 +187,7 @@ def _built(n: int, adj: tuple[int, ...]) -> Graph:
     g = object.__new__(Graph)
     g.n = n
     g.adj = adj
-    g._bits = g._perm = g._p4s = None
+    g._bits = g._p4s = None
     return g
 
 
@@ -364,10 +368,6 @@ def _co_rows(adj, mask: int) -> list[int]:
 # Twins (true or false, in the whole graph) are placed in index order only:
 # swapping two unplaced twins is an automorphism that fixes the placed
 # prefix, so the subtree of the higher twin repeats the lower twin's bits.
-# Every perm the search returns keeps twins in index order: S holds the
-# lower twin whenever it holds the higher one, false twins in S share every
-# cell and each cell is read in ascending order, and the tail places the
-# lower twin first.
 #
 # Automorphisms. Twin-free symmetric graphs (spiders, unions of C5) tie in
 # every state: thin7 reached 5,040 final states, all images of one another.
@@ -385,19 +385,9 @@ def _co_rows(adj, mask: int) -> list[int]:
 # kept map that fixes the state's tail pointwise and S setwise maps the state
 # onto itself (the cells are S grouped by adjacency to the tail), so its
 # holders' children have one future up to that map, and a holder that the
-# kept maps send to a lower holder is dropped: the bits stay the same.
-#
-# Perm. The returned perm is the least over the final states explored, each
-# cell sorted ascending: a minimal labeling that keeps each twin class in
-# index order, which is all its readers need. canonical_form reads the bits
-# through it, and enumerate_graphs's canonical augmentation holds for any
-# minimal perm of the parent (see there). A level is built from its states
-# in order and their holders in ascending order, so of two states with one
-# key the first has the lexicographically least tail, after equal cells; a
-# search that drops no holder thus returns the least perm of any minimal
-# labeling, the first one a search placing every vertex one at a time would
-# find. One that drops a holder may miss it, as McKay and Piperno's search
-# returns a canonical labeling, not the least one.
+# kept maps send to a lower holder is dropped: the bits stay the same. The
+# search returns the bits alone, which fix the canonical form, so no reader
+# needs the labeling that reaches them.
 #
 # The search stops with CapExceeded once its steps pass LABEL_CAP: each set
 # or state it builds is a step, and so is each cell it reads, since a
@@ -567,7 +557,7 @@ def _pair(adj, cells: list[int], u: int, v: int) -> tuple[tuple[int, ...] | None
     return tuple(g), steps
 
 
-def _orbit_holders(adj, placed, chain, cells, hold, fresh, gens, onto) -> tuple[int, int]:
+def _orbit_holders(adj, placed, cells, hold, fresh, gens, onto) -> tuple[int, int]:
     """The holders ``fresh`` (a subset of the state's holders ``hold``)
     that automorphism pruning keeps, and the steps it took.
 
@@ -579,7 +569,9 @@ def _orbit_holders(adj, placed, chain, cells, hold, fresh, gens, onto) -> tuple[
     itself. Two holders in one orbit of the group they generate therefore
     have children with one future, and a holder that one of them maps to a
     lower holder is dropped. The lowest fresh holder is paired with each
-    other fresh holder not yet in its orbit.
+    other fresh holder not yet in its orbit. Pairing starts from the
+    tail as singletons in index order: a kept map fixes every singleton,
+    whatever their order.
     """
     s = 0
     for c in cells:
@@ -610,7 +602,8 @@ def _orbit_holders(adj, placed, chain, cells, hold, fresh, gens, onto) -> tuple[
         if orbit[u] >> v & 1:
             continue
         if base is None:
-            base = [1 << t for t in _tail(chain)] + list(cells) + [(1 << len(adj)) - 1 & ~placed]
+            base = [1 << t for t in _bits_to_tuple(fixed)]
+            base += list(cells) + [(1 << len(adj)) - 1 & ~placed]
             steps += _refine(adj, base, list(base))
         g, work = _pair(adj, base, u, v)
         steps += work
@@ -627,40 +620,38 @@ def _orbit_holders(adj, placed, chain, cells, hold, fresh, gens, onto) -> tuple[
     return keep, steps
 
 
-def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
-    """Return (bits, perm) for the minimal labeling; ``perm`` holds vertex
-    ids in placement order, a minimal labeling that keeps each twin class in
-    index order.
+def _min_bits(adj) -> int:
+    """The minimal upper-triangle bit string of ``adj``, in graph6 column
+    order.
 
     Phase 1 finds the sets S (see above). Phase 2 maps each packed key to
-    (chain, cells, live): the chain (parent chain, vertex) holds the tail,
-    the cells are masks in order, and ``live`` masks the blocks of S and of
-    the unplaced vertices. Each state's minimal column is read once, cell by
-    cell and then down the tail blocks of the holders left. A state above
-    the least column read so far at its level is dropped, and a lower one
-    empties the level; a state that ties builds one child per holder. The
-    holders share their count of neighbours in every cell, so the cells
-    that split are the ones where that count is neither 0 nor the size.
+    (cells, live): the cells are masks in order, and ``live`` masks the
+    blocks of S and of the unplaced vertices. Each state's minimal column is
+    read once, cell by cell and then down the tail blocks of the holders
+    left. A state above the least column read so far at its level is
+    dropped, and a lower one empties the level; a state that ties builds one
+    child per holder. The holders share their count of neighbours in every
+    cell, so the cells that split are the ones where that count is neither
+    0 nor the size.
 
     Once pruning engages (see above), a tied state first drops the holders
-    that ``_orbit_holders`` finds in the orbit of a lower one. The perm
-    returned is the least over the final states explored.
+    that ``_orbit_holders`` finds in the orbit of a lower one.
     """
     m = len(adj)
     if m == 0:
-        return 0, ()
+        return 0
     lower = [1 << t if t >= 0 else 0 for t in _twin_before(adj)]
     sets, steps = _independent_prefix(adj, lower)
     alpha = sets[0].bit_count()
     if alpha == m:  # edgeless: every labeling is minimal
-        return 0, tuple(range(m))
+        return 0
     full = (1 << m) - 1
     top = m * m
     every = (1 << top) - 1  # all m blocks
     others = [every ^ (full << (v * m)) for v in range(m)]  # all blocks but v's
     non = {1 << v: ~row for v, row in enumerate(adj)}
     spread = [sum(1 << (u * m) for u in _bits_to_tuple(row)) for row in adj]
-    states = {s << top: (None, (s,), every) for s in sets}
+    states = {s << top: ((s,), every) for s in sets}
     bits = 0
     gens = None  # the kept automorphisms, once pruning engages
     onto = {}  # independent set: (gens checked, the gens mapping it onto itself)
@@ -669,7 +660,7 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
             gens = []
         nxt = {}
         best = None
-        for key, (chain, cells, live) in states.items():
+        for key, (cells, live) in states.items():
             placed = key >> top
             hold = full & ~placed
             col = 0
@@ -730,7 +721,7 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
                             seen.add(key2)
                             fresh |= 1 << v
                 if fresh.bit_count() >= PRUNE_FRESH:
-                    keep, work = _orbit_holders(adj, placed, chain, cells, hold, fresh, gens, onto)
+                    keep, work = _orbit_holders(adj, placed, cells, hold, fresh, gens, onto)
                     steps += work
                     hold ^= fresh ^ keep
             while hold:
@@ -744,25 +735,12 @@ def _min_bits(adj) -> tuple[int, tuple[int, ...]]:
                 key2 = ((shifted | spread[v]) & live2) | ((placed | low) << top)
                 if key2 in nxt:
                     continue
-                if splits:
-                    nxt[key2] = ((chain, v), _split(cells, splits, adj[v]), live2)
-                else:
-                    nxt[key2] = ((chain, v), cells, live2)
+                nxt[key2] = (_split(cells, splits, adj[v]) if splits else cells, live2)
             if steps > LABEL_CAP:
                 raise _over_cap(m)
         bits = (bits << k) | best
         states = nxt
-    return bits, min(sum(map(_bits_to_tuple, cells), ()) + _tail(chain)
-                     for chain, cells, _ in states.values())
-
-
-def _tail(chain) -> tuple[int, ...]:
-    """The vertices of a chain (parent chain, vertex), first placed first."""
-    tail = []
-    while chain:
-        chain, v = chain
-        tail.append(v)
-    return tuple(reversed(tail))
+    return bits
 
 
 def _column(row: int, perm) -> int:
@@ -825,18 +803,9 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def canonical_form(g: Graph) -> Graph:
-    """The canonically relabeled copy of ``g`` (same key, fixed labels)."""
-    g.canonical_bits  # one search per graph: it caches the perm too
-    perm = g._perm
-    pos = {v: i for i, v in enumerate(perm)}
-    rows = [0] * g.n
-    for i, v in enumerate(perm):
-        row = g.adj[v]
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
-            rows[i] |= 1 << pos[u]
-    return _built(g.n, tuple(rows))
+    """The canonically relabeled copy of ``g``: the graph whose upper
+    triangle is ``g``'s minimal bits (same key, fixed labels)."""
+    return _built(g.n, _rows(g.n, g.canonical_bits))
 
 
 # ---------------------------------------------------------------------------
@@ -980,17 +949,25 @@ def graph6_decode(text: str) -> Graph:
         if not 63 <= ord(ch) <= 126:
             raise MalformedHeader(f"body byte {ord(ch)} outside 63..126")
         bits = (bits << 6) | (ord(ch) - 63)
-    pos = 6 * need
-    if bits & ((1 << (pos - nbits)) - 1):
+    pad = 6 * need - nbits
+    if bits & ((1 << pad) - 1):
         raise TrailingGarbage("nonzero padding bits")
+    return Graph(n, _rows(n, bits >> pad))
+
+
+def _rows(n: int, bits: int) -> tuple[int, ...]:
+    """The rows of the graph on n vertices whose upper triangle, read in
+    the column order of ``graph6_encode`` with the first pair highest, is
+    ``bits``."""
     rows = [0] * n
-    for j in range(1, n):  # the column order of graph6_encode
+    pos = n * (n - 1) // 2
+    for j in range(1, n):
         for i in range(j):
             pos -= 1
             if (bits >> pos) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -998,32 +975,35 @@ def graph6_decode(text: str) -> Graph:
 
 
 def enumerate_graphs(n_max: int) -> Iterator[Graph]:
-    """One representative per isomorphism class, orders 1..n_max.
+    """One representative per isomorphism class, orders 1..n_max: its
+    canonical form.
 
-    Canonical augmentation: a child of an order-m representative (new vertex
-    m attached by an arbitrary neighborhood mask) is kept iff one labeling,
-    the parent's cached perm followed by m, reaches the child's minimal bits;
-    isomorphic children of the same parent are deduplicated by key. Output
-    per order is sorted by canonical key. Any minimal perm of the parent
-    serves: the first m columns of a child's minimal labeling are its parent
-    class's minimal bits, so the class is accepted from exactly one parent,
-    and from it through the mask whose column under the parent's perm is the
-    child's last column.
+    Orderly generation (Read, "Every one a winner", 1978): every graph held
+    is a canonical form. A child of an order-m form (new vertex m attached
+    by an arbitrary neighborhood mask) is kept iff it is a canonical form
+    too, that is iff its own labeling spells its minimal bits: the parent's
+    bits followed by the mask's column, read in index order. Output per
+    order is sorted by canonical key. The first m vertices of a canonical
+    form of order m+1 are a canonical form: their bits are a prefix of its
+    minimal bits, and a labeling of them with lower bits would give one of
+    the whole graph too. So each class is reached from exactly one parent,
+    through the mask that is its last column; two kept children with equal
+    bits would have equal rows, so each is kept once.
 
     A mask that holds the previous twin t of a vertex v but not v itself is
-    skipped unlabeled. The parent's perm places t before v, and swapping them
-    is an automorphism of the parent. It maps the child to an isomorphic one
-    whose pinned column has v's bit set instead of t's. v sits later in the
-    perm, so that column is smaller: the child has a labeling below its
-    pinned one and fails the test.
+    skipped unlabeled. t comes before v, and swapping them is an
+    automorphism of the parent. It maps the child to an isomorphic one
+    whose last column has v's bit set instead of t's. v comes later, so
+    that column is smaller: the child has a labeling below its own and is
+    not kept.
 
-    The remaining children are screened by ``_greedy_below`` against the
-    pinned columns (the parent's, read once per parent, then the new
-    vertex's). Any labeling of the child whose bits are below the pinned
-    bits proves that the pinned labeling is not minimal, so a greedy one
-    that gets there rejects the child exactly. A child that survives is
-    labeled in full and tested as before, so the accepted children, their
-    cached perms and the output order do not depend on the screen.
+    The remaining children are screened by ``_greedy_below`` against their
+    own columns (the parent's, read once per parent, then the new
+    vertex's). Any labeling of the child whose bits are below its own
+    proves that it is not a canonical form, so a greedy one that gets there
+    rejects the child exactly. A child that survives is labeled in full and
+    tested as before, so the kept children and the output order do not
+    depend on the screen.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {ENUM_CAP}")
@@ -1035,15 +1015,11 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
         nxt = []
         for parent in level:
             rows = parent.adj
-            # the pinned search over the old vertices never reads the new
-            # vertex's bits, so the parent's own labeling (cached when it was
-            # accepted as a child) is shared by all 2^m extensions
+            # a canonical form's own columns spell its minimal bits
             pbase = parent.canonical_bits << m
-            pperm = parent._perm
-            pcols = [_column(rows[v], pperm[:k]) for k, v in enumerate(pperm)]
+            pcols = [_column(row, range(k)) for k, row in enumerate(rows)]
             # (previous twin, vertex) bit pairs: see the docstring
             twins = [(1 << t, 1 << v) for v, t in enumerate(_twin_before(rows)) if t >= 0]
-            accepted = set()
             for mask in range(1 << m):
                 if any(mask & t and not mask & v for t, v in twins):
                     continue
@@ -1051,15 +1027,11 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
                     rows[v] | (1 << m) if (mask >> v) & 1 else rows[v]
                     for v in range(m)
                 ) + (mask,)
-                col = _column(mask, pperm)
+                col = _column(mask, range(m))
                 if _greedy_below(child_rows, pcols + [col]):
                     continue
                 child = _built(m + 1, child_rows)
-                free = child.canonical_bits
-                if free in accepted:
-                    continue
-                if pbase | col == free:
-                    accepted.add(free)
+                if child.canonical_bits == pbase | col:
                     nxt.append(child)
         nxt.sort(key=Graph.canonical_key)
         yield from nxt

@@ -229,8 +229,8 @@ def test_gen():
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_gen_labels_each_printed_graph_once(fmt, monkeypatch):
-    # the search that sorts (or accepts) a graph caches the perm that
-    # canonical_form relabels by; the enumeration's 218 searches print 208
+    # the search that sorts (or accepts) a graph caches the bits that
+    # canonical_form spells; the enumeration's 218 searches print 208
     # graphs, and the 10 children labeled and rejected add no output
     calls = []
     search = graphs._min_bits

@@ -155,6 +155,20 @@ def test_induced_subgraph():
         c5.induced([0, 7])
 
 
+def test_vertex_accessors_refuse_vertices_out_of_range():
+    # Python would read -1 as the last row, and a deletion of a vertex the
+    # graph lacks would return it unchanged
+    p4 = path_graph(4)
+    for call in (lambda v: p4.has_edge(v, 2), lambda v: p4.has_edge(2, v),
+                 p4.degree, p4.neighbors, p4.delete_vertex):
+        for v in (-1, 4, 9):
+            with pytest.raises(VertexOutOfRange):
+                call(v)
+    assert p4.has_edge(2, 3) and not p4.has_edge(0, 3)
+    assert p4.degree(3) == 1 and p4.neighbors(1) == (0, 2)
+    assert p4.delete_vertex(0) == path_graph(3)
+
+
 def test_isomorphism_examples():
     p4 = path_graph(4)
     assert is_isomorphic(p4, p4.complement())
@@ -232,26 +246,23 @@ def _relabeled(g, perm):
     return Graph(g.n, tuple(_mask_of(pos[u] for u in g.neighbors(v)) for v in perm))
 
 
-def _check_minimal_perm(adj, bits, perm):
-    """``perm`` orders every vertex once, its columns reproduce ``bits``, and
-    it keeps each twin class in index order: what enumerate_graphs reads."""
-    assert sorted(perm) == list(range(len(adj)))
-    assert _bits_of(_columns(adj, perm)) == bits
-    pos = {v: i for i, v in enumerate(perm)}
-    assert all(pos[t] < pos[v] for v, t in enumerate(_twin_before(adj)) if t >= 0)
+def _check_label(g, bits, perm):
+    """The search reaches ``bits``, and the canonical form (searched again,
+    uncached) is ``g`` relabeled by ``perm``, a minimal labeling taken from
+    an oracle or pinned."""
+    assert _min_bits(g.adj) == bits
+    assert canonical_form(Graph(g.n, g.adj)) == _relabeled(g, perm)
 
 
 def test_twin_pruning_matches_the_unpruned_search(graphs_to_7):
     members = [g for c in CLASS_IDS for g in generate_class(c, 8)]
     for g in graphs_to_7 + members:
-        bits, perm = _unpruned_min_bits(g.adj)
-        assert _min_bits(g.adj) == (bits, perm)  # enumerate_graphs reads perm
-        assert canonical_form(g) == _relabeled(g, perm)
+        _check_label(g, *_unpruned_min_bits(g.adj))
 
 
 def test_enumeration_output_is_pinned(graphs_to_7):
-    # canonical augmentation reads the first minimal labeling's perm, so a
-    # change to the labeling search must keep it: same graphs, same order
+    # every graph enumerated is its canonical form, so a change to the
+    # labeling search must keep the bits: same graphs, same order
     text = "\n".join(graph6_encode(g) for g in graphs_to_7)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "526c7cda9d1e0bd4a91225d88d168fbba15851c5330364c73663363ff4227995")
@@ -263,10 +274,21 @@ def test_enumeration_output_is_pinned_at_order_8(graphs_to_8):
         "3c3bdc694df78ac29bf0dd30099acfd6398b7eee72a715ea02bfe62f781031c5")
 
 
+def test_enumeration_yields_canonical_forms(graphs_to_7):
+    # each graph enumerated is its own canonical form, and two random
+    # relabelings of it label back to it
+    rng = random.Random(23)
+    for g in graphs_to_7:
+        assert canonical_form(g) == g
+        for _ in range(2):
+            p = rng.sample(range(g.n), g.n)
+            assert canonical_form(from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])) == g
+
+
 def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, monkeypatch):
     # a child that holds a vertex's previous twin but not the vertex, or that
     # a greedy labeling beats, is never labeled; every child left unlabeled
-    # must fail the pinned test
+    # must fail the pinned test: its own labeling is not minimal
     calls = []
     search = graphs_module._min_bits
     monkeypatch.setattr(graphs_module, "_min_bits", lambda adj: calls.append(adj) or search(adj))
@@ -285,7 +307,7 @@ def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, 
                          for v, row in enumerate(parent.adj)) + (mask,)
             if rows not in labeled:
                 skipped += 1
-                assert search(rows)[0] < pinned | _column(mask, parent._perm)
+                assert search(rows) < pinned | _column(mask, range(m))
     assert skipped == 11_291 - 1_482
 
 
@@ -305,8 +327,9 @@ def _bits_of(cols):
 def _check_greedy_rejection(g, perm):
     """The greedy test never beats a minimal labeling, and beats ``perm``
     only when ``perm`` is above the minimum; returns whether it fired."""
-    bits, own = _min_bits(g.adj)
-    assert not _greedy_below(g.adj, _columns(g.adj, own))
+    bits = _min_bits(g.adj)
+    # the identity on the canonical form spells the minimal columns
+    assert not _greedy_below(g.adj, _columns(canonical_form(g).adj, range(g.n)))
     cols = _columns(g.adj, perm)
     fired = _greedy_below(g.adj, cols)
     assert not fired or bits < _bits_of(cols)
@@ -399,14 +422,14 @@ def _tiered_min_bits(adj, cap=None):
 def test_two_phase_search_labels_like_the_tiered_search(graphs_to_7):
     members = [g for c in CLASS_IDS for g, _value in closure_members(c, 8)]
     for g in graphs_to_7 + members:
-        assert _min_bits(g.adj) == _tiered_min_bits(g.adj)
+        _check_label(g, *_tiered_min_bits(g.adj))
 
 
 @pytest.mark.parametrize("j", range(2, 7))
 @pytest.mark.parametrize("kind", ["thin", "thick"])
 def test_two_phase_search_labels_spiders_like_the_tiered_search(kind, j):
     g = headless_spider(j, kind == "thick")
-    assert _min_bits(g.adj) == _tiered_min_bits(g.adj)
+    _check_label(g, *_tiered_min_bits(g.adj))
 
 
 def _gnp(rng, n, p):
@@ -428,7 +451,7 @@ def test_two_phase_search_labels_sparse_graphs_like_the_tiered_search():
         for p in (0.1, 0.2, 0.3):
             for _ in range(2):
                 adj = _gnp(rng, n, p)
-                assert _min_bits(adj) == _tiered_min_bits(adj)
+                _check_label(Graph(n, adj), *_tiered_min_bits(adj))
 
 
 TWIN_FREE_SYMMETRIC = {
@@ -447,7 +470,7 @@ def test_twin_free_symmetric_graphs_label_like_the_unpruned_search(name, monkeyp
     splits = []
     split = graphs_module._split
     monkeypatch.setattr(graphs_module, "_split", lambda *a: splits.append(a) or split(*a))
-    assert _min_bits(g.adj) == _unpruned_min_bits(g.adj)
+    _check_label(g, *_unpruned_min_bits(g.adj))
     assert splits
 
 
@@ -490,8 +513,8 @@ def _count_dropping(monkeypatch):
 
 
 def test_pruned_search_labels_like_the_unpruned_search(graphs_to_7, monkeypatch):
-    # the bits are the unpruned search's and the perm is a minimal labeling
-    # with twins in index order; 1,563 of these searches drop a holder
+    # the bits are the unpruned search's, so the canonical form is the
+    # unpruned search's too; 1,563 of these searches drop a holder
     members = [g for c in CLASS_IDS for g in generate_class(c, 8)]
     circulants = _circulants_relabeled(random.Random(21))
     drops = _count_dropping(monkeypatch)
@@ -499,18 +522,18 @@ def test_pruned_search_labels_like_the_unpruned_search(graphs_to_7, monkeypatch)
     dropping = 0
     for g in graphs_to_7 + members + list(TWIN_FREE_SYMMETRIC.values()) + circulants:
         before = len(drops)
-        bits, perm = _min_bits(g.adj)
+        bits = _min_bits(g.adj)
         dropping += len(drops) > before
         want, oracle = _unpruned_min_bits(g.adj)
         assert bits == want
-        _check_minimal_perm(g.adj, bits, perm)
         assert canonical_form(Graph(g.n, g.adj)) == _relabeled(g, oracle)  # uncached
     assert dropping > 1_500
 
 
 def test_enumeration_reads_only_a_minimal_perm(monkeypatch):
-    # with pruning from the first level the parents' perms need not be the
-    # least ones, and the output keeps test_enumeration_output_is_pinned's pin
+    # with pruning from the first level the search reaches the bits through
+    # other labelings, and the output keeps test_enumeration_output_is_pinned's
+    # pin
     _force_pruning(monkeypatch)
     text = "\n".join(graph6_encode(g) for g in enumerate_graphs(7))
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -518,8 +541,8 @@ def test_enumeration_reads_only_a_minimal_perm(monkeypatch):
 
 
 def test_canonical_form_is_invariant_where_holders_drop(monkeypatch):
-    # the search on each of these drops holders, so its perm depends on the
-    # labels it is given; the canonical form does not
+    # the search on each of these drops holders, so which minimal labelings it
+    # explores depends on the labels it is given; the canonical form does not
     drops = _count_dropping(monkeypatch)
     c5 = cycle_graph(5)
     rng = random.Random(22)
@@ -534,7 +557,7 @@ def test_canonical_form_is_invariant_where_holders_drop(monkeypatch):
 
 # (bits, perm) of the symmetric spiders, taken from the search before
 # automorphism pruning (thick9 with LABEL_CAP lifted: 6.2 million steps); the
-# pruned search reaches the bits through a perm that may differ
+# perm is a minimal labeling, so it spells the canonical form
 SPIDER_LABELS = {
     "thin7": (9404857916273717311, (7, 8, 9, 10, 11, 12, 13, 6, 5, 4, 3, 2, 1, 0)),
     "thick7": (587985459349670068159, (7, 8, 9, 10, 11, 12, 13, 0, 1, 2, 3, 4, 5, 6)),
@@ -548,10 +571,7 @@ SPIDER_LABELS = {
 
 
 def _check_spider_label(g, name):
-    bits, perm = _min_bits(g.adj)
-    assert bits == SPIDER_LABELS[name][0]
-    _check_minimal_perm(g.adj, bits, perm)
-    assert canonical_form(g) == _relabeled(g, SPIDER_LABELS[name][1])
+    _check_label(g, *SPIDER_LABELS[name])
 
 
 @pytest.mark.parametrize("name", sorted(SPIDER_LABELS))
@@ -598,7 +618,7 @@ def test_sparse_graph_labels_in_few_steps(monkeypatch):
     # steps
     g = graph6_decode("MG?G?c?H??????@?_")
     monkeypatch.setattr(graphs_module, "LABEL_CAP", 1_000)
-    assert _min_bits(g.adj) == (69122474368, (0, 8, 10, 11, 3, 6, 4, 1, 9, 12, 13, 2, 5, 7))
+    _check_label(g, 69122474368, (0, 8, 10, 11, 3, 6, 4, 1, 9, 12, 13, 2, 5, 7))
 
 
 # G(16, 0.1) with 17 edges: the tiered search passes LABEL_CAP on it. Its
@@ -609,8 +629,8 @@ PAST_THE_OLD_CAP = "O@G?CHH???p?OEg?OC???"
 
 def test_sparse_graph_past_the_old_cap_labels():
     g = graph6_decode(PAST_THE_OLD_CAP)
-    assert _min_bits(g.adj) == (
-        37926794380383956899856, (6, 15, 3, 13, 14, 1, 5, 11, 9, 10, 4, 7, 12, 8, 0, 2))
+    _check_label(
+        g, 37926794380383956899856, (6, 15, 3, 13, 14, 1, 5, 11, 9, 10, 4, 7, 12, 8, 0, 2))
     rng = random.Random(16)
     for _ in range(20):
         perm = rng.sample(range(g.n), g.n)

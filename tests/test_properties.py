@@ -28,7 +28,7 @@ from polaritylab.graphs import (
 from polaritylab.obstructions import is_minimal_obstruction
 from polaritylab.polarity import UNIPOLAR, find_polar_partition, parse_spec, satisfies, sk_polar
 from test_classes import check_scans
-from test_graphs import _check_greedy_rejection, _check_minimal_perm, _unpruned_min_bits
+from test_graphs import _check_greedy_rejection, _check_label, _unpruned_min_bits
 from test_polarity import _scan_witness
 
 SWEEP = settings(derandomize=True, deadline=None, max_examples=300)
@@ -77,19 +77,14 @@ def test_graph6_decode_raises_only_library_errors(text):
 @SWEEP
 @given(graphs(max_n=10), st.data())
 def test_labeling_matches_the_unpruned_search(g, data):
-    # up to order 8 no search drops a holder, so the perm is the least one;
-    # above, the perm is some minimal labeling with twins in index order
+    # the bits are the unpruned search's, and the canonical form is g
+    # relabeled by the unpruned search's minimal labeling
     perm = data.draw(st.permutations(range(g.n)))
     h = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     bits = _unpruned_min_bits(g.adj)[0]
     for x in (g, h):
-        got, want = _min_bits(x.adj), _unpruned_min_bits(x.adj)
-        if x.n <= 8:
-            assert got == want
-        else:
-            assert got[0] == want[0]
-            _check_minimal_perm(x.adj, *got)
-    assert _min_bits(h.adj)[0] == bits
+        _check_label(x, *_unpruned_min_bits(x.adj))
+    assert _min_bits(h.adj) == bits
 
 
 @SWEEP
