@@ -14,10 +14,10 @@ in any order, and fixes that set's order only as far as the later columns
 read it. Non-isomorphic enumeration is orderly and keeps memory flat: every
 graph it holds is a canonical form, and a one-vertex extension is kept iff
 it is one too, that is iff its own labeling spells its minimal bits. Two
-exact tests reject most extensions before they are labeled: a swap of two
-twins of the parent, and a greedy labeling whose bits fall below the
-extension's own. Either exhibits a labeling below the extension's, so the
-test would fail; an extension that passes both is searched in full.
+exact tests reject most extensions before they are labeled: a lower bound on
+the new vertex's column, read off the parent's own columns, and a swap of
+two twins of the parent. Either exhibits a labeling below the extension's,
+so the test would fail; an extension that passes both is searched in full.
 """
 
 from __future__ import annotations
@@ -416,24 +416,6 @@ def _twin_before(adj) -> list[int]:
     return before
 
 
-def _min_column(key: int, k: int, m: int, cand: int) -> int:
-    """The minimal column among the vertices ``cand``, read down the first
-    ``k`` planes of a packed key (plane j at offset j*m holds the row of the
-    j-th placed vertex), packed with the vertices holding it as
-    ``column << m | holders``."""
-    col = 0
-    rest = ~key
-    for _ in range(k):
-        zeros = rest & cand
-        col <<= 1
-        if zeros:
-            cand = zeros
-        else:
-            col |= 1
-        rest >>= m
-    return (col << m) | cand
-
-
 def _over_cap(m: int) -> CapExceeded:
     return CapExceeded(f"canonical labeling of n={m} passed {LABEL_CAP} search steps")
 
@@ -650,7 +632,11 @@ def _min_bits(adj) -> int:
     every = (1 << top) - 1  # all m blocks
     others = [every ^ (full << (v * m)) for v in range(m)]  # all blocks but v's
     non = {1 << v: ~row for v, row in enumerate(adj)}
-    spread = [sum(1 << (u * m) for u in _bits_to_tuple(row)) for row in adj]
+    units = [1 << (u * m) for u in range(m)]  # bit 0 of each block
+    spread = [0] * m  # spread[v]: bit 0 of the block of each neighbour of v
+    for u, row in enumerate(adj):
+        for v in _bits_to_tuple(row):
+            spread[v] |= units[u]
     states = {s << top: ((s,), every) for s in sets}
     bits = 0
     gens = None  # the kept automorphisms, once pruning engages
@@ -749,42 +735,6 @@ def _column(row: int, perm) -> int:
     for w in perm:
         col = (col << 1) | ((row >> w) & 1)
     return col
-
-
-def _greedy_below(adj, cols) -> bool:
-    """True when a greedy labeling of ``adj`` has bits below the labeling
-    whose k-th column is ``cols[k]``, which then is not minimal.
-
-    From each start vertex it places the lowest unplaced vertex of minimal
-    column, carrying the holders of that column as ``_min_bits`` does (plane
-    k of ``key`` is the row of the k-th placed vertex). A start is dropped
-    at its first column above ``cols``; False means no start went below,
-    not that ``cols`` is minimal.
-    """
-    m = len(adj)
-    full = (1 << m) - 1
-    for s in range(m):
-        key = placed = 0
-        col, cand, low = 0, full, 1 << s
-        for k in range(m):
-            if col != cols[k]:
-                if col < cols[k]:
-                    return True
-                break
-            v = low.bit_length() - 1
-            key |= adj[v] << (k * m)
-            placed |= low
-            rest = cand ^ low
-            apart = rest & ~adj[v]
-            if apart:
-                col, cand = col << 1, apart
-            elif rest:
-                col, cand = (col << 1) | 1, rest
-            elif placed != full:
-                col = _min_column(key, k + 1, m, full & ~placed)
-                col, cand = col >> m, col & full
-            low = cand & -cand
-    return False
 
 
 def _pack_key(n: int, bits: int) -> bytes:
@@ -990,20 +940,19 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     through the mask that is its last column; two kept children with equal
     bits would have equal rows, so each is kept once.
 
+    Let c_k be the parent's column k (k bits, vertex 0 highest) and x the
+    new vertex's column (m bits, vertex m-1 lowest). Placing the new vertex
+    at position k, after vertices 0..k-1, keeps the first k columns and
+    makes column k equal to x >> (m-k). So if x < c_k << (m-k) for some k,
+    the child has a labeling below its own and is not kept: the columns x
+    tried start at the maximum of c_k << (m-k), and none below it is built.
+
     A mask that holds the previous twin t of a vertex v but not v itself is
     skipped unlabeled. t comes before v, and swapping them is an
     automorphism of the parent. It maps the child to an isomorphic one
     whose last column has v's bit set instead of t's. v comes later, so
     that column is smaller: the child has a labeling below its own and is
-    not kept.
-
-    The remaining children are screened by ``_greedy_below`` against their
-    own columns (the parent's, read once per parent, then the new
-    vertex's). Any labeling of the child whose bits are below its own
-    proves that it is not a canonical form, so a greedy one that gets there
-    rejects the child exactly. A child that survives is labeled in full and
-    tested as before, so the kept children and the output order do not
-    depend on the screen.
+    not kept. Every other child from the bound up is labeled in full.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {ENUM_CAP}")
@@ -1013,24 +962,24 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     yield level[0]
     for m in range(1, n_max):
         nxt = []
+        # masks[x] is the mask whose column, read in index order, is x:
+        # reversing m bits is its own inverse
+        masks = [_column(x, range(m)) for x in range(1 << m)]
         for parent in level:
             rows = parent.adj
             # a canonical form's own columns spell its minimal bits
             pbase = parent.canonical_bits << m
-            pcols = [_column(row, range(k)) for k, row in enumerate(rows)]
+            bound = max(_column(row, range(k)) << (m - k) for k, row in enumerate(rows))
             # (previous twin, vertex) bit pairs: see the docstring
             twins = [(1 << t, 1 << v) for v, t in enumerate(_twin_before(rows)) if t >= 0]
-            for mask in range(1 << m):
+            for col in range(bound, 1 << m):
+                mask = masks[col]
                 if any(mask & t and not mask & v for t, v in twins):
                     continue
-                child_rows = tuple(
+                child = _built(m + 1, tuple(
                     rows[v] | (1 << m) if (mask >> v) & 1 else rows[v]
                     for v in range(m)
-                ) + (mask,)
-                col = _column(mask, range(m))
-                if _greedy_below(child_rows, pcols + [col]):
-                    continue
-                child = _built(m + 1, child_rows)
+                ) + (mask,))
                 if child.canonical_bits == pbase | col:
                     nxt.append(child)
         nxt.sort(key=Graph.canonical_key)

@@ -230,8 +230,8 @@ def test_gen():
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_gen_labels_each_printed_graph_once(fmt, monkeypatch):
     # the search that sorts (or accepts) a graph caches the bits that
-    # canonical_form spells; the enumeration's 218 searches print 208
-    # graphs, and the 10 children labeled and rejected add no output
+    # canonical_form spells; the enumeration's 284 searches print 208
+    # graphs, and the 76 children labeled and rejected add no output
     calls = []
     search = graphs._min_bits
     monkeypatch.setattr(graphs, "_min_bits", lambda adj: calls.append(adj) or search(adj))
@@ -243,12 +243,12 @@ def test_gen_labels_each_printed_graph_once(fmt, monkeypatch):
     enumerated = len(calls)
     calls.clear()
     list(graphs.enumerate_graphs(6))
-    assert enumerated == len(calls) == 218
+    assert enumerated == len(calls) == 284
 
 
 def test_gen_all_output_is_pinned():
-    # the enumeration route of gen; the digest predates the greedy rejection
-    # in enumerate_graphs, which must not change a byte
+    # the enumeration route of gen; the digest predates the column bound in
+    # enumerate_graphs, which must not change a byte
     code, out = cli(["gen", "--class", "all", "--max-n", "7"])
     assert code == 0 and len(out.splitlines()) == 1252
     assert hashlib.sha256(out.encode()).hexdigest() == (

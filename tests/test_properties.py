@@ -28,7 +28,7 @@ from polaritylab.graphs import (
 from polaritylab.obstructions import is_minimal_obstruction
 from polaritylab.polarity import UNIPOLAR, find_polar_partition, parse_spec, satisfies, sk_polar
 from test_classes import check_scans
-from test_graphs import _check_greedy_rejection, _check_label, _unpruned_min_bits
+from test_graphs import _check_label, _unpruned_min_bits
 from test_polarity import _scan_witness
 
 SWEEP = settings(derandomize=True, deadline=None, max_examples=300)
@@ -91,12 +91,6 @@ def test_labeling_matches_the_unpruned_search(g, data):
 @given(graphs(max_n=14))
 def test_edge_walks_match_the_subset_scans(g):
     check_scans(g)
-
-
-@SWEEP
-@given(graphs(max_n=10), st.data())
-def test_greedy_rejection_is_exact(g, data):
-    _check_greedy_rejection(g, data.draw(st.permutations(range(g.n))))
 
 
 bounds = st.none() | st.integers(0, 10**6)
