@@ -17,7 +17,8 @@ it is one too, that is iff its own labeling spells its minimal bits. Two
 exact tests reject most extensions before they are labeled: a lower bound on
 the new vertex's column, read off the parent's own columns, and a swap of
 two twins of the parent. Either exhibits a labeling below the extension's,
-so the test would fail; an extension that passes both is searched in full.
+so the test would fail; an extension that passes both is searched only
+until the search reads a column below its own.
 """
 
 from __future__ import annotations
@@ -602,7 +603,18 @@ def _orbit_holders(adj, placed, cells, hold, fresh, gens, onto) -> tuple[int, in
     return keep, steps
 
 
-def _min_bits(adj) -> int:
+@lru_cache(maxsize=None)
+def _tables(m: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
+    """The packed-key tables of order m: (full, top, every, others, units)."""
+    full = (1 << m) - 1
+    top = m * m
+    every = (1 << top) - 1  # all m blocks
+    others = tuple(every ^ (full << (v * m)) for v in range(m))  # all blocks but v's
+    units = tuple(1 << (u * m) for u in range(m))  # bit 0 of each block
+    return full, top, every, others, units
+
+
+def _min_bits(adj, own: int | None = None) -> int | None:
     """The minimal upper-triangle bit string of ``adj``, in graph6 column
     order.
 
@@ -618,6 +630,19 @@ def _min_bits(adj) -> int:
 
     Once pruning engages (see above), a tied state first drops the holders
     that ``_orbit_holders`` finds in the orbit of a lower one.
+
+    Given ``own``, the bits of ``adj``'s own labeling (vertex i placed i-th),
+    the search answers whether they are minimal: it returns ``own`` if so
+    and None as soon as it proves a lower labeling. That happens in phase 1
+    when alpha(G) exceeds the own independent prefix (its first nonzero own
+    column then reads zero), and in phase 2 when a state reads a column
+    below the own column at its level: some labeling with the same prefix
+    reads that column. The bound is exact: while every level so far has tied
+    the own columns, the identity labeling is one labeling with the minimal
+    prefix, so each level's minimum is at most its own column. So the least
+    column starts at the own column, and a state above it is dropped before
+    it builds children; if no state reads below it, the minimum is the own
+    column and the states kept are the ones the full search keeps.
     """
     m = len(adj)
     if m == 0:
@@ -627,16 +652,18 @@ def _min_bits(adj) -> int:
     alpha = sets[0].bit_count()
     if alpha == m:  # edgeless: every labeling is minimal
         return 0
-    full = (1 << m) - 1
-    top = m * m
-    every = (1 << top) - 1  # all m blocks
-    others = [every ^ (full << (v * m)) for v in range(m)]  # all blocks but v's
+    if own is not None:
+        rest = m * (m - 1) // 2 - alpha * (alpha - 1) // 2  # bits after column alpha-1
+        if own >> rest:  # the own prefix of alpha columns is not independent
+            return None
+    full, top, every, others, units = _tables(m)
     non = {1 << v: ~row for v, row in enumerate(adj)}
-    units = [1 << (u * m) for u in range(m)]  # bit 0 of each block
     spread = [0] * m  # spread[v]: bit 0 of the block of each neighbour of v
     for u, row in enumerate(adj):
-        for v in _bits_to_tuple(row):
-            spread[v] |= units[u]
+        while row:
+            low = row & -row
+            row ^= low
+            spread[low.bit_length() - 1] |= units[u]
     states = {s << top: ((s,), every) for s in sets}
     bits = 0
     gens = None  # the kept automorphisms, once pruning engages
@@ -646,6 +673,9 @@ def _min_bits(adj) -> int:
             gens = []
         nxt = {}
         best = None
+        if own is not None:
+            rest -= k
+            best = (own >> rest) & ((1 << k) - 1)  # the own column k
         for key, (cells, live) in states.items():
             placed = key >> top
             hold = full & ~placed
@@ -690,6 +720,8 @@ def _min_bits(adj) -> int:
             col = (col << (k - alpha)) | least
             steps += len(cells)
             if best is None or col < best:
+                if own is not None:
+                    return None
                 best = col
                 nxt = {}
             elif col > best:
@@ -902,7 +934,8 @@ def graph6_decode(text: str) -> Graph:
     pad = 6 * need - nbits
     if bits & ((1 << pad) - 1):
         raise TrailingGarbage("nonzero padding bits")
-    return Graph(n, _rows(n, bits >> pad))
+    # _rows builds symmetric, loop-free rows below bit n, and n is capped
+    return _built(n, _rows(n, bits >> pad))
 
 
 def _rows(n: int, bits: int) -> tuple[int, ...]:
@@ -952,7 +985,15 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     automorphism of the parent. It maps the child to an isomorphic one
     whose last column has v's bit set instead of t's. v comes later, so
     that column is smaller: the child has a labeling below its own and is
-    not kept. Every other child from the bound up is labeled in full.
+    not kept.
+
+    Every other child from the bound up asks the labeling search a yes/no
+    question, ``_min_bits(adj, own)`` with its own bits: the search stops
+    at the first level whose least column is below the child's own column
+    there (see ``_min_bits`` for why that bound is exact), and a child it
+    does not stop is kept with those bits cached. To order 7 that is 1,993
+    searches, of which 741 stop early: 90 right after phase 1, and all of
+    the others within the first five levels of phase 2.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {ENUM_CAP}")
@@ -980,7 +1021,8 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
                     rows[v] | (1 << m) if (mask >> v) & 1 else rows[v]
                     for v in range(m)
                 ) + (mask,))
-                if child.canonical_bits == pbase | col:
+                child._bits = _min_bits(child.adj, pbase | col)
+                if child._bits is not None:
                     nxt.append(child)
         nxt.sort(key=Graph.canonical_key)
         yield from nxt

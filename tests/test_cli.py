@@ -234,7 +234,7 @@ def test_gen_labels_each_printed_graph_once(fmt, monkeypatch):
     # graphs, and the 76 children labeled and rejected add no output
     calls = []
     search = graphs._min_bits
-    monkeypatch.setattr(graphs, "_min_bits", lambda adj: calls.append(adj) or search(adj))
+    monkeypatch.setattr(graphs, "_min_bits", lambda adj, own=None: calls.append(adj) or search(adj, own))
     code, out = cli(["gen", "--class", "cograph", "--max-n", "6", "--format", fmt])
     assert code == 0 and len(calls) == len(out.splitlines()) == 107
     calls.clear()

@@ -3,10 +3,12 @@ induced-subgraph search, and exhaustive enumeration, each checked against an
 independent oracle where the expected value is not forced by definition."""
 
 import hashlib
+import importlib.util
 import random
 import time
 import tracemalloc
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -290,7 +292,7 @@ def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, 
     # is not minimal
     calls = []
     search = graphs_module._min_bits
-    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj: calls.append(adj) or search(adj))
+    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj, own=None: calls.append(adj) or search(adj, own))
     assert list(enumerate_graphs(7)) == graphs_to_7
     # 11,291 when every child was labeled, 7,195 with the twin filter alone,
     # 1,482 with the twin filter and a greedy labeling screen
@@ -309,6 +311,65 @@ def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, 
                 skipped += 1
                 assert search(rows) < pinned | _column(mask, range(m))
     assert skipped == 11_291 - 1_993
+
+
+def _own_bits(adj) -> int:
+    """The bits of ``adj``'s own labeling, vertex i placed i-th."""
+    bits = 0
+    for k, row in enumerate(adj):
+        bits = (bits << k) | _column(row, range(k))
+    return bits
+
+
+def _check_verdict(adj):
+    own = _own_bits(adj)
+    verdict = _min_bits(adj, own)
+    assert verdict == (own if _min_bits(adj) == own else None), adj
+
+
+def test_bounded_search_answers_whether_the_own_labeling_is_minimal(graphs_to_7, monkeypatch):
+    # every child of every parent to order 7, labeled by the enumeration or
+    # skipped, and two random relabelings of every graph of order <= 7: the
+    # bounded search returns the own bits iff the full search does
+    rng = random.Random(25)
+    for g in graphs_to_7:
+        if g.n < 7:
+            m = g.n
+            for mask in range(1 << m):
+                _check_verdict(tuple(row | (1 << m) if (mask >> v) & 1 else row
+                                     for v, row in enumerate(g.adj)) + (mask,))
+        for _ in range(2):
+            _check_verdict(_relabeled(g, rng.sample(range(g.n), g.n)).adj)
+    # the enumeration's searches: 741 stop early, the rest keep their own bits
+    verdicts = []
+    search = graphs_module._min_bits
+
+    def hook(adj, own=None):
+        verdicts.append((search(adj, own), _own_bits(adj)))
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(graphs_module, "_min_bits", hook)
+    list(enumerate_graphs(7))
+    assert len(verdicts) == 1_993
+    assert [v for v, _ in verdicts].count(None) == 741
+    assert sum(v == own for v, own in verdicts) == 1_252
+
+
+def test_graph6_decode_of_the_cli_stream_pool_equals_the_validated_graph():
+    # graph6_decode skips the constructor's checks: _rows builds valid rows
+    spec = importlib.util.spec_from_file_location(
+        "inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    decoded = 0
+    for fam, line in inputs.cli_pool():
+        if fam == "malformed":
+            continue
+        g = graph6_decode(line)
+        assert g == Graph(g.n, g.adj) and type(g.adj) is tuple
+        assert graph6_encode(g) == line
+        decoded += 1
+    assert decoded == 219
 
 
 def _min_column(key: int, k: int, m: int, cand: int) -> int:

@@ -117,7 +117,7 @@ def test_enumeration_labels_only_its_output(monkeypatch):
     classes._ext_key_table()  # the decomposition's lookup table, labeled once per process
     calls = []
     search = graphs_module._min_bits
-    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj: calls.append(adj) or search(adj))
+    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj, own=None: calls.append(adj) or search(adj, own))
     got = enumerate_minimal_obstructions("p4sparse", spec, 8)
     assert got and len(calls) == len(got)
     assert [(g.n, g.canonical_key()) for g in got] == sorted((g.n, g.canonical_key()) for g in got)
