@@ -271,11 +271,12 @@ def _cmd_obstructions(args) -> int:
     spec = po.parse_spec(args.spec)
 
     def handle(g, records):
-        report = ob.is_minimal_obstruction(g, spec)
+        # only JSON lines without --quiet print witnesses
+        report = ob.is_minimal_obstruction(g, spec, witnesses=records and not args.quiet)
         record = {"verdict": report.is_minimal, "obstruction": report.is_obstruction}
         if records:
             record["canonical"] = g.canonical_key().hex()
-        if report.is_minimal and not args.quiet:
+        if report.deletion_witnesses:
             record["witness"] = report.witnesses_json()
         return report.is_minimal, (
             f"obstruction={str(report.is_obstruction).lower()} "

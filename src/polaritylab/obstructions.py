@@ -39,11 +39,10 @@ from .polarity import (
     _caps,
     _critical,
     _meets,
-    _witness,
+    find_polar_partition,
     satisfies,
     sk_polar,
 )
-from .polarity import find_polar_partition  # noqa: F401 -- perfbench/spans.py rebinds it here
 
 OBSTRUCTION_CAP = 15  # guard for the critical closure; see the README's cap table
 
@@ -75,17 +74,20 @@ def _deletions_satisfy(g: Graph, spec: PolarSpec) -> bool:
     return all(satisfies(g.delete_vertex(v), spec) for v in range(g.n))
 
 
-def is_minimal_obstruction(g: Graph, spec: PolarSpec) -> ObstructionReport:
-    """Check obstruction-ness and minimality, collecting deletion witnesses.
-    Verdicts come first; witnesses are searched for only once ``g`` is
-    proven minimal, since a report that is not minimal carries none, and
-    then by the sized passes alone, since every deletion is known to pass."""
+def is_minimal_obstruction(g: Graph, spec: PolarSpec, witnesses: bool = True) -> ObstructionReport:
+    """Check obstruction-ness and minimality, collecting deletion witnesses
+    unless ``witnesses`` is False. Verdicts come first, each search stopping
+    at its first partition; witnesses are searched for only once ``g`` is
+    proven minimal, since a report that is not minimal carries none, by one
+    bounded pass per deletion (``find_polar_partition``)."""
     if satisfies(g, spec):
         return ObstructionReport(g, spec, False, False)
     if not _deletions_satisfy(g, spec):
         return ObstructionReport(g, spec, True, False)
-    witnesses = {v: _witness(g.delete_vertex(v), spec) for v in range(g.n)}
-    return ObstructionReport(g, spec, True, True, witnesses)
+    if not witnesses:
+        return ObstructionReport(g, spec, True, True)
+    found = {v: find_polar_partition(g.delete_vertex(v), spec) for v in range(g.n)}
+    return ObstructionReport(g, spec, True, True, found)
 
 
 def enumerate_minimal_obstructions(
@@ -267,16 +269,19 @@ def obstruction_record(g: Graph, spec: Optional[PolarSpec] = None) -> dict:
     """JSON-ready sidecar entry for one obstruction-list member.
 
     The graph6 field uses the canonical labeling, so isomorphic results are
-    byte-identical however they were produced (golden-file stability).
+    byte-identical however they were produced (golden-file stability). The
+    witnesses are found on that printed graph, so their vertex ids are the
+    printed graph's.
     """
+    printed = gr.canonical_form(g)
     rec = {
-        "graph6": graph6_encode(gr.canonical_form(g)),
+        "graph6": graph6_encode(printed),
         "canonical": g.canonical_key().hex(),
         "order": g.n,
     }
     if spec is not None:
         rec["property"] = spec.label()
-        report = is_minimal_obstruction(g, spec)
+        report = is_minimal_obstruction(printed, spec)
         rec["minimal"] = report.is_minimal
         rec["witnesses"] = report.witnesses_json()
     return rec

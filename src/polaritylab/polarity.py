@@ -9,9 +9,9 @@ one clique. So ``_is_cm_mask`` tests every side (``_sides``).
 
 The solver is an exact depth-first search over the vertices in index
 order. Both sides are hereditary, so a prefix of A or of B that fails cuts
-every extension of it. A size-free pass decides whether a partition exists;
-only then is the witness found, the first valid split in increasing |A| and
-then lexicographic A order, so witnesses are deterministic.
+every extension of it. A verdict stops at the first partition reached; a
+witness is the first valid split in increasing |A| and then lexicographic
+A order, found by the same pass bounded on |A|, so it is deterministic.
 
 Members of the cograph superclasses need no search for their verdicts: a
 polarity profile, folded over the operations that build a member, answers
@@ -175,63 +175,54 @@ def is_split(g: Graph) -> bool:
     return sum(d[:m]) == m * (m - 1) + sum(d[m:])
 
 
-def _first_a(g: Graph, spec: PolarSpec, size: Optional[int]) -> Optional[int]:
-    """A-side mask of the first valid partition with |A| = ``size`` (any size
-    when None), or None.
+def _first_a(g: Graph, spec: PolarSpec, first: bool) -> Optional[int]:
+    """A-side mask of a valid partition, or None: the first one reached when
+    ``first``, else the first in (|A|, lexicographic A) order.
 
     Vertices are decided depth-first in index order, "into A" before "into
-    B", so fixed-size A-sides come in lexicographic order of sorted vertex
-    tuples. Both sides are hereditary: a prefix of A or of B that fails cuts
-    every extension. ``_is_cm_mask`` tests both sides (``_sides``), a clique
-    side A as a cluster side with one clique.
+    B", so A-sides of one size are reached in lexicographic order. Both
+    sides are hereditary: a prefix of A or of B that fails cuts every
+    extension. ``_is_cm_mask`` tests both sides (``_sides``). Unless
+    ``first``, the search is a branch and bound on |A|: an A-branch is cut
+    before its side test once it would reach ``best``, the least |A| of the
+    leaves reached so far. No leaf of the least size comes before the
+    (|A|, lex)-first one, so it is never cut and is the last leaf reached.
+    With no partition the bound never fires: a None answer costs one pass.
     """
     n = g.n
     if n > SEARCH_CAP:
         raise CapExceeded(f"order {n} exceeds search cap {SEARCH_CAP}")
-    full = (1 << n) - 1
     (a_rows, smax), (co, kmax) = _sides(g, spec)
+    best, found = n + 1, None
 
-    def walk(v, amask, bmask):
-        # vertices below v are decided: amask into A, bmask into B, both valid
-        if size is not None:
-            need = size - amask.bit_count()
-            if need == 0:
-                return amask if _is_cm_mask(co, full ^ amask, kmax) else None
-            if need > n - v:
-                return None
-        elif v == n:
-            return amask
+    def walk(v, amask, bmask, size):
+        # vertices below v are decided: amask into A, bmask into B, both
+        # valid; True stops the search
+        nonlocal best, found
+        if v == n:
+            best, found = size, amask
+            return first
         bit = 1 << v
-        if _is_cm_mask(a_rows, amask | bit, smax):
-            hit = walk(v + 1, amask | bit, bmask)
-            if hit is not None:
-                return hit
-        return walk(v + 1, amask, bmask | bit) if _is_cm_mask(co, bmask | bit, kmax) else None
+        if (size + 1 < best and _is_cm_mask(a_rows, amask | bit, smax)
+                and walk(v + 1, amask | bit, bmask, size + 1)):
+            return True
+        return _is_cm_mask(co, bmask | bit, kmax) and walk(v + 1, amask, bmask | bit, size)
 
-    return walk(0, 0, 0)
-
-
-def _witness(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
-    """First valid partition in (|A|, lexicographic A) order, or None, found
-    by the sized passes alone: for a graph whose verdict is already known."""
-    full = (1 << g.n) - 1
-    for size in range(g.n + 1):
-        amask = _first_a(g, spec, size)
-        if amask is not None:
-            return PolarPartition(_bits_to_tuple(amask), _bits_to_tuple(full ^ amask))
-    return None
+    walk(0, 0, 0, 0)
+    return found
 
 
 def find_polar_partition(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
     """First valid partition in (|A|, lexicographic A) order, or None."""
-    if _first_a(g, spec, None) is None:
+    amask = _first_a(g, spec, first=False)
+    if amask is None:
         return None
-    return _witness(g, spec)
+    return PolarPartition(_bits_to_tuple(amask), _bits_to_tuple(((1 << g.n) - 1) ^ amask))
 
 
 def satisfies(g: Graph, spec: PolarSpec) -> bool:
-    """Whether a partition exists: the size-free pass alone, no witness."""
-    return _first_a(g, spec, None) is not None
+    """Whether a partition exists: the search stops at its first leaf."""
+    return _first_a(g, spec, first=True) is not None
 
 
 # ---------------------------------------------------------------------------

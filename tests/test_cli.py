@@ -25,6 +25,7 @@ from polaritylab.graphs import (
     path_graph,
     union_all,
 )
+from polaritylab.polarity import parse_spec
 
 
 def cli(argv, stdin="", monkeypatch=None):
@@ -206,6 +207,19 @@ def test_obstructions_construct_catalog_check():
     code, out = cli(["obstructions", "check", "--spec", "unipolar"],
                     g6(path_graph(3)) + "\n")
     assert code == 1 and "obstruction=false" in out
+
+
+def test_obstructions_check_searches_for_witnesses_only_to_print_them(monkeypatch):
+    # text and --quiet lines print verdicts alone, so no witness is searched for
+    line = g6(catalog("k2,3")) + "\n"
+    searches = []
+    search = ob.find_polar_partition
+    monkeypatch.setattr(ob, "find_polar_partition", lambda *a: searches.append(a) or search(*a))
+    for extra in ([], ["--quiet"], ["--format", "json", "--quiet"]):
+        code, _ = cli(["obstructions", "check", "--spec", "unipolar", *extra], line)
+        assert code == 0 and searches == []
+    code, out = cli(["obstructions", "check", "--spec", "unipolar", "--format", "json"], line)
+    assert code == 0 and len(searches) == 5 and set(json.loads(out)["witness"]) == set("01234")
 
 
 def test_verify():
@@ -419,6 +433,26 @@ def test_python_dash_m_runs_the_cli():
         input="Ch\nDhc\n", capture_output=True, text=True, env=env, timeout=60,
     )
     assert (done.returncode, done.stdout) == (1, "Ch\ttrue\nDhc\tfalse\n")
+
+
+
+def test_list_checker_passes_the_printed_list_and_flags_misplaced_witnesses():
+    # scripts/check_list.py reads the records with perfbench/oracle.py alone;
+    # witnesses on the member's own labels, not the printed graph's, fail it
+    checker = Path(__file__).resolve().parent.parent / "scripts" / "check_list.py"
+    spec = parse_spec("sk:2,1")
+    code, printed = cli(["obstructions", "enumerate", "--class", "p4sparse", "--spec", "sk:2,1",
+                         "--max-n", "7", "--format", "json"])
+    misplaced = "".join(
+        json.dumps(dict(ob.obstruction_record(g), property=spec.label(), minimal=True,
+                        witnesses=ob.is_minimal_obstruction(g, spec).witnesses_json())) + "\n"
+        for g in ob.enumerate_minimal_obstructions("p4sparse", spec, 7))
+    assert code == 0
+    for records, want in ((printed, 0), (misplaced, 1)):
+        done = subprocess.run([sys.executable, str(checker), "--class", "p4sparse"],
+                              input=records, capture_output=True, text=True, timeout=60)
+        assert done.returncode == want and done.stdout.startswith("9 records checked")
+    assert "is not a valid partition" in done.stderr
 
 
 # P4, C5, the bull (a P4-spider over K1), a malformed line, and the net

@@ -40,6 +40,7 @@ from polaritylab.polarity import (
     MONOPOLAR,
     POLAR,
     UNIPOLAR,
+    PolarPartition,
     find_polar_partition,
     parse_spec,
     satisfies,
@@ -90,15 +91,15 @@ def test_non_minimal_obstruction():
 
 
 def test_minimality_report_runs_one_size_free_pass_per_graph(monkeypatch):
-    # the screen decides every deletion; the witnesses then come from the
-    # sized passes alone
-    sizes = []
+    # the screen decides the graph and every deletion with first-hit walks;
+    # the witnesses then come from one bounded walk per deletion
+    modes = []
     walk = polarity._first_a
     monkeypatch.setattr(polarity, "_first_a",
-                        lambda g, spec, size: sizes.append(size) or walk(g, spec, size))
+                        lambda g, spec, first: modes.append(first) or walk(g, spec, first))
     g = catalog("e9")
     assert is_minimal_obstruction(g, sk_polar(2, 1)).is_minimal
-    assert sizes.count(None) == g.n + 1
+    assert modes == [True] * (g.n + 1) + [False] * g.n
 
 
 def test_enumerate_unipolar_small():
@@ -489,10 +490,42 @@ def test_claim_reports_are_pinned(claim, digest):
     ("p4extendible", "polar", 8, "ace35cea3c68b417a079bfca61c0e3754c1865c1a91f1e9aec3270eabc707360"),
 ])
 def test_deletion_witnesses_are_pinned(class_id, spec, n_max, digest):
+    # the solver's deletion witnesses on each member as the closure built
+    # it, laid out as a record with its printed graph6
+    spec = parse_spec(spec)
+    records = [dict(obstruction_record(g), property=spec.label(), minimal=True,
+                    witnesses=is_minimal_obstruction(g, spec).witnesses_json())
+               for g in enumerate_minimal_obstructions(class_id, spec, n_max)]
+    assert sha256_of(json.dumps(records, sort_keys=True)) == digest
+
+
+# The same lists as printed: each witness is found on the printed graph6.
+PRINTED_RECORD_DIGESTS = {
+    ("p4sparse", "unipolar", 7): "8a1e7aba81174cd52e2de875db931eb95b538d11f1476daea161d150766796e3",
+    ("p4sparse", "sk:2,1", 7): "9bf5de32f6dea9f086360b2261ac087f0b213987045f31d388e84ca0d179a4d2",
+    ("p4sparse", "sk:inf,1", 7): "f62a8cddcfc7317d5a870372330bce0fdfca2de2d3dd5b23673c43c7114db6ef",
+    ("p4sparse", "polar", 8): "e33759a15da281f241191f7a1602bd72f7db1f4cee5e4cd3e1943c6ef89e4bcd",
+    ("p4extendible", "unipolar", 7): "00cf1d065a98d3dde0521ea31299bbb5de7a5099dbff715ba403f1393e79262e",
+    ("p4extendible", "sk:2,1", 7): "0568e5c1a5bf669d44a95053bdb091b9a0f8cf688d7f9a66990db3d448a143a6",
+    ("p4extendible", "sk:inf,1", 7): "7c3ee79b474ad611c08abd62ac14cf68455fccf6bf30dbe896d88004c52619a1",
+    ("p4extendible", "polar", 8): "e33759a15da281f241191f7a1602bd72f7db1f4cee5e4cd3e1943c6ef89e4bcd",
+}
+
+
+@pytest.mark.parametrize("case", list(PRINTED_RECORD_DIGESTS),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_deletion_witnesses_fit_the_printed_graph(case):
+    class_id, spec, n_max = case
     spec = parse_spec(spec)
     records = [obstruction_record(g, spec)
                for g in enumerate_minimal_obstructions(class_id, spec, n_max)]
-    assert sha256_of(json.dumps(records, sort_keys=True)) == digest
+    for rec in records:
+        g = graph6_decode(rec["graph6"])
+        assert set(rec["witnesses"]) == {str(v) for v in range(g.n)}
+        for v, w in rec["witnesses"].items():
+            witness = PolarPartition(tuple(w["a"]), tuple(w["b"]))
+            assert witness.validate(g.delete_vertex(int(v)), spec), (rec["graph6"], v)
+    assert sha256_of(json.dumps(records, sort_keys=True)) == PRINTED_RECORD_DIGESTS[case]
 
 
 # The (2,2) lists reach order 9 = (s+1)(k+1), the order bound for P4-sparse
