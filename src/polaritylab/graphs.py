@@ -342,7 +342,10 @@ def _co_rows(adj, mask: int) -> list[int]:
 # first alpha(G) vertices form a maximum independent set S; those bits do
 # not depend on the order of S. Phase 1 grows independent sets in ascending
 # vertex order, one state per set, until none grows: the sets left are the
-# maximum ones.
+# maximum ones. A child in orderly generation (one new vertex on a parent)
+# skips it: its maximum independent sets are read off the parent's maximum
+# ones and those of one vertex fewer (``_child_sets``), which the parent
+# grows once for all its children, and filtered by the child's twins.
 #
 # Phase 2, the tail. Each state keeps S as cells, an ordered partition whose
 # orders are the orders of S still open, and places the other vertices. Over
@@ -364,7 +367,9 @@ def _co_rows(adj, mask: int) -> list[int]:
 # cells group S by block, in block order, so equal keys mean equal cells and
 # equal tail columns: identical futures, merged. Placing v shifts every block
 # up one bit and adds v's adjacency as each block's last bit, in O(1); a tail
-# column has fewer than m bits, so no block spills into the next.
+# column has fewer than m bits, so no block spills into the next. That
+# adjacency, bit 0 of the block of each neighbour of v, is read off a table
+# per order, one lookup per byte of v's row (``_spreads``).
 #
 # Twins (true or false, in the whole graph) are placed in index order only:
 # swapping two unplaced twins is an automorphism that fixes the placed
@@ -421,15 +426,16 @@ def _over_cap(m: int) -> CapExceeded:
     return CapExceeded(f"canonical labeling of n={m} passed {LABEL_CAP} search steps")
 
 
-def _independent_prefix(adj, lower) -> tuple[list[int], int]:
+def _independent_prefix(adj, lower) -> tuple[list[int], list[int], int]:
     """Phase 1: the maximum independent sets whose twins come in index order
-    (``lower[v]`` is the bit of v's previous twin), and the sets grown.
+    (``lower[v]`` is the bit of v's previous twin), those of one vertex
+    fewer, and the sets grown.
 
     A state is (set, the vertices above its last that see none of it), so
     each set is grown once, from its ascending prefix.
     """
     m = len(adj)
-    level = [(0, (1 << m) - 1)]
+    level = prev = [(0, (1 << m) - 1)]
     grown = 0
     while True:
         nxt = []
@@ -441,11 +447,11 @@ def _independent_prefix(adj, lower) -> tuple[list[int], int]:
                 if not lower[v] & ~s:
                     nxt.append((s | low, free & ~adj[v]))
         if not nxt:
-            return [s for s, _ in level], grown
+            return [s for s, _ in level], [s for s, _ in prev], grown
         grown += len(nxt)
         if grown > LABEL_CAP:
             raise _over_cap(m)
-        level = nxt
+        level, prev = nxt, level
 
 
 def _split(cells: tuple[int, ...], splits: tuple[int, ...], row: int) -> tuple[int, ...]:
@@ -604,21 +610,62 @@ def _orbit_holders(adj, placed, cells, hold, fresh, gens, onto) -> tuple[int, in
 
 
 @lru_cache(maxsize=None)
-def _tables(m: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
-    """The packed-key tables of order m: (full, top, every, others, units)."""
+def _tables(m: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """The packed-key tables of order m: (full, top, every, others)."""
     full = (1 << m) - 1
     top = m * m
     every = (1 << top) - 1  # all m blocks
     others = tuple(every ^ (full << (v * m)) for v in range(m))  # all blocks but v's
-    units = tuple(1 << (u * m) for u in range(m))  # bit 0 of each block
-    return full, top, every, others, units
+    return full, top, every, others
 
 
-def _min_bits(adj, own: int | None = None) -> int | None:
+@lru_cache(maxsize=None)
+def _spread_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """For each byte of a row of order m, the spread of each value of that
+    byte: bit 0 of the block of every vertex the byte holds."""
+    table = []
+    for base in range(0, m, 8):
+        spread = [0]
+        for y in range(1, 1 << min(8, m - base)):
+            low = y & -y
+            spread.append(spread[y ^ low] | 1 << ((base + low.bit_length() - 1) * m))
+        table.append(tuple(spread))
+    return tuple(table)
+
+
+def _spreads(adj) -> list[int]:
+    """spread[v]: bit 0 of the block of each neighbour of v, read off
+    ``_spread_table`` one byte of v's row at a time."""
+    first, *rest = _spread_table(len(adj))
+    spread = [first[row & 255] for row in adj]
+    for b, table in enumerate(rest, 1):
+        spread = [s | table[row >> 8 * b & 255] for s, row in zip(spread, adj)]
+    return spread
+
+
+def _child_sets(top: list[int], below: list[int], x: int, new: int) -> list[int]:
+    """The maximum independent sets of a graph P plus a vertex ``new``
+    (a bit above P's) whose neighbourhood is ``x``, from P's maximum
+    independent sets ``top`` and those of one vertex fewer, ``below``.
+
+    A set of the child without ``new`` is one of P's; one with it is one of
+    P's that misses ``x``, plus ``new``. So if some set of ``top`` misses
+    ``x``, the child's are those sets plus ``new``, one vertex larger;
+    otherwise they are ``top`` and the sets of ``below`` that miss ``x``,
+    plus ``new``.
+    """
+    return ([s | new for s in top if not s & x]
+            or top + [s | new for s in below if not s & x])
+
+
+def _min_bits(adj, own: int | None = None, sets: list[int] | None = None) -> int | None:
     """The minimal upper-triangle bit string of ``adj``, in graph6 column
     order.
 
-    Phase 1 finds the sets S (see above). Phase 2 maps each packed key to
+    Phase 1 finds the sets S (see above), unless ``sets`` gives the maximum
+    independent sets of ``adj``, all of them: then the search keeps those
+    whose twins come in index order, the sets phase 1 would find, and
+    phase 1 does not run. Phase 2 maps each packed key to
     (cells, live): the cells are masks in order, and ``live`` masks the
     blocks of S and of the unplaced vertices. Each state's minimal column is
     read once, cell by cell and then down the tail blocks of the holders
@@ -648,7 +695,13 @@ def _min_bits(adj, own: int | None = None) -> int | None:
     if m == 0:
         return 0
     lower = [1 << t if t >= 0 else 0 for t in _twin_before(adj)]
-    sets, steps = _independent_prefix(adj, lower)
+    if sets is None:
+        sets, _, steps = _independent_prefix(adj, lower)
+    else:  # keep the sets whose twins come in index order, as phase 1 does
+        twins = [(t, 1 << v) for v, t in enumerate(lower) if t]
+        if twins:
+            sets = [s for s in sets if all(s & t or not s & v for t, v in twins)]
+        steps = 0
     alpha = sets[0].bit_count()
     if alpha == m:  # edgeless: every labeling is minimal
         return 0
@@ -656,14 +709,9 @@ def _min_bits(adj, own: int | None = None) -> int | None:
         rest = m * (m - 1) // 2 - alpha * (alpha - 1) // 2  # bits after column alpha-1
         if own >> rest:  # the own prefix of alpha columns is not independent
             return None
-    full, top, every, others, units = _tables(m)
+    full, top, every, others = _tables(m)
     non = {1 << v: ~row for v, row in enumerate(adj)}
-    spread = [0] * m  # spread[v]: bit 0 of the block of each neighbour of v
-    for u, row in enumerate(adj):
-        while row:
-            low = row & -row
-            row ^= low
-            spread[low.bit_length() - 1] |= units[u]
+    spread = _spreads(adj)
     states = {s << top: ((s,), every) for s in sets}
     bits = 0
     gens = None  # the kept automorphisms, once pruning engages
@@ -965,13 +1013,19 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     is a canonical form. A child of an order-m form (new vertex m attached
     by an arbitrary neighborhood mask) is kept iff it is a canonical form
     too, that is iff its own labeling spells its minimal bits: the parent's
-    bits followed by the mask's column, read in index order. Output per
-    order is sorted by canonical key. The first m vertices of a canonical
-    form of order m+1 are a canonical form: their bits are a prefix of its
-    minimal bits, and a labeling of them with lower bits would give one of
-    the whole graph too. So each class is reached from exactly one parent,
-    through the mask that is its last column; two kept children with equal
-    bits would have equal rows, so each is kept once.
+    bits followed by the mask's column, read in index order. The first m
+    vertices of a canonical form of order m+1 are a canonical form: their
+    bits are a prefix of its minimal bits, and a labeling of them with lower
+    bits would give one of the whole graph too. So each class is reached
+    from exactly one parent, through the mask that is its last column; two
+    kept children with equal bits would have equal rows, so each is kept
+    once.
+
+    Output per order comes in ascending canonical key with no sort. The
+    parents come in key order, a child's bits are its parent's bits
+    followed by its column, and each parent tries its columns in ascending
+    order, so every child of a lower parent comes before those of a higher
+    one, and a parent's children ascend.
 
     Let c_k be the parent's column k (k bits, vertex 0 highest) and x the
     new vertex's column (m bits, vertex m-1 lowest). Placing the new vertex
@@ -993,7 +1047,11 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     there (see ``_min_bits`` for why that bound is exact), and a child it
     does not stop is kept with those bits cached. To order 7 that is 1,993
     searches, of which 741 stop early: 90 right after phase 1, and all of
-    the others within the first five levels of phase 2.
+    the others within the first five levels of phase 2. A child's search
+    skips phase 1: each parent grows its maximum independent sets, and
+    those of one vertex fewer, once (at most 512 sets below ``ENUM_CAP``),
+    and ``_child_sets`` reads each child's off them. A child is built as a
+    ``Graph`` only once it is kept.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {ENUM_CAP}")
@@ -1006,6 +1064,7 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
         # masks[x] is the mask whose column, read in index order, is x:
         # reversing m bits is its own inverse
         masks = [_column(x, range(m)) for x in range(1 << m)]
+        new = 1 << m
         for parent in level:
             rows = parent.adj
             # a canonical form's own columns spell its minimal bits
@@ -1013,18 +1072,20 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
             bound = max(_column(row, range(k)) << (m - k) for k, row in enumerate(rows))
             # (previous twin, vertex) bit pairs: see the docstring
             twins = [(1 << t, 1 << v) for v, t in enumerate(_twin_before(rows)) if t >= 0]
+            # every maximum independent set and those one vertex smaller, with
+            # no twin filter: each child filters by its own twins
+            top, below, _ = _independent_prefix(rows, [0] * m)
             for col in range(bound, 1 << m):
                 mask = masks[col]
                 if any(mask & t and not mask & v for t, v in twins):
                     continue
-                child = _built(m + 1, tuple(
-                    rows[v] | (1 << m) if (mask >> v) & 1 else rows[v]
-                    for v in range(m)
-                ) + (mask,))
-                child._bits = _min_bits(child.adj, pbase | col)
-                if child._bits is not None:
+                adj = tuple(rows[v] | new if (mask >> v) & 1 else rows[v]
+                            for v in range(m)) + (mask,)
+                bits = _min_bits(adj, pbase | col, _child_sets(top, below, mask, new))
+                if bits is not None:
+                    child = _built(m + 1, adj)
+                    child._bits = bits
                     nxt.append(child)
-        nxt.sort(key=Graph.canonical_key)
         yield from nxt
         level = nxt
 

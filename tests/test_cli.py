@@ -183,10 +183,8 @@ def test_obstructions_sidecar_screens_each_member_once(tmp_path, monkeypatch):
     members = [catalog("k2,3"), union_all(path_graph(3), path_graph(3))]
     monkeypatch.setattr(ob, "enumerate_minimal_obstructions", lambda *a, **kw: members)
     calls = []
-    check = ob.is_minimal_obstruction
-    monkeypatch.setattr(
-        ob, "is_minimal_obstruction", lambda g, spec: calls.append(g) or check(g, spec)
-    )
+    witnessed = ob._witnessed  # the passes that decide a record and find its witnesses
+    monkeypatch.setattr(ob, "_witnessed", lambda g, spec: calls.append(g) or witnessed(g, spec))
     side = tmp_path / "list.json"
     code, out = cli(["obstructions", "enumerate", "--class", "p4sparse", "--spec",
                      "unipolar", "--format", "json", "--sidecar", str(side)])
@@ -248,7 +246,7 @@ def test_gen_labels_each_printed_graph_once(fmt, monkeypatch):
     # graphs, and the 76 children labeled and rejected add no output
     calls = []
     search = graphs._min_bits
-    monkeypatch.setattr(graphs, "_min_bits", lambda adj, own=None: calls.append(adj) or search(adj, own))
+    monkeypatch.setattr(graphs, "_min_bits", lambda adj, own=None, sets=None: calls.append(adj) or search(adj, own, sets))
     code, out = cli(["gen", "--class", "cograph", "--max-n", "6", "--format", fmt])
     assert code == 0 and len(calls) == len(out.splitlines()) == 107
     calls.clear()

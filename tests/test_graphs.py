@@ -25,9 +25,12 @@ from polaritylab import graphs as graphs_module
 from polaritylab.classes import CLASS_IDS, generate_class
 from polaritylab.graphs import (
     Graph,
+    _child_sets,
     _column,
+    _independent_prefix,
     _mask_of,
     _min_bits,
+    _spreads,
     _twin_before,
     canonical_form,
     canonical_key,
@@ -292,7 +295,7 @@ def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, 
     # is not minimal
     calls = []
     search = graphs_module._min_bits
-    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj, own=None: calls.append(adj) or search(adj, own))
+    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj, own=None, sets=None: calls.append(adj) or search(adj, own, sets))
     assert list(enumerate_graphs(7)) == graphs_to_7
     # 11,291 when every child was labeled, 7,195 with the twin filter alone,
     # 1,482 with the twin filter and a greedy labeling screen
@@ -344,8 +347,8 @@ def test_bounded_search_answers_whether_the_own_labeling_is_minimal(graphs_to_7,
     verdicts = []
     search = graphs_module._min_bits
 
-    def hook(adj, own=None):
-        verdicts.append((search(adj, own), _own_bits(adj)))
+    def hook(adj, own=None, sets=None):
+        verdicts.append((search(adj, own, sets), _own_bits(adj)))
         return verdicts[-1][0]
 
     monkeypatch.setattr(graphs_module, "_min_bits", hook)
@@ -353,6 +356,57 @@ def test_bounded_search_answers_whether_the_own_labeling_is_minimal(graphs_to_7,
     assert len(verdicts) == 1_993
     assert [v for v, _ in verdicts].count(None) == 741
     assert sum(v == own for v, own in verdicts) == 1_252
+
+
+def test_children_start_from_their_parents_independent_sets(graphs_to_7):
+    # every child of every parent to order 7, labeled by the enumeration or
+    # skipped: the sets read off the parent's are the child's maximum
+    # independent sets as phase 1 grows them with no twin filter, and the
+    # search answers the same with them as without, bounded or in full
+    for parent in graphs_to_7:
+        m = parent.n
+        if m == 7:
+            continue
+        top, below, _ = _independent_prefix(parent.adj, [0] * m)
+        pinned = parent.canonical_bits << m
+        for col in range(1 << m):
+            mask = _column(col, range(m))
+            adj = tuple(row | (1 << m) if (mask >> v) & 1 else row
+                        for v, row in enumerate(parent.adj)) + (mask,)
+            sets = _child_sets(top, below, mask, 1 << m)
+            assert sorted(sets) == sorted(_independent_prefix(adj, [0] * (m + 1))[0]), adj
+            assert _min_bits(adj, pinned | col, sets) == _min_bits(adj, pinned | col), adj
+            assert _min_bits(adj, None, sets) == _min_bits(adj), adj
+
+
+def _edge_spreads(adj):
+    """spread[v] by a loop over every edge: bit 0 of the packed-key block
+    (m bits at u*m) of each neighbour u of v."""
+    m = len(adj)
+    spread = [0] * m
+    for u, row in enumerate(adj):
+        for v in range(m):
+            if row >> v & 1:
+                spread[v] |= 1 << (u * m)
+    return spread
+
+
+def test_spread_table_matches_the_edge_loop(graphs_to_7):
+    rng = random.Random(27)
+    rows = [g.adj for g in graphs_to_7]
+    rows += [_gnp(rng, n, p) for n in (9, 16, 32) for p in (0.2, 0.5, 0.8)]
+    rows += [complete_graph(n).adj for n in (9, 16, 32)]
+    for adj in rows:
+        assert _spreads(adj) == _edge_spreads(adj), adj
+
+
+def test_enumeration_keys_strictly_ascend(graphs_to_8):
+    # no sort: each order's parents come in key order, a child's bits are
+    # its parent's followed by its new column, and the columns are tried in
+    # ascending order; a key starts with the order, so keys ascend across
+    # orders too
+    keys = [g.canonical_key() for g in graphs_to_8]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_graph6_decode_of_the_cli_stream_pool_equals_the_validated_graph():

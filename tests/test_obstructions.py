@@ -47,6 +47,7 @@ from polaritylab.polarity import (
     sk_polar,
 )
 from test_classes import closure_members
+from test_polarity import ALL_SPECS
 
 
 def keyset(graphs):
@@ -99,7 +100,18 @@ def test_minimality_report_runs_one_size_free_pass_per_graph(monkeypatch):
                         lambda g, spec, first: modes.append(first) or walk(g, spec, first))
     g = catalog("e9")
     assert is_minimal_obstruction(g, sk_polar(2, 1)).is_minimal
-    assert modes == [True] * (g.n + 1) + [False] * g.n
+    # twins give isomorphic deletions, so the screen deletes one vertex of
+    # each twin class: e9 = 2K3 has two classes of three
+    assert modes == [True] * 3 + [False] * g.n
+
+
+def test_deletion_screen_deletes_one_vertex_per_twin_class(graphs_to_7):
+    # twins give isomorphic deletions, so the screen that skips a vertex's
+    # later twins answers as the screen over every deletion
+    for g in graphs_to_7:
+        for spec in ALL_SPECS:
+            every = all(satisfies(g.delete_vertex(v), spec) for v in range(g.n))
+            assert obstructions._deletions_satisfy(g, spec) == every, (g, spec)
 
 
 def test_enumerate_unipolar_small():
@@ -118,7 +130,7 @@ def test_enumeration_labels_only_its_output(monkeypatch):
     classes._ext_key_table()  # the decomposition's lookup table, labeled once per process
     calls = []
     search = graphs_module._min_bits
-    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj, own=None: calls.append(adj) or search(adj, own))
+    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj, own=None, sets=None: calls.append(adj) or search(adj, own, sets))
     got = enumerate_minimal_obstructions("p4sparse", spec, 8)
     assert got and len(calls) == len(got)
     assert [(g.n, g.canonical_key()) for g in got] == sorted((g.n, g.canonical_key()) for g in got)
