@@ -341,11 +341,17 @@ def _co_rows(adj, mask: int) -> list[int]:
 # vertex sees no placed one, so the first alpha(G) columns are zero and the
 # first alpha(G) vertices form a maximum independent set S; those bits do
 # not depend on the order of S. Phase 1 grows independent sets in ascending
-# vertex order, one state per set, until none grows: the sets left are the
-# maximum ones. A child in orderly generation (one new vertex on a parent)
-# skips it: its maximum independent sets are read off the parent's maximum
-# ones and those of one vertex fewer (``_child_sets``), which the parent
-# grows once for all its children, and filtered by the child's twins.
+# vertex order, one state per set, a vertex only after its previous twin (see
+# Twins), until none grows: the sets left are the maximum ones whose twins
+# come in index order. A child in orderly generation (one new vertex on a
+# parent) skips it: its maximum independent sets are read off the parent's
+# maximum ones and those of one vertex fewer (``_child_sets``), which the
+# parent grows once for all its children with no twin filter. The filter is
+# then one mask test per set. A maximum independent set holds a false-twin
+# class whole or not at all (a false twin of a member sees none of the set,
+# which would grow by it), and at most one vertex of a true-twin class (a
+# clique). So the sets whose twins come in index order are exactly those
+# that hold no true twin with a previous twin, no v with lower[v] & adj[v].
 #
 # Phase 2, the tail. Each state keeps S as cells, an ordered partition whose
 # orders are the orders of S still open, and places the other vertices. Over
@@ -374,6 +380,13 @@ def _co_rows(adj, mask: int) -> list[int]:
 # Twins (true or false, in the whole graph) are placed in index order only:
 # swapping two unplaced twins is an automorphism that fixes the placed
 # prefix, so the subtree of the higher twin repeats the lower twin's bits.
+# ``_twin_before`` finds each vertex's previous twin, lower[v], with one dict
+# keyed by open and closed rows. A child in orderly generation reads its own
+# off its parent's (``_child_twins``): a mask that the twin skip of
+# ``enumerate_graphs`` admits splits each class of the parent into its part
+# outside the mask followed by its part inside, so only the first vertex
+# inside the mask loses its previous twin; and the new vertex follows the
+# last parent vertex whose open or closed row is the mask.
 #
 # Automorphisms. Twin-free symmetric graphs (spiders, unions of C5) tie in
 # every state: thin7 reached 5,040 final states, all images of one another.
@@ -405,21 +418,23 @@ LABEL_CAP = 2_000_000  # search steps per canonical search
 PRUNE_STATES, PRUNE_LEFT, PRUNE_FRESH = 32, 4, 3  # when pruning engages (above)
 
 
-def _twin_before(adj) -> list[int]:
-    """For each vertex, the previous vertex of its twin class, or -1.
+def _twin_before(adj) -> tuple[list[int], dict[int, int]]:
+    """For each vertex, the bit of the previous vertex of its twin class (0
+    if none); and ``last``, which maps each open row and each closed row to
+    the bit of the last vertex with that row.
 
     False twins share N(v), true twins share N[v]. No open neighborhood
     equals a closed one, and no vertex has both kinds of twin, so one dict
     keyed by both forms finds each vertex's class.
     """
     last = {}
-    before = []
+    lower = []
     for v, row in enumerate(adj):
-        closed = row | (1 << v)
-        prev = last.get(row, last.get(closed, -1))
-        before.append(prev)
-        last[row] = last[closed] = v
-    return before
+        low = 1 << v
+        closed = row | low
+        lower.append(last.get(row) or last.get(closed, 0))
+        last[row] = last[closed] = low
+    return lower, last
 
 
 def _over_cap(m: int) -> CapExceeded:
@@ -658,22 +673,46 @@ def _child_sets(top: list[int], below: list[int], x: int, new: int) -> list[int]
             or top + [s | new for s in below if not s & x])
 
 
-def _min_bits(adj, own: int | None = None, sets: list[int] | None = None) -> int | None:
+def _child_twins(lower: list[int], twins, last: dict[int, int], x: int) -> list[int] | None:
+    """The previous-twin bits of a graph P plus a vertex whose neighbourhood
+    is ``x``, as ``_twin_before`` would find them, from P's ``lower`` and
+    ``last`` (``_twin_before``) and its (previous twin bit, vertex bit,
+    vertex) triples ``twins``; or None if ``x`` holds a vertex's previous
+    twin but not the vertex (the twin skip), where the split that this
+    reads them by does not hold. The argument is in ``enumerate_graphs``.
+    """
+    child = lower + [last.get(x, 0)]
+    for t, v, i in twins:
+        if x & v:
+            if not x & t:
+                child[i] = 0
+        elif x & t:
+            return None
+    return child
+
+
+def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
+              lower: list[int] | None = None) -> int | None:
     """The minimal upper-triangle bit string of ``adj``, in graph6 column
     order.
 
-    Phase 1 finds the sets S (see above), unless ``sets`` gives the maximum
-    independent sets of ``adj``, all of them: then the search keeps those
-    whose twins come in index order, the sets phase 1 would find, and
-    phase 1 does not run. Phase 2 maps each packed key to
-    (cells, live): the cells are masks in order, and ``live`` masks the
-    blocks of S and of the unplaced vertices. Each state's minimal column is
-    read once, cell by cell and then down the tail blocks of the holders
-    left. A state above the least column read so far at its level is
-    dropped, and a lower one empties the level; a state that ties builds one
-    child per holder. The holders share their count of neighbours in every
-    cell, so the cells that split are the ones where that count is neither
-    0 nor the size.
+    ``lower`` gives each vertex's previous-twin bit as ``_twin_before``
+    does, which runs only when it is None. Phase 1 finds the sets S (see
+    above), unless ``sets`` gives the maximum independent sets of ``adj``,
+    all of them: then phase 1 does not run, and once the alpha check below
+    has passed, the search keeps the sets phase 1 would find. A maximum
+    set holds a false-twin class whole or not at all, and at most one
+    vertex of a true-twin class, so those are the sets that miss every
+    true twin with a previous twin: one mask test per set.
+
+    Phase 2 maps each packed key to (cells, live): the cells are masks in
+    order, and ``live`` masks the blocks of S and of the unplaced vertices.
+    Each state's minimal column is read once, cell by cell and then down
+    the tail blocks of the holders left. A state above the least column
+    read so far at its level is dropped, and a lower one empties the level;
+    a state that ties builds one child per holder. The holders share their
+    count of neighbours in every cell, so the cells that split are the ones
+    where that count is neither 0 nor the size.
 
     Once pruning engages (see above), a tied state first drops the holders
     that ``_orbit_holders`` finds in the orbit of a lower one.
@@ -694,14 +733,11 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None) -> int
     m = len(adj)
     if m == 0:
         return 0
-    lower = [1 << t if t >= 0 else 0 for t in _twin_before(adj)]
-    if sets is None:
+    handed = sets is not None
+    if not handed:
+        if lower is None:
+            lower = _twin_before(adj)[0]
         sets, _, steps = _independent_prefix(adj, lower)
-    else:  # keep the sets whose twins come in index order, as phase 1 does
-        twins = [(t, 1 << v) for v, t in enumerate(lower) if t]
-        if twins:
-            sets = [s for s in sets if all(s & t or not s & v for t, v in twins)]
-        steps = 0
     alpha = sets[0].bit_count()
     if alpha == m:  # edgeless: every labeling is minimal
         return 0
@@ -709,8 +745,17 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None) -> int
         rest = m * (m - 1) // 2 - alpha * (alpha - 1) // 2  # bits after column alpha-1
         if own >> rest:  # the own prefix of alpha columns is not independent
             return None
+    if handed:  # keep the sets phase 1 would grow (see the docstring)
+        if lower is None:
+            lower = _twin_before(adj)[0]
+        ban = 0
+        for v, t in enumerate(lower):
+            if t & adj[v]:
+                ban |= 1 << v
+        if ban:
+            sets = [s for s in sets if not s & ban]
+        steps = 0
     full, top, every, others = _tables(m)
-    non = {1 << v: ~row for v, row in enumerate(adj)}
     spread = _spreads(adj)
     states = {s << top: ((s,), every) for s in sets}
     bits = 0
@@ -746,7 +791,7 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None) -> int
                         splits += (c,)
                     col = (col << size) | ((1 << least) - 1)
                 else:
-                    zeros = hold & non[c]
+                    zeros = hold & ~adj[c.bit_length() - 1]
                     col <<= 1
                     if zeros:
                         hold = zeros
@@ -1047,11 +1092,23 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     there (see ``_min_bits`` for why that bound is exact), and a child it
     does not stop is kept with those bits cached. To order 7 that is 1,993
     searches, of which 741 stop early: 90 right after phase 1, and all of
-    the others within the first five levels of phase 2. A child's search
-    skips phase 1: each parent grows its maximum independent sets, and
-    those of one vertex fewer, once (at most 512 sets below ``ENUM_CAP``),
-    and ``_child_sets`` reads each child's off them. A child is built as a
-    ``Graph`` only once it is kept.
+    the others within the first five levels of phase 2. A child is built as
+    a ``Graph`` only once it is kept.
+
+    A child's search starts from what its parent hands it, computed once
+    per parent. It skips phase 1: each parent grows its maximum independent
+    sets, and those of one vertex fewer, once (at most 512 sets below
+    ``ENUM_CAP``), and ``_child_sets`` reads each child's off them. It does
+    not look for twins: ``_child_twins`` reads the child's off the parent's
+    ``_twin_before``. Two old vertices are twins in the child iff they are
+    twins in the parent and the mask holds both or neither, and a mask that
+    passes the twin skip holds a suffix of each of the parent's classes. So
+    each class splits into a part outside the mask followed by a part
+    inside, and an old vertex keeps its previous twin unless it is the
+    first one inside. The new vertex's previous twin is the last parent
+    vertex whose open row (a false twin) or closed row (a true twin) is the
+    mask. The search then filters the handed-down sets with one mask test
+    each (see ``_min_bits``).
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {ENUM_CAP}")
@@ -1070,18 +1127,20 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
             # a canonical form's own columns spell its minimal bits
             pbase = parent.canonical_bits << m
             bound = max(_column(row, range(k)) << (m - k) for k, row in enumerate(rows))
-            # (previous twin, vertex) bit pairs: see the docstring
-            twins = [(1 << t, 1 << v) for v, t in enumerate(_twin_before(rows)) if t >= 0]
+            # the parent's twins, which each child's are read off
+            lower, last = _twin_before(rows)
+            twins = [(t, 1 << v, v) for v, t in enumerate(lower) if t]
             # every maximum independent set and those one vertex smaller, with
             # no twin filter: each child filters by its own twins
             top, below, _ = _independent_prefix(rows, [0] * m)
             for col in range(bound, 1 << m):
                 mask = masks[col]
-                if any(mask & t and not mask & v for t, v in twins):
+                kin = _child_twins(lower, twins, last, mask)
+                if kin is None:  # the twin skip: see the docstring
                     continue
                 adj = tuple(rows[v] | new if (mask >> v) & 1 else rows[v]
                             for v in range(m)) + (mask,)
-                bits = _min_bits(adj, pbase | col, _child_sets(top, below, mask, new))
+                bits = _min_bits(adj, pbase | col, _child_sets(top, below, mask, new), kin)
                 if bits is not None:
                     child = _built(m + 1, adj)
                     child._bits = bits

@@ -75,7 +75,7 @@ def _deletions_satisfy(g: Graph, spec: PolarSpec) -> bool:
     Swapping two twins is an automorphism, so their deletions are
     isomorphic: one vertex of each twin class is deleted."""
     return all(satisfies(g.delete_vertex(v), spec)
-               for v, t in enumerate(gr._twin_before(g.adj)) if t < 0)
+               for v, t in enumerate(gr._twin_before(g.adj)[0]) if not t)
 
 
 def _witnessed(g: Graph, spec: PolarSpec) -> ObstructionReport:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from polaritylab import graphs
 from polaritylab.graphs import enumerate_graphs
 
 
@@ -19,3 +20,21 @@ def graphs_to_7():
 def graphs_to_8():
     # ~5s; shared by the acceptance criteria that sweep all of order <= 8
     return list(enumerate_graphs(8))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every canonical labeling search from here on, as (positional
+    arguments, answer), in call order: ``graphs._min_bits`` is wrapped by a
+    counter that forwards whatever arguments it gets, so a change to its
+    signature breaks no test that counts searches."""
+    calls = []
+    search = graphs._min_bits
+
+    def counted(*args, **kwargs):
+        answer = search(*args, **kwargs)
+        calls.append((args, answer))
+        return answer
+
+    monkeypatch.setattr(graphs, "_min_bits", counted)
+    return calls

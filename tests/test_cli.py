@@ -240,22 +240,19 @@ def test_gen():
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_gen_labels_each_printed_graph_once(fmt, monkeypatch):
+def test_gen_labels_each_printed_graph_once(fmt, searches):
     # the search that sorts (or accepts) a graph caches the bits that
     # canonical_form spells; the enumeration's 284 searches print 208
     # graphs, and the 76 children labeled and rejected add no output
-    calls = []
-    search = graphs._min_bits
-    monkeypatch.setattr(graphs, "_min_bits", lambda adj, own=None, sets=None: calls.append(adj) or search(adj, own, sets))
     code, out = cli(["gen", "--class", "cograph", "--max-n", "6", "--format", fmt])
-    assert code == 0 and len(calls) == len(out.splitlines()) == 107
-    calls.clear()
+    assert code == 0 and len(searches) == len(out.splitlines()) == 107
+    searches.clear()
     code, out = cli(["gen", "--class", "all", "--max-n", "6", "--format", fmt])
     assert code == 0 and len(out.splitlines()) == 208
-    enumerated = len(calls)
-    calls.clear()
+    enumerated = len(searches)
+    searches.clear()
     list(graphs.enumerate_graphs(6))
-    assert enumerated == len(calls) == 284
+    assert enumerated == len(searches) == 284
 
 
 def test_gen_all_output_is_pinned():

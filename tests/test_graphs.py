@@ -26,6 +26,7 @@ from polaritylab.classes import CLASS_IDS, generate_class
 from polaritylab.graphs import (
     Graph,
     _child_sets,
+    _child_twins,
     _column,
     _independent_prefix,
     _mask_of,
@@ -288,19 +289,16 @@ def test_enumeration_yields_canonical_forms(graphs_to_7):
             assert canonical_form(from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])) == g
 
 
-def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, monkeypatch):
+def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, searches):
     # a child whose new column is below the parent's column bound, or that
     # holds a vertex's previous twin but not the vertex, is never labeled;
     # every child left unlabeled must fail the pinned test: its own labeling
     # is not minimal
-    calls = []
-    search = graphs_module._min_bits
-    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj, own=None, sets=None: calls.append(adj) or search(adj, own, sets))
     assert list(enumerate_graphs(7)) == graphs_to_7
     # 11,291 when every child was labeled, 7,195 with the twin filter alone,
     # 1,482 with the twin filter and a greedy labeling screen
-    assert len(calls) == 1_993
-    labeled = set(calls)
+    assert len(searches) == 1_993
+    labeled = {args[0] for args, _ in searches}
     skipped = 0
     for parent in graphs_to_7:
         m = parent.n
@@ -312,7 +310,7 @@ def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, 
                          for v, row in enumerate(parent.adj)) + (mask,)
             if rows not in labeled:
                 skipped += 1
-                assert search(rows) < pinned | _column(mask, range(m))
+                assert _min_bits(rows) < pinned | _column(mask, range(m))
     assert skipped == 11_291 - 1_993
 
 
@@ -330,7 +328,7 @@ def _check_verdict(adj):
     assert verdict == (own if _min_bits(adj) == own else None), adj
 
 
-def test_bounded_search_answers_whether_the_own_labeling_is_minimal(graphs_to_7, monkeypatch):
+def test_bounded_search_answers_whether_the_own_labeling_is_minimal(graphs_to_7, searches):
     # every child of every parent to order 7, labeled by the enumeration or
     # skipped, and two random relabelings of every graph of order <= 7: the
     # bounded search returns the own bits iff the full search does
@@ -344,15 +342,9 @@ def test_bounded_search_answers_whether_the_own_labeling_is_minimal(graphs_to_7,
         for _ in range(2):
             _check_verdict(_relabeled(g, rng.sample(range(g.n), g.n)).adj)
     # the enumeration's searches: 741 stop early, the rest keep their own bits
-    verdicts = []
-    search = graphs_module._min_bits
-
-    def hook(adj, own=None, sets=None):
-        verdicts.append((search(adj, own, sets), _own_bits(adj)))
-        return verdicts[-1][0]
-
-    monkeypatch.setattr(graphs_module, "_min_bits", hook)
+    searches.clear()
     list(enumerate_graphs(7))
+    verdicts = [(answer, _own_bits(args[0])) for args, answer in searches]
     assert len(verdicts) == 1_993
     assert [v for v, _ in verdicts].count(None) == 741
     assert sum(v == own for v, own in verdicts) == 1_252
@@ -362,12 +354,19 @@ def test_children_start_from_their_parents_independent_sets(graphs_to_7):
     # every child of every parent to order 7, labeled by the enumeration or
     # skipped: the sets read off the parent's are the child's maximum
     # independent sets as phase 1 grows them with no twin filter, and the
-    # search answers the same with them as without, bounded or in full
+    # search answers the same with them as without, bounded or in full.
+    # The previous-twin bits read off the parent's hold only for the masks
+    # the twin skip admits (each of the parent's twin classes splits into a
+    # part outside the mask followed by a part inside): on exactly those
+    # they are the child's own, and the search answers the same with both
+    # handed-down arguments as without them
     for parent in graphs_to_7:
         m = parent.n
         if m == 7:
             continue
         top, below, _ = _independent_prefix(parent.adj, [0] * m)
+        lower, last = _twin_before(parent.adj)
+        twins = [(t, 1 << v, v) for v, t in enumerate(lower) if t]
         pinned = parent.canonical_bits << m
         for col in range(1 << m):
             mask = _column(col, range(m))
@@ -375,8 +374,66 @@ def test_children_start_from_their_parents_independent_sets(graphs_to_7):
                         for v, row in enumerate(parent.adj)) + (mask,)
             sets = _child_sets(top, below, mask, 1 << m)
             assert sorted(sets) == sorted(_independent_prefix(adj, [0] * (m + 1))[0]), adj
-            assert _min_bits(adj, pinned | col, sets) == _min_bits(adj, pinned | col), adj
-            assert _min_bits(adj, None, sets) == _min_bits(adj), adj
+            for own in (pinned | col, None):
+                assert _min_bits(adj, own, sets) == _min_bits(adj, own), adj
+            kin = _child_twins(lower, twins, last, mask)
+            if any(mask & t and not mask & v for t, v, _ in twins):  # the twin skip
+                assert kin is None, adj
+                continue
+            assert kin == _twin_before(adj)[0], adj
+            for own in (pinned | col, None):
+                assert _min_bits(adj, own, sets, kin) == _min_bits(adj, own), adj
+
+
+def test_children_searched_to_order_8_inherit_their_parents_twins(graphs_to_8, searches):
+    # the oracle for the hand-down on every child enumerate_graphs(8)
+    # searches: the previous-twin bits read off its parent's (the fourth
+    # argument) are the ones _twin_before finds on the child; the one other
+    # search labels the order-1 root
+    assert list(enumerate_graphs(8)) == graphs_to_8
+    children = [args for args, _ in searches if len(args) == 4]
+    assert len(searches) - 1 == len(children) == 21_973
+    for adj, _own, _sets, lower in children:
+        assert lower == _twin_before(adj)[0], adj
+
+
+def test_twin_before_finds_each_vertex_s_previous_twin(graphs_to_7):
+    # against the definition: u and v are false twins iff N(u) = N(v), true
+    # twins iff N[u] = N[v]; last maps each open and each closed row to the
+    # bit of the last vertex with that row
+    rng = random.Random(31)
+    rows = [g.adj for g in graphs_to_7]
+    rows += [_gnp(rng, n, p) for n in (9, 12, 16) for p in (0.2, 0.5, 0.8)]
+    rows += [complete_multipartite(parts).adj for parts in ((3, 2, 2), (1, 4), (2, 2, 2, 2))]
+    rows += [union_all(complete_graph(3), complete_graph(3), empty_graph(2)).adj]
+    for adj in rows:
+        lower, last = _twin_before(adj)
+        closed = [row | 1 << v for v, row in enumerate(adj)]
+        for v in range(len(adj)):
+            twins = [u for u in range(v) if adj[u] == adj[v] or closed[u] == closed[v]]
+            assert lower[v] == (1 << twins[-1] if twins else 0), adj
+        want = {}
+        for v in range(len(adj)):
+            want[adj[v]] = want[closed[v]] = 1 << v
+        assert last == want, adj
+
+
+def test_one_mask_twin_filter_keeps_the_sets_phase_1_grows(graphs_to_7):
+    # a maximum independent set holds a false-twin class whole or not at
+    # all, and at most one vertex of a true-twin class; so the maximum sets
+    # whose twins come in index order (each vertex's previous twin in the
+    # set with it) are those that hold no true twin with a previous twin
+    rng = random.Random(29)
+    rows = [g.adj for g in graphs_to_7]
+    rows += [_gnp(rng, n, p) for n in range(9, 17) for p in (0.2, 0.5, 0.8)]
+    for adj in rows:
+        lower = _twin_before(adj)[0]
+        sets = _independent_prefix(adj, [0] * len(adj))[0]
+        pairwise = [s for s in sets
+                    if all(s & t or not s >> v & 1 for v, t in enumerate(lower) if t)]
+        ban = _mask_of(v for v, t in enumerate(lower) if t & adj[v])
+        assert [s for s in sets if not s & ban] == pairwise, adj
+        assert set(pairwise) == set(_independent_prefix(adj, lower)[0]), adj
 
 
 def _edge_spreads(adj):
@@ -465,7 +522,7 @@ def _tiered_min_bits(adj, cap=None):
     spread = sum(1 << (j * m) for j in range(m))
     drop = [~(spread << v) for v in range(m)]  # clears v from every plane
     placed_at = m * m
-    lower = [1 << t if t >= 0 else 0 for t in _twin_before(adj)]
+    lower = _twin_before(adj)[0]
     states = {0: (None, full)}
     best = bits = 0
     expanded = 0

@@ -123,16 +123,14 @@ def test_enumerate_unipolar_small():
     assert [g.n for g in got] == sorted(g.n for g in got)
 
 
-def test_enumeration_labels_only_its_output(monkeypatch):
+def test_enumeration_labels_only_its_output(searches):
     # the class is screened unlabeled and in build order; only the minimal
     # obstructions it returns are labeled, once each, for the sort
     spec = sk_polar(2, 1)
     classes._ext_key_table()  # the decomposition's lookup table, labeled once per process
-    calls = []
-    search = graphs_module._min_bits
-    monkeypatch.setattr(graphs_module, "_min_bits", lambda adj, own=None, sets=None: calls.append(adj) or search(adj, own, sets))
+    searches.clear()
     got = enumerate_minimal_obstructions("p4sparse", spec, 8)
-    assert got and len(calls) == len(got)
+    assert got and len(searches) == len(got)
     assert [(g.n, g.canonical_key()) for g in got] == sorted((g.n, g.canonical_key()) for g in got)
 
 
