@@ -1,9 +1,7 @@
 """Mutation gate: each mutant in ``MUTANTS`` must be killed by the tests it
 names.
 
-    python scripts/mutants.py            # every mutant in the table
-    python scripts/mutants.py NAME ...   # the named ones
-    python scripts/mutants.py --list     # the table, equivalent mutants too
+    python scripts/mutants.py
 
 For each mutant the script copies the tree (without ``.git`` and caches) to
 a temporary directory, replaces the mutant's old text in its file by the new
@@ -14,15 +12,14 @@ The old text must occur exactly once in the file, so a table gone stale is
 an error, not a pass. Before the mutants, the named tests run once on an
 unmutated copy and must all pass there.
 
-Exits 0 when every mutant run is killed, 1 when one survives, and 2 on a
-stale entry, an unknown name or a named test that does not pass unmutated.
-``EQUIVALENT`` lists mutants that change no output, with the argument why;
-no test can kill them, so they are listed and not run.
+Exits 0 when every mutant is killed, 1 when one survives, and 2 on a stale
+entry or a named test that does not pass unmutated. ``EQUIVALENT`` lists
+mutants that change no output, with the argument why; no test can kill
+them, so they are listed and not run.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -123,24 +120,8 @@ def _run(tests: tuple[str, ...], mutant: Mutant | None = None) -> set[str]:
     return _passed(done.stdout)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the table and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name}: {m.path}; must fail: {', '.join(m.tests)}")
-        for m, why in EQUIVALENT:
-            print(f"{m.name}: {m.path}; equivalent: {why}")
-        return 0
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [known[n] for n in args.names] or list(MUTANTS)
-    for m in chosen + [m for m, _ in EQUIVALENT]:
+def main() -> int:
+    for m in list(MUTANTS) + [m for m, _ in EQUIVALENT]:
         found = (ROOT / m.path).read_text().count(m.old)
         if found != 1:
             print(f"{m.name}: old text found {found} times in {m.path}, expected once",
@@ -148,20 +129,20 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     # the control: unmutated, every test named must pass, or a broken test
     # would kill every mutant that names it
-    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     passed = _run(tests)
     broken = [t for t in tests if t not in passed]
     if broken:
         print(f"not passing without a mutant: {', '.join(broken)}", file=sys.stderr)
         return 2
     survived = []
-    for m in chosen:
+    for m in MUTANTS:
         alive = sorted(_run(m.tests, m) & set(m.tests))
         print(f"{m.name}: " + ("SURVIVED, passed: " + ", ".join(alive) if alive else "killed"),
               flush=True)
         if alive:
             survived.append(m.name)
-    print(f"{len(chosen) - len(survived)} of {len(chosen)} mutants killed; "
+    print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed; "
           f"{len(EQUIVALENT)} equivalent, not run")
     return 1 if survived else 0
 

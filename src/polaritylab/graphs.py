@@ -733,10 +733,10 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
     m = len(adj)
     if m == 0:
         return 0
+    if lower is None:
+        lower = _twin_before(adj)[0]
     handed = sets is not None
     if not handed:
-        if lower is None:
-            lower = _twin_before(adj)[0]
         sets, _, steps = _independent_prefix(adj, lower)
     alpha = sets[0].bit_count()
     if alpha == m:  # edgeless: every labeling is minimal
@@ -746,8 +746,6 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
         if own >> rest:  # the own prefix of alpha columns is not independent
             return None
     if handed:  # keep the sets phase 1 would grow (see the docstring)
-        if lower is None:
-            lower = _twin_before(adj)[0]
         ban = 0
         for v, t in enumerate(lower):
             if t & adj[v]:
