@@ -71,6 +71,41 @@ MUTANTS = (
         ("tests/test_graphs.py::test_enumeration_output_is_pinned",
          "tests/test_graphs.py::test_enumeration_skips_only_children_that_fail_the_pinned_test"),
     ),
+    Mutant(
+        "sparse-lowest-and-highest-extra",
+        "src/polaritylab/classes.py",
+        "            q = triple | low | rest & -rest\n",
+        "            q = triple | low | 1 << rest.bit_length() - 1\n",
+        ("tests/test_classes.py::test_edge_walks_match_the_subset_scans",),
+    ),
+    Mutant(
+        "sparse-keeps-the-later-set",
+        "src/polaritylab/classes.py",
+        "            if not best or (q ^ best) & -(q ^ best) & q:\n",
+        "            if not best or (q ^ best) & -(q ^ best) & best:\n",
+        ("tests/test_classes.py::test_edge_walks_match_the_subset_scans",),
+    ),
+    Mutant(
+        "p4-key-drops-its-top-byte",
+        "src/polaritylab/graphs.py",
+        'm.to_bytes(4, "little").translate(_REVERSED)',
+        'm.to_bytes(4, "little")[:3].translate(_REVERSED)',
+        ("tests/test_classes.py::test_edge_walks_match_the_subset_scans_through_vertex_31",),
+    ),
+    Mutant(
+        "pairs-highest-bit-first",
+        "src/polaritylab/graphs.py",
+        "    return tuple(reversed([(i, 1 << j, j, 1 << i) for j in range(1, n) for i in range(j)]))\n",
+        "    return tuple([(i, 1 << j, j, 1 << i) for j in range(1, n) for i in range(j)])\n",
+        ("tests/test_graphs.py::test_rows_match_the_pair_loop",),
+    ),
+    Mutant(
+        "c5-ends-are-the-middles",
+        "src/polaritylab/graphs.py",
+        "            fifth &= adj[v] if (adj[v] & m).bit_count() == 1 else ~adj[v]\n",
+        "            fifth &= adj[v] if (adj[v] & m).bit_count() == 2 else ~adj[v]\n",
+        ("tests/test_classes.py::test_edge_walks_match_the_subset_scans",),
+    ),
 )
 
 EQUIVALENT = (
@@ -83,6 +118,14 @@ EQUIVALENT = (
     ), "a set the filter drops is the image of a kept one under swaps of true "
        "twins, automorphisms that fix the placed prefix, so the search reads the "
        "same columns from more states and returns the same bits"),
+    (Mutant(
+        "pairs-swapped",
+        "src/polaritylab/graphs.py",
+        "[(i, 1 << j, j, 1 << i) for j",
+        "[(j, 1 << i, i, 1 << j) for j",
+        (),
+    ), "_rows sets both bits of each pair, row i's bit j and row j's bit i, so "
+       "the rows are the same whichever end comes first"),
 )
 
 

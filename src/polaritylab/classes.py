@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterator, Literal, Optional, Union
 
 from . import graphs as gr
@@ -163,9 +163,20 @@ def _ext_graphs() -> dict[str, Graph]:
     return {kind: catalog(kind) for kind in EXT_KINDS}
 
 
+def _triangle(adj, verts) -> int:
+    """Upper-triangle bits of G[verts] (vertex i is verts[i]), first pair highest."""
+    bits = 0
+    for u, v in combinations(verts, 2):
+        bits = bits << 1 | adj[u] >> v & 1
+    return bits
+
+
 @lru_cache(maxsize=None)
-def _ext_key_table() -> dict[bytes, str]:
-    return {g.canonical_key(): kind for kind, g in _ext_graphs().items()}
+def _ext_table() -> dict[tuple[int, int], str]:
+    """The kind of every relabelled copy of each extension graph, by (order,
+    ``_triangle``): 24 or 120 copies each, found with no labeling."""
+    return {(g.n, _triangle(g.adj, perm)): kind
+            for kind, g in _ext_graphs().items() for perm in permutations(range(g.n))}
 
 
 def _mids(adj, p4s) -> int:
@@ -190,7 +201,8 @@ def _separable_mids(kind: str) -> int:
 def _ext_kind_of(g: Graph, mask: int) -> Optional[str]:
     if mask.bit_count() not in (4, 5):
         return None
-    return _ext_key_table().get(g.induced_mask(mask).canonical_key())
+    verts = _bits_to_tuple(mask)
+    return _ext_table().get((len(verts), _triangle(g.adj, verts)))
 
 
 @dataclass(frozen=True)
@@ -269,14 +281,26 @@ def p4_sparse_certificate(g: Graph) -> Optional[tuple[int, ...]]:
 
     Two distinct P4s inside five vertices share three of them, so those sets
     are the unions of two P4s that meet in three vertices: P4s are grouped
-    by each of their four 3-subsets.
+    by each of their four 3-subsets. A triple's first union adds its two
+    lowest extra vertices; of two 5-sets the first holds the lowest vertex of
+    their difference.
     """
-    by_triple: dict[int, list[int]] = {}
+    extras: dict[int, int] = {}
     for m in p4_masks(g):
-        for v in _bits_to_tuple(m):
-            by_triple.setdefault(m ^ (1 << v), []).append(m)
-    quints = {x | y for ms in by_triple.values() for x, y in combinations(ms, 2)}
-    return min(map(_bits_to_tuple, quints)) if quints else None
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            extras[m ^ bit] = extras.get(m ^ bit, 0) | bit
+    best = 0
+    for triple, ex in extras.items():
+        if ex & (ex - 1):
+            low = ex & -ex
+            rest = ex ^ low
+            q = triple | low | rest & -rest
+            if not best or (q ^ best) & -(q ^ best) & q:
+                best = q
+    return _bits_to_tuple(best) if best else None
 
 
 def p4_extendible_certificate(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:

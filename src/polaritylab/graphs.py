@@ -925,12 +925,12 @@ def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def _p4_paths(adj) -> Iterator[tuple[int, int, int, int]]:
-    """Each induced P4 once, as its path (a, b, c, d): the middle edge b-c
-    with b < c, an end a in N(b) but not N[c], and an end d in N(c) but not
-    N[b] that is not adjacent to a."""
+def _p4_walk(adj) -> Iterator[int]:
+    """The vertex mask of each induced P4 once, found as its path a-b-c-d:
+    the middle edge b-c with b < c, an end a in N(b) but not N[c], and an
+    end d in N(c) but not N[b] that is not adjacent to a."""
     for b, row in enumerate(adj):
-        closed = row | (1 << b)
+        blow = 1 << b
         above = row >> (b + 1) << (b + 1)
         while above:
             low = above & -above
@@ -939,25 +939,29 @@ def _p4_paths(adj) -> Iterator[tuple[int, int, int, int]]:
             a_side = row & ~adj[c] & ~low
             if not a_side:
                 continue
-            d_side = adj[c] & ~closed
+            d_side = adj[c] & ~row & ~blow
             while d_side:
                 dlow = d_side & -d_side
                 d_side ^= dlow
-                d = dlow.bit_length() - 1
-                ends = a_side & ~adj[d]
+                ends = a_side & ~adj[dlow.bit_length() - 1]
                 while ends:
                     alow = ends & -ends
                     ends ^= alow
-                    yield alow.bit_length() - 1, b, c, d
+                    yield alow | blow | low | dlow
+
+
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
 def p4_masks(g: Graph) -> tuple[int, ...]:
     """Masks of all vertex sets inducing a P4, in lexicographic order of
     their sorted vertex tuples: (0,1,2,5) comes before (0,1,3,4) although
-    its mask is larger (cached on g)."""
+    its mask is larger (cached on g). Of two 4-sets the first holds the
+    lowest vertex of their difference, so the order is descending on the
+    masks read with vertex 0 highest: four bytes, low first, each reversed."""
     if g._p4s is None:
-        quads = sorted(tuple(sorted(path)) for path in _p4_paths(g.adj))
-        g._p4s = tuple(map(_mask_of, quads))
+        g._p4s = tuple(sorted(_p4_walk(g.adj), reverse=True,
+                              key=lambda m: m.to_bytes(4, "little").translate(_REVERSED)))
     return g._p4s
 
 
@@ -968,9 +972,16 @@ def list_induced_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
 
 def _has_c5(g: Graph) -> bool:
     """Induced C5 test: some P4 a-b-c-d closes into a C5 through a fifth
-    vertex adjacent to a and d and to neither b nor c."""
+    vertex adjacent to a and d and to neither b nor c. The ends of a P4 are
+    its two vertices with one neighbour inside it."""
     adj = g.adj
-    return any(adj[a] & adj[d] & ~adj[b] & ~adj[c] for a, b, c, d in _p4_paths(adj))
+    for m in p4_masks(g):
+        fifth = -1
+        for v in _bits_to_tuple(m):
+            fifth &= adj[v] if (adj[v] & m).bit_count() == 1 else ~adj[v]
+        if fifth:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1029,18 +1040,25 @@ def graph6_decode(text: str) -> Graph:
     return _built(n, _rows(n, bits >> pad))
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(i, 1 << j, j, 1 << i) for each pair i < j by its bit in the upper
+    triangle of ``graph6_encode``, bit 0 the last (n <= VERTEX_CAP)."""
+    return tuple(reversed([(i, 1 << j, j, 1 << i) for j in range(1, n) for i in range(j)]))
+
+
 def _rows(n: int, bits: int) -> tuple[int, ...]:
     """The rows of the graph on n vertices whose upper triangle, read in
     the column order of ``graph6_encode`` with the first pair highest, is
     ``bits``."""
     rows = [0] * n
-    pos = n * (n - 1) // 2
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (bits >> pos) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    pairs = _pairs(n)
+    while bits:
+        p = bits.bit_length() - 1
+        bits ^= 1 << p
+        i, bj, j, bi = pairs[p]
+        rows[i] |= bj
+        rows[j] |= bi
     return tuple(rows)
 
 

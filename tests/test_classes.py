@@ -8,6 +8,7 @@ replaced.
 """
 
 import hashlib
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from polaritylab import classes, graphs as gr
 from polaritylab.classes import (
     CLASS_IDS,
+    EXT_KINDS,
     SEPARABLE_KINDS,
     ExtGraphNode,
     ExtSpiderNode,
@@ -202,6 +204,27 @@ def test_edge_walks_match_the_subset_scans(graphs_to_7):
 def test_edge_walks_match_the_subset_scans_on_the_closures(class_id):
     for g in generate_class(class_id, 8):
         check_scans(g)
+
+
+def gnp_graphs():
+    """Three G(n,p) graphs for each order 8 to 12, at p = .2, .5 and .8."""
+    rng = random.Random(33)
+    return [from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            for n in range(8, 13) for p in (0.2, 0.5, 0.8)]
+
+
+def test_edge_walks_match_the_subset_scans_on_gnp_graphs():
+    for g in gnp_graphs():
+        check_scans(g)
+
+
+def test_edge_walks_match_the_subset_scans_through_vertex_31():
+    # the P5 31-0-1-2-30: the walk meets {0,1,2,31} first (middle edge 0-1),
+    # and the two P4 masks differ only in the byte of vertices 24 to 31,
+    # the last byte that the sort key reads
+    g = from_edges(32, [(31, 0), (0, 1), (1, 2), (2, 30)])
+    assert list_induced_p4s(g) == [(0, 1, 2, 30), (0, 1, 2, 31)]
+    check_scans(g)
 
 
 def test_p4s_come_in_lexicographic_order_not_mask_order():
@@ -447,6 +470,33 @@ def test_find_ext_spider_examples():
     found = find_ext_spider(g)
     assert found is not None and found.kind == "p4" and len(found.head) == 4
     assert decomposes(g, "p4extendible")
+
+
+def test_ext_kind_of_matches_the_canonical_key_definition(graphs_to_7):
+    # the definition: the kind whose catalog copy has G[mask]'s canonical key
+    by_key = {catalog(kind).canonical_key(): kind for kind in EXT_KINDS}
+    defined = {}
+    for g in graphs_to_7 + gnp_graphs():
+        for k in (3, 4, 5, 6):
+            for verts, mask in _k_subsets(range(g.n), k):
+                h = g.induced_mask(mask)
+                if h.adj not in defined:
+                    defined[h.adj] = by_key.get(h.canonical_key())
+                assert classes._ext_kind_of(g, mask) == defined[h.adj], (g, verts)
+    assert set(defined.values()) == {None, *EXT_KINDS}
+
+
+def test_ext_table_and_its_lookups_label_nothing(searches):
+    members = list(generate_class("p4extendible", 7))  # labeled for their sort
+    classes._ext_graphs.cache_clear()
+    classes._ext_table.cache_clear()
+    searches.clear()
+    kinds = set()
+    for g in members:
+        if g.n:
+            build_decomposition(g, "p4extendible")
+        kinds.update(classes._ext_kind_of(g, mask) for _, mask in _k_subsets(range(g.n), 5))
+    assert kinds == {None, *EXT_KINDS} - {"p4"} and searches == []
 
 
 def _all_valid_ext_spider_bases(g):

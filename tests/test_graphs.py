@@ -457,6 +457,30 @@ def test_spread_table_matches_the_edge_loop(graphs_to_7):
         assert _spreads(adj) == _edge_spreads(adj), adj
 
 
+def _pair_loop_rows(n, bits):
+    """Rows by a loop over every vertex pair in graph6 column order, the
+    first pair reading the highest bit of ``bits``."""
+    rows = [0] * n
+    pos = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if (bits >> pos) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def test_rows_match_the_pair_loop():
+    rng = random.Random(35)
+    for n in range(21):
+        nbits = n * (n - 1) // 2
+        strings = [0, (1 << nbits) - 1] + [1 << p for p in range(nbits)]
+        strings += [rng.getrandbits(nbits) for _ in range(20)]
+        for bits in strings:
+            assert graphs_module._rows(n, bits) == _pair_loop_rows(n, bits), (n, bits)
+
+
 def test_enumeration_keys_strictly_ascend(graphs_to_8):
     # no sort: each order's parents come in key order, a child's bits are
     # its parent's followed by its new column, and the columns are tried in

@@ -126,8 +126,9 @@ def test_enumerate_unipolar_small():
 def test_enumeration_labels_only_its_output(searches):
     # the class is screened unlabeled and in build order; only the minimal
     # obstructions it returns are labeled, once each, for the sort
+    # (the decomposition's extension table is built without labeling, and
+    # this enumeration does not read it, so nothing is warmed first)
     spec = sk_polar(2, 1)
-    classes._ext_key_table()  # the decomposition's lookup table, labeled once per process
     searches.clear()
     got = enumerate_minimal_obstructions("p4sparse", spec, 8)
     assert got and len(searches) == len(got)
