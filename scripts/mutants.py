@@ -106,6 +106,77 @@ MUTANTS = (
         "            fifth &= adj[v] if (adj[v] & m).bit_count() == 2 else ~adj[v]\n",
         ("tests/test_classes.py::test_edge_walks_match_the_subset_scans",),
     ),
+    # the exactness core: the caps, the fold rules, criticality and the
+    # solver's bound, which decide the printed lists and their witnesses
+    Mutant(
+        "caps-one-lower",
+        "src/polaritylab/polarity.py",
+        "        return 2 if bound is None or bound >= n_max else max(bound, 1) + 1\n",
+        "        return 2 if bound is None or bound >= n_max else max(bound, 1)\n",
+        ("tests/test_profiles.py::test_caps",
+         "tests/test_obstructions.py::test_enumerate_unipolar_small"),
+    ),
+    Mutant(
+        "module-fit-1-admits-any-head",
+        "src/polaritylab/polarity.py",
+        "    return parts if fit == 1 and h == 1 else None\n",
+        "    return parts if fit == 1 else None\n",
+        ("tests/test_obstructions.py::test_enumerate_unipolar_small",
+         "tests/test_obstructions.py::test_verify_claim_small"),
+    ),
+    Mutant(
+        "critical-if-any-deletion-changes",
+        "src/polaritylab/polarity.py",
+        "    return all(capped(d) != own for d in deletions)\n",
+        "    return any(capped(d) != own for d in deletions)\n",
+        ("tests/test_obstructions.py::test_enumeration_builds_on_members_with_the_property_and_finds_no_witness",
+         "tests/test_profiles.py::test_critical_read_from_the_value_is_critical"),
+    ),
+    Mutant(
+        "module-side-fit-always-1",
+        "src/polaritylab/polarity.py",
+        "    return parts, 1 if missed == mask & ~rows[v] else 2\n",
+        "    return parts, 1\n",
+        ("tests/test_obstructions.py::test_p4sparse_32_list_has_four_non_cographs",),
+    ),
+    Mutant(
+        "sum-table-fit-capped-at-1",
+        "src/polaritylab/polarity.py",
+        "0 if a_adds else min(a, 2)",
+        "0 if a_adds else min(a, 1)",
+        ("tests/test_obstructions.py::test_enumeration_builds_on_members_with_the_property_and_finds_no_witness",),
+    ),
+    Mutant(
+        "front-keeps-equal-b",
+        "src/polaritylab/polarity.py",
+        "        if not front or b < front[-1][1]:\n",
+        "        if not front or b <= front[-1][1]:\n",
+        ("tests/test_profiles.py::test_small_profiles",
+         "tests/test_obstructions.py::test_enumeration_builds_on_members_with_the_property_and_finds_no_witness"),
+    ),
+    Mutant(
+        "join-side-a-flag-of-a-union",
+        "src/polaritylab/classes.py",
+        '("J", join, (not cluster, False))',
+        '("J", join, (cluster, False))',
+        ("tests/test_obstructions.py::test_enumerate_unipolar_small",
+         "tests/test_obstructions.py::test_enumeration_labels_only_its_output"),
+    ),
+    Mutant(
+        "witness-cut-at-equal-size",
+        "src/polaritylab/polarity.py",
+        "        if (size + 1 < best and _is_cm_mask(",
+        "        if (size + 1 <= best and _is_cm_mask(",
+        ("tests/test_polarity.py::test_witness_is_first_in_size_then_lex_order",),
+    ),
+    # the known maps a class member's tree hands the labeling search
+    Mutant(
+        "known-maps-unchecked",
+        "src/polaritylab/graphs.py",
+        "                            moved = _moved(adj, g)\n",
+        "                            moved = _mask_of(v for v, w in enumerate(g) if v != w)\n",
+        ("tests/test_graphs.py::test_maps_that_are_not_automorphisms_are_dropped",),
+    ),
 )
 
 EQUIVALENT = (
@@ -126,6 +197,15 @@ EQUIVALENT = (
         (),
     ), "_rows sets both bits of each pair, row i's bit j and row j's bit i, so "
        "the rows are the same whichever end comes first"),
+    (Mutant(
+        "closure-ignores-keep",
+        "src/polaritylab/classes.py",
+        "        if keep is None or keep(values[i]):\n",
+        "        if True:\n",
+        (),
+    ), "keeping more members is still exact, only slower: the obstructions are "
+       "read off the values, which keep does not change, and every member is "
+       "reached on the recipe it has without keep"),
 )
 
 

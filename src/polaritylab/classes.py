@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from typing import Callable, Iterator, Literal, Optional, Union
 
 from . import graphs as gr
@@ -172,11 +172,22 @@ def _triangle(adj, verts) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ext_table() -> dict[tuple[int, int], str]:
+def _ext_table() -> dict[tuple[int, int], tuple[str, tuple[int, ...]]]:
     """The kind of every relabelled copy of each extension graph, by (order,
-    ``_triangle``): 24 or 120 copies each, found with no labeling."""
-    return {(g.n, _triangle(g.adj, perm)): kind
+    ``_triangle``), and a map onto the catalog copy (vertex i of the copy
+    goes to ``perm[i]``): 24 or 120 copies each, found with no labeling."""
+    return {(g.n, _triangle(g.adj, perm)): (kind, perm)
             for kind, g in _ext_graphs().items() for perm in permutations(range(g.n))}
+
+
+@lru_cache(maxsize=None)
+def _ext_autos(kind: str) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of an extension graph's catalog copy, but the
+    identity."""
+    g = _ext_graphs()[kind]
+    own = tuple(range(g.n))
+    return tuple(p for p in permutations(own)
+                 if p != own and _triangle(g.adj, p) == _triangle(g.adj, own))
 
 
 def _mids(adj, p4s) -> int:
@@ -202,7 +213,8 @@ def _ext_kind_of(g: Graph, mask: int) -> Optional[str]:
     if mask.bit_count() not in (4, 5):
         return None
     verts = _bits_to_tuple(mask)
-    return _ext_table().get((len(verts), _triangle(g.adj, verts)))
+    found = _ext_table().get((len(verts), _triangle(g.adj, verts)))
+    return found and found[0]
 
 
 @dataclass(frozen=True)
@@ -469,15 +481,19 @@ def _decompose(g: Graph, mask: int, class_id: ClassId) -> DecompTree:
         return SpiderNode(part, head)
     kind = _ext_kind_of(g, mask)
     if kind is not None:
-        edges = tuple(e for e in g.edges() if not _mask_of(e) & ~mask)
-        return ExtGraphNode(kind, _bits_to_tuple(mask), edges)
+        return ExtGraphNode(kind, _bits_to_tuple(mask), _edges_in(g.adj, mask))
     found = _find_ext_spider_masked(g, mask)
     if found is None:
         raise NotInClass("extension spider case failed", certificate=None)
     head = _mask_of(found.head)
-    base_edges = tuple(e for e in g.edges() if not _mask_of(e) & (head | ~mask))
-    return ExtSpiderNode(found.kind, found.endpoints, found.midpoints, base_edges,
-                         _decompose(g, head, class_id))
+    return ExtSpiderNode(found.kind, found.endpoints, found.midpoints,
+                         _edges_in(g.adj, mask & ~head), _decompose(g, head, class_id))
+
+
+def _edges_in(adj, mask: int) -> tuple[tuple[int, int], ...]:
+    """The edges inside ``mask`` as ascending pairs, in lexicographic order."""
+    return tuple((v, u) for v in _bits_to_tuple(mask)
+                 for u in _bits_to_tuple(adj[v] & mask & ~((2 << v) - 1)))
 
 
 def _collect_edges(node: DecompTree) -> list[tuple[int, int]]:
@@ -518,6 +534,115 @@ def rebuild(tree: DecompTree) -> Graph:
     if verts != tuple(range(len(verts))):
         raise BadParameter("tree does not cover a contiguous vertex range")
     return gr.from_edges(len(verts), _collect_edges(tree))
+
+
+# ---------------------------------------------------------------------------
+# automorphisms read off the tree
+
+
+def tree_maps(g: Graph, tree: DecompTree) -> list[tuple[int, ...]]:
+    """Automorphisms of ``g`` read off its decomposition tree, each a tuple
+    (``t[v]`` is v's image), for ``graphs._min_bits``'s ``maps``:
+
+    - the transposition of every two legs of a spider node, with their body
+      partners;
+    - the swap of every two isomorphic sibling subtrees under a union or
+      join node, but two leaves: those are twins, which the search already
+      places in index order;
+    - the automorphisms of each extension graph node, and those of the base
+      of each extension spider node, with the head fixed (they keep the
+      midpoints, which the head sees, since those are the middles of the
+      base's P4s).
+
+    Isomorphic subtrees are told apart as the closure (``_closure``) tells
+    members apart, by a structural code: a leaf's is fixed, a union's or
+    join's is its tag and its children's codes, sorted, a spider's is its
+    leg count, thin flag and head's code, and an extension node's is its
+    kind and its head's code. Codes are computed once, bottom-up, and
+    interned per call. Each subtree also gets an order of its vertices (a
+    union's or join's children in code order, a spider's legs each followed
+    by its partner, an extension graph's as they map onto its catalog copy,
+    then the head's), so two subtrees with one code map onto each other
+    position by position. The maps are candidates all the same: the search
+    keeps one only if it is an automorphism (``graphs._moved``).
+    """
+    ids: dict[tuple, int] = {}
+    identity = list(range(g.n))
+    maps: list[tuple[int, ...]] = []
+
+    def swap(a, b) -> None:
+        t = identity[:]
+        for x, y in zip(a, b):
+            t[x], t[y] = y, x
+        maps.append(tuple(t))
+
+    def arranged(verts) -> tuple[int, ...]:
+        """``verts`` (an extension graph) as they map onto its catalog
+        copy, with a map for each automorphism of the copy."""
+        kind, perm = _ext_table()[len(verts), _triangle(g.adj, verts)]
+        order = [0] * len(verts)
+        for v, i in zip(verts, perm):
+            order[i] = v
+        for p in _ext_autos(kind):
+            t = identity[:]
+            for i, v in enumerate(order):
+                t[v] = order[p[i]]
+            maps.append(tuple(t))
+        return tuple(order)
+
+    def walk(node: DecompTree) -> tuple[int, tuple[int, ...]]:
+        """(code id, vertex order) of a subtree; its maps go to ``maps``."""
+        if isinstance(node, Leaf):
+            code, order = ("leaf",), (node.vertex,)
+        elif isinstance(node, (UnionNode, JoinNode)):
+            kids = sorted(map(walk, node.children))
+            for _, same in groupby(kids, key=lambda kid: kid[0]):
+                orders = [o for _, o in same]
+                if len(orders[0]) > 1:
+                    for a, b in combinations(orders, 2):
+                        swap(a, b)
+            code = (type(node).__name__, tuple(c for c, _ in kids))
+            order = tuple(v for _, o in kids for v in o)
+        elif isinstance(node, SpiderNode):
+            p = node.partition
+            for a, b in combinations(p.pairing, 2):
+                swap(a, b)
+            head, tail = walk(node.head) if node.head else (-1, ())
+            code = ("spider", p.thin, len(p.pairing), head)
+            order = tuple(v for pair in p.pairing for v in pair) + tail
+        elif isinstance(node, ExtGraphNode):
+            code, order = ("ext", node.kind), arranged(node.members)
+        else:
+            head, tail = walk(node.head)
+            code = ("extspider", node.kind, head)
+            order = arranged(tuple(sorted(node.endpoints + node.midpoints))) + tail
+        return ids.setdefault(code, len(ids)), order
+
+    walk(tree)
+    return maps
+
+
+# the class whose decomposition tree a member of each class has
+_TREE_CLASS: dict[str, ClassId] = {
+    "cograph": "p4sparse", "p4sparse": "p4sparse", "p4extendible": "p4extendible",
+    "62": "p4extendible",
+}
+
+
+def member_key(g: Graph, class_id: Optional[ClassId] = None,
+               tree: Optional[DecompTree] = None) -> bytes:
+    """``g``'s canonical key. If ``g`` is known to be a member of the class
+    ``class_id``, or ``tree`` is its decomposition tree, the search prunes
+    by the automorphisms the tree names (``tree_maps``) and pairs no
+    holders; the tree is built only when the search first asks for them.
+    The key is the same either way: only the search differs."""
+    if tree is None and class_id is None:
+        return g.canonical_key()
+
+    def maps() -> list[tuple[int, ...]]:
+        return tree_maps(g, tree or _decompose(g, (1 << g.n) - 1, _TREE_CLASS[class_id]))
+
+    return g.canonical_key(maps)
 
 
 # ---------------------------------------------------------------------------

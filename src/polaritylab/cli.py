@@ -105,7 +105,8 @@ def _classify(g: Graph, records: bool) -> tuple[bool, str, dict]:
     flags = " ".join(f"{k}={str(v).lower()}" for k, v in classes.items())
     record = {"classes": classes, "p4_count": p4_count}
     if records:
-        record["canonical"] = g.canonical_key().hex()
+        member = "p4sparse" if classes["p4sparse"] else "p4extendible" if extendible else None
+        record["canonical"] = cl.member_key(g, member).hex()
     return True, f"{flags} p4_count={p4_count}", record
 
 
@@ -126,7 +127,8 @@ def _cmd_recognize(args) -> int:
             verdict = cert is None
         if not records:
             return verdict, str(verdict).lower(), {}
-        record = {"verdict": verdict, "canonical": g.canonical_key().hex()}
+        record = {"verdict": verdict,
+                  "canonical": cl.member_key(g, args.klass if verdict else None).hex()}
         if cert is not None and not args.quiet:
             record["certificate"] = cert
         return verdict, str(verdict).lower(), record
@@ -191,7 +193,7 @@ def _cmd_decompose(args) -> int:
                     {"verdict": False, "certificate": exc.certificate})
         record = {"verdict": True, "tree": _tree_json(tree)}
         if records:
-            record["canonical"] = g.canonical_key().hex()
+            record["canonical"] = cl.member_key(g, tree=tree).hex()
         return True, _render_tree(tree), record
 
     return _run_lines(args, handle)

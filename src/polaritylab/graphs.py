@@ -51,7 +51,7 @@ class Graph:
     construction, skip the checks (``_built``).
     """
 
-    __slots__ = ("n", "adj", "_bits", "_p4s")
+    __slots__ = ("n", "adj", "_bits", "_p4s", "_maps")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         if n > VERTEX_CAP:
@@ -75,6 +75,7 @@ class Graph:
         self.adj = tuple(adj)
         self._bits = None
         self._p4s = None
+        self._maps = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -153,12 +154,19 @@ class Graph:
     @property
     def canonical_bits(self) -> int:
         """Minimal upper-triangle bit string packed into an int, in graph6
-        column order (cached)."""
+        column order (cached). The search takes the candidate automorphisms
+        that ``canonical_key`` was handed, if any."""
         if self._bits is None:
-            self._bits = _min_bits(self.adj)
+            self._bits = _min_bits(self.adj, maps=self._maps)
+            self._maps = None
         return self._bits
 
-    def canonical_key(self) -> bytes:
+    def canonical_key(self, maps=None) -> bytes:
+        """The order and the canonical bits, packed. ``maps``, a callable
+        that gives candidate automorphisms (see ``_min_bits``), goes to the
+        search if the bits are not cached yet."""
+        if maps is not None and self._bits is None:
+            self._maps = maps
         return _pack_key(self.n, self.canonical_bits)
 
     # -- dunder ------------------------------------------------------------
@@ -188,7 +196,7 @@ def _built(n: int, adj: tuple[int, ...]) -> Graph:
     g = object.__new__(Graph)
     g.n = n
     g.adj = adj
-    g._bits = g._p4s = None
+    g._bits = g._p4s = g._maps = None
     return g
 
 
@@ -408,14 +416,29 @@ def _co_rows(adj, mask: int) -> list[int]:
 # search returns the bits alone, which fix the canonical form, so no reader
 # needs the labeling that reaches them.
 #
+# Known maps. A member of a class with a decomposition tree (cographs,
+# P4-sparse and P4-extendible graphs) can hand the search the automorphisms
+# its tree names (``classes.tree_maps``): the swap of two legs of a spider
+# with their body partners, the swap of two isomorphic sibling subtrees, and
+# the small groups of the extension graphs. Then the search pairs nothing.
+# It reads the maps when the first tied state has MAPS_FRESH fresh holders,
+# so a member whose search never gets that wide never builds its tree. It
+# keeps each map that sends every row onto a row (``_moved``), as it checks a
+# paired map, and from then on, at any level, every tied state with two or
+# more fresh holders prunes by the kept maps alone, under the rule above: a
+# map counts only where it fixes the tail pointwise and S setwise, so the
+# bits are the same as without them.
+#
 # The search stops with CapExceeded once its steps pass LABEL_CAP: each set
 # or state it builds is a step, and so is each cell it reads, since a
-# state's read costs about as much per cell as building a child, each kept
-# map it checks and each cell that pairing and refinement read.
+# state's read costs about as much per cell as building a child, each known
+# map it reads, each kept map it checks and each cell that pairing and
+# refinement read.
 
 
 LABEL_CAP = 2_000_000  # search steps per canonical search
 PRUNE_STATES, PRUNE_LEFT, PRUNE_FRESH = 32, 4, 3  # when pruning engages (above)
+MAPS_FRESH = 4  # the fresh holders of the first state that reads known maps (above)
 
 
 def _twin_before(adj) -> tuple[list[int], dict[int, int]]:
@@ -524,9 +547,10 @@ def _individualize(adj, cells: list[int], x: int) -> int:
     return _refine(adj, cells, [low])
 
 
-def _pair(adj, cells: list[int], u: int, v: int) -> tuple[tuple[int, ...] | None, int]:
+def _pair(adj, cells: list[int], u: int, v: int) -> tuple[tuple[int, tuple[int, ...]] | None, int]:
     """An automorphism that maps ``u`` to ``v`` and each cell of the
-    equitable partition ``cells`` onto itself, or None; and the cells read.
+    equitable partition ``cells`` onto itself, as (moved mask, map), or
+    None; and the cells read.
 
     Both sides individualize their vertex, then the first vertex of their
     first cell of two or more, refining after each, until both partitions
@@ -550,32 +574,56 @@ def _pair(adj, cells: list[int], u: int, v: int) -> tuple[tuple[int, ...] | None
     g = [0] * len(adj)
     for x, y in zip(a, b):
         g[x.bit_length() - 1] = y.bit_length() - 1
-    for w, row in enumerate(adj):
-        image = 0
-        while row:
-            low = row & -row
-            row ^= low
-            image |= 1 << g[low.bit_length() - 1]
-        if image != adj[g[w]]:
-            return None, steps
-    return tuple(g), steps
+    moved = _moved(adj, g)
+    return (None if moved is None else (moved, tuple(g))), steps
 
 
-def _orbit_holders(adj, placed, cells, hold, fresh, gens, onto) -> tuple[int, int]:
+def _moved(adj, g) -> int | None:
+    """The mask of the vertices that the map ``g`` (``g[v]`` is v's image)
+    moves, if it is an automorphism of ``adj``; else None.
+
+    It is one if it permutes the vertices it moves and sends each of their
+    rows onto the row of the image. The other rows need no reading: an edge
+    between two fixed vertices stays, and an edge from a fixed w to a moved
+    u goes to (w, g[u]), which row g[u] holds, since that row equals the
+    image of row u, whose fixed part is row u's.
+    """
+    if len(g) != len(adj):
+        return None
+    moved = 0
+    image = 0
+    for v, w in enumerate(g):
+        if v != w:
+            moved |= 1 << v
+            image |= 1 << w
+    if image != moved:
+        return None
+    for v in _bits_to_tuple(moved):
+        row = adj[v]
+        image = row & ~moved
+        for u in _bits_to_tuple(row & moved):
+            image |= 1 << g[u]
+        if image != adj[g[v]]:
+            return None
+    return moved
+
+
+def _orbit_holders(adj, placed, cells, hold, fresh, gens, onto, pair=True) -> tuple[int, int]:
     """The holders ``fresh`` (a subset of the state's holders ``hold``)
     that automorphism pruning keeps, and the steps it took.
 
-    ``gens`` lists the kept automorphisms as (moved mask, map); it grows by
-    the ones paired here. ``onto`` maps each independent set S to how many
-    of them it has checked and the ones that map S onto itself. Those that
+    ``gens`` lists the kept automorphisms as (moved mask, map); with
+    ``pair`` it grows by the ones paired here. ``onto`` maps each
+    independent set S to how many of them it has checked and the ones that
+    map S onto itself. Those that
     also fix the state's tail pointwise map the state onto itself: the
     cells are S grouped by adjacency to the tail, so each cell goes onto
     itself. Two holders in one orbit of the group they generate therefore
     have children with one future, and a holder that one of them maps to a
     lower holder is dropped. The lowest fresh holder is paired with each
-    other fresh holder not yet in its orbit. Pairing starts from the
-    tail as singletons in index order: a kept map fixes every singleton,
-    whatever their order.
+    other fresh holder not yet in its orbit, unless ``pair`` is false.
+    Pairing starts from the tail as singletons in index order: a kept map
+    fixes every singleton, whatever their order.
     """
     s = 0
     for c in cells:
@@ -602,21 +650,20 @@ def _orbit_holders(adj, placed, cells, hold, fresh, gens, onto) -> tuple[int, in
             unite(moved, g)
     u = (fresh & -fresh).bit_length() - 1
     base = None
-    for v in _bits_to_tuple(fresh)[1:]:
+    for v in _bits_to_tuple(fresh)[1:] if pair else ():
         if orbit[u] >> v & 1:
             continue
         if base is None:
             base = [1 << t for t in _bits_to_tuple(fixed)]
             base += list(cells) + [(1 << len(adj)) - 1 & ~placed]
             steps += _refine(adj, base, list(base))
-        g, work = _pair(adj, base, u, v)
+        found, work = _pair(adj, base, u, v)
         steps += work
-        if g is not None:
-            moved = _mask_of(w for w, x in enumerate(g) if w != x)
-            gens.append((moved, g))
-            mine[1].append((moved, g))
+        if found is not None:
+            gens.append(found)
+            mine[1].append(found)
             mine[0] += 1
-            unite(moved, g)
+            unite(*found)
     keep = 0
     for v in _bits_to_tuple(fresh):
         if (orbit[v] & -orbit[v]).bit_length() - 1 == v:
@@ -692,7 +739,7 @@ def _child_twins(lower: list[int], twins, last: dict[int, int], x: int) -> list[
 
 
 def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
-              lower: list[int] | None = None) -> int | None:
+              lower: list[int] | None = None, maps=None) -> int | None:
     """The minimal upper-triangle bit string of ``adj``, in graph6 column
     order.
 
@@ -715,7 +762,13 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
     where that count is neither 0 nor the size.
 
     Once pruning engages (see above), a tied state first drops the holders
-    that ``_orbit_holders`` finds in the orbit of a lower one.
+    that ``_orbit_holders`` finds in the orbit of a lower one. ``maps``,
+    if given, is a callable that returns candidate automorphisms, each a
+    sequence with ``g[v]`` the image of v (see Known maps above). It is
+    called once, when the first tied state has MAPS_FRESH fresh holders;
+    the maps that are not automorphisms are dropped, and from then on
+    every tied state with two or more fresh holders prunes by the others,
+    with no pairing.
 
     Given ``own``, the bits of ``adj``'s own labeling (vertex i placed i-th),
     the search answers whether they are minimal: it returns ``own`` if so
@@ -757,7 +810,11 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
     spread = _spreads(adj)
     states = {s << top: ((s,), every) for s in sets}
     bits = 0
-    gens = None  # the kept automorphisms, once pruning engages
+    pair = maps is None
+    gens = None if pair else []  # the kept automorphisms, once pruning engages
+    # the fresh holders that make a state prune (with maps, first read them)
+    fewest = PRUNE_FRESH if pair else MAPS_FRESH
+    support = full  # the vertices that a kept map may move
     onto = {}  # independent set: (gens checked, the gens mapping it onto itself)
     for k in range(alpha, m):
         if gens is None and len(states) > PRUNE_STATES and m - k >= PRUNE_LEFT:
@@ -818,9 +875,9 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
             elif col > best:
                 continue
             shifted = key << 1
-            if gens is not None and hold & (hold - 1):
+            if gens is not None and (hold & support).bit_count() >= fewest:
                 # holders whose children would be new states; the others
-                # merge by key, so pairing them saves nothing
+                # merge by key, so pruning them saves nothing
                 fresh = 0
                 seen = set()
                 for v in _bits_to_tuple(hold):
@@ -829,8 +886,18 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
                         if key2 not in nxt and key2 not in seen:
                             seen.add(key2)
                             fresh |= 1 << v
-                if fresh.bit_count() >= PRUNE_FRESH:
-                    keep, work = _orbit_holders(adj, placed, cells, hold, fresh, gens, onto)
+                if fresh.bit_count() >= fewest:
+                    if maps is not None:  # keep the automorphisms
+                        support = 0
+                        for g in maps():
+                            steps += 1
+                            moved = _moved(adj, g)
+                            if moved:
+                                gens.append((moved, g))
+                                support |= moved
+                        maps = None
+                        fewest = 2
+                    keep, work = _orbit_holders(adj, placed, cells, hold, fresh, gens, onto, pair)
                     steps += work
                     hold ^= fresh ^ keep
             while hold:

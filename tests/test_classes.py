@@ -630,6 +630,102 @@ def test_decomposition_children_order():
     assert mins == sorted(mins)
 
 
+# --- automorphisms read off the tree ------------------------------------------------
+
+
+def _tree_search(monkeypatch):
+    """Make every search that is handed maps read them at the first tied
+    state with two fresh holders. Returns (searches that read maps, pruning
+    calls that dropped a holder): each list gets one entry per event."""
+    monkeypatch.setattr(gr, "MAPS_FRESH", 2)
+    reads, drops = [], []
+    holders = gr._orbit_holders
+
+    def counted(*args):
+        keep, work = holders(*args)
+        if keep != args[4]:  # the fresh holders
+            drops.append(keep)
+        return keep, work
+
+    monkeypatch.setattr(gr, "_orbit_holders", counted)
+    return reads, drops
+
+
+def _tree_bits(g, class_id, reads):
+    """``g``'s bits searched with its tree's maps, each of which must be an
+    automorphism."""
+    tree = build_decomposition(g, class_id)
+
+    def maps():
+        found = classes.tree_maps(g, tree)
+        assert all(gr._moved(g.adj, t) for t in found)
+        reads.append(found)
+        return found
+
+    return gr._min_bits(g.adj, maps=maps)
+
+
+def _has_spider(node) -> bool:
+    if isinstance(node, SpiderNode):
+        return True
+    return any(map(_has_spider, getattr(node, "children", ())))
+
+
+def test_tree_maps_label_sparse_spiders_like_the_plain_search(monkeypatch):
+    # the members keep their plain bits from generate_class's sort
+    members = [g for g in generate_class("p4sparse", 9) if not is_cograph(g)]
+    assert len(members) == 616
+    reads, drops = _tree_search(monkeypatch)
+    for g in members:
+        assert _has_spider(build_decomposition(g, "p4sparse"))
+        assert _tree_bits(g, "p4sparse", reads) == g.canonical_bits
+    assert len(reads) > 300 and len(drops) > 300
+
+
+def test_tree_maps_label_extendible_members_like_the_plain_search(monkeypatch):
+    members = list(generate_class("p4extendible", 9))
+    reads, drops = _tree_search(monkeypatch)
+    for g in members:
+        assert _tree_bits(g, "p4extendible", reads) == g.canonical_bits
+    assert len(reads) > 1_000 and len(drops) > 500
+
+
+def test_tree_maps_label_relabelled_spiders_like_the_plain_search(monkeypatch):
+    heads = (complete_graph(1), path_graph(3), cycle_graph(4), complete_graph(3),
+             empty_graph(2))
+    rng = random.Random(31)
+    reads, drops = _tree_search(monkeypatch)
+    for j in range(2, 8):
+        for build in (sigma_j, tau_j):
+            for head in heads:
+                g = build(head, j)
+                for _ in range(3):
+                    p = rng.sample(range(g.n), g.n)
+                    h = from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])
+                    assert _tree_bits(h, "p4sparse", reads) == gr._min_bits(h.adj)
+    assert len(reads) > 100 and len(drops) > 100
+
+
+def test_tree_maps_name_leg_and_sibling_swaps():
+    # thin3 over K1: three leg swaps, and none between the head's one leaf
+    g = sigma_j(complete_graph(1), 3)
+    part = find_spider(g)
+    maps = classes.tree_maps(g, build_decomposition(g, "p4sparse"))
+    assert len(maps) == 3
+    for t in maps:
+        moved = [v for v in range(g.n) if t[v] != v]
+        assert len(moved) == 4 and set(moved) <= set(part.legs + part.body)
+    # 3*P3: three swaps of the components, and no swap of the twin leaves
+    # inside each P3
+    g = union_all(path_graph(3), path_graph(3), path_graph(3))
+    maps = classes.tree_maps(g, build_decomposition(g, "p4sparse"))
+    assert sorted(tuple(v for v in range(9) if t[v] != v) for t in maps) == [
+        (0, 1, 2, 3, 4, 5), (0, 1, 2, 6, 7, 8), (3, 4, 5, 6, 7, 8)]
+    # C5 has the ten automorphisms of the pentagon, the identity left out
+    c5 = cycle_graph(5)
+    assert len(classes.tree_maps(c5, build_decomposition(c5, "p4extendible"))) == 9
+
+
 # --- generation --------------------------------------------------------------------
 
 

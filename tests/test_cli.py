@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,46 @@ def test_recognize_classify_mode():
         "cograph": False, "p4sparse": False, "p4extendible": True, "62": False,
     }
     assert rec["p4_count"] == 5
+
+
+def _relabelled(g, seed):
+    p = random.Random(seed).sample(range(g.n), g.n)
+    return graphs.from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])
+
+
+def _key_rows(hex_key):
+    """The rows of the graph a canonical key spells."""
+    key = bytes.fromhex(hex_key)
+    n, nbits = key[0], key[0] * (key[0] - 1) // 2
+    return graphs._rows(n, int.from_bytes(key[1:], "big") >> (8 * len(key[1:]) - nbits))
+
+
+def test_recognize_labels_twin_blow_ups_by_their_cotrees(monkeypatch):
+    # 14*K2, 16*K2, K_{2x15} and K_{2x16} passed LABEL_CAP when their search
+    # paired holders; with the swaps of their cotrees' sibling subtrees each
+    # takes under 70,000 steps. A graph whose every degree is 1 (or n - 2) is
+    # j*K2 (or K_{2xj}), so a key that spells one relabels the input
+    monkeypatch.setattr(graphs, "LABEL_CAP", 100_000)
+    blow_ups = [(_relabelled(union_all(*[complete_graph(2)] * j), j), 1) for j in (14, 16)]
+    blow_ups += [(_relabelled(graphs.complete_multipartite([2] * j), j), 2 * j - 2)
+                 for j in (15, 16)]
+    code, out = cli(["recognize", "--format", "json"], "".join(g6(g) + "\n" for g, _ in blow_ups))
+    assert code == 0
+    for (g, degree), line in zip(blow_ups, out.splitlines()):
+        rows = _key_rows(json.loads(line)["canonical"])
+        assert len(rows) == g.n and all(row.bit_count() == degree for row in rows)
+
+
+def test_twin_blow_ups_get_the_plain_search_s_key():
+    # 12*K2 and K_{2x12}, which the search that pairs holders labels too
+    lines = [g6(_relabelled(union_all(*[complete_graph(2)] * 12), 1)),
+             g6(_relabelled(graphs.complete_multipartite([2] * 12), 2))]
+    want = [graph6_decode(line).canonical_key().hex() for line in lines]
+    for command in (["recognize"], ["recognize", "--class", "cograph"],
+                    ["decompose", "--class", "p4sparse"]):
+        code, out = cli(command + ["--format", "json"], "".join(line + "\n" for line in lines))
+        assert code == 0
+        assert [json.loads(record)["canonical"] for record in out.splitlines()] == want
 
 
 def test_classify_stream_errors_inline():

@@ -684,7 +684,7 @@ def _count_dropping(monkeypatch):
 
     def counted(*args):
         keep, work = holders(*args)
-        if keep != args[5]:  # the fresh holders
+        if keep != args[4]:  # the fresh holders
             drops.append(keep)
         return keep, work
 
@@ -790,6 +790,66 @@ def test_four_c5_labels_invariantly():
     for _ in range(2):
         p = rng.sample(range(g.n), g.n)
         assert canonical_key(from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])) == key
+
+
+def _transpositions(m):
+    """Every swap of two of m vertices, as maps: the automorphisms among
+    them are the twin swaps, and most of the others are not automorphisms."""
+    out = []
+    for u, v in combinations(range(m), 2):
+        g = list(range(m))
+        g[u], g[v] = v, u
+        out.append(g)
+    return out
+
+
+def test_moved_keeps_only_automorphisms():
+    p4 = path_graph(4)  # 0-1-2-3
+    assert graphs_module._moved(p4.adj, (3, 2, 1, 0)) == 0b1111
+    assert graphs_module._moved(p4.adj, (0, 1, 2, 3)) == 0
+    for bad in ((1, 0, 2, 3),  # a swap that is not an automorphism
+                (0, 0, 2, 3),  # not a permutation
+                (0, 2, 2, 3),
+                (3, 2, 1),  # the wrong length
+                (1, 2, 3, 0)):  # a rotation of the path
+        assert graphs_module._moved(p4.adj, bad) is None, bad
+
+
+def test_maps_that_are_not_automorphisms_are_dropped(graphs_to_7, monkeypatch):
+    # every transposition is handed in, and read at the first state with two
+    # fresh holders. The ones kept are twin swaps, which the search already
+    # places in index order, so no holder drops and the bits stay; a swap
+    # that is not an automorphism would drop some minimal holders
+    monkeypatch.setattr(graphs_module, "MAPS_FRESH", 2)
+    drops = _count_dropping(monkeypatch)
+    reads = []
+
+    def maps(m):
+        reads.append(m)
+        return _transpositions(m)
+
+    for g in graphs_to_7 + list(TWIN_FREE_SYMMETRIC.values()):
+        assert _min_bits(g.adj, maps=lambda: maps(g.n)) == Graph(g.n, g.adj).canonical_bits
+    for name in ("thin7", "thick7"):
+        g = catalog(name)
+        assert _min_bits(g.adj, maps=lambda: maps(g.n)) == SPIDER_LABELS[name][0]
+    assert len(reads) > 500 and drops == []
+
+
+def test_maps_are_read_once_and_only_by_a_wide_search():
+    calls = []
+
+    def maps():
+        calls.append(1)
+        return []
+
+    thin7 = catalog("thin7")
+    assert _min_bits(thin7.adj, maps=maps) == SPIDER_LABELS["thin7"][0]
+    assert calls == [1]
+    calls.clear()
+    p6 = path_graph(6)  # no tied state has MAPS_FRESH fresh holders
+    assert _min_bits(p6.adj, maps=maps) == _min_bits(p6.adj)
+    assert calls == []
 
 
 def test_sparse_graph_labels_in_few_steps(monkeypatch):

@@ -304,6 +304,19 @@ def test_construction_s3_contains_2k4():
         construct_s1_obstructions("cograph", 2)
 
 
+@pytest.mark.parametrize("s, counts", [(3, (13, 19)), (4, (19, 28)), (5, (32, 47)),
+                                       (6, (50, 68))])
+def test_construction_equals_enumeration_to_the_obstruction_cap(s, counts):
+    # the (s,1) lists past the paper's s = 2: the constructed members of
+    # order <= OBSTRUCTION_CAP are the enumerated ones, in both classes (for
+    # s = 6, 68 of the 74 constructed P4-extendible members)
+    cap = obstructions.OBSTRUCTION_CAP
+    for class_id, count in zip(("p4sparse", "p4extendible"), counts):
+        built = {canonical_key(g) for g in construct_s1_obstructions(class_id, s) if g.n <= cap}
+        found = keyset(enumerate_minimal_obstructions(class_id, sk_polar(s, 1), cap))
+        assert built == found and len(found) == count, (class_id, s)
+
+
 def test_s1_fixed_family():
     a, b, c = s1_fixed_family(2)
     assert is_isomorphic(a, catalog("e9"))

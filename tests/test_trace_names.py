@@ -54,3 +54,17 @@ def test_traced_generators_return_iterators(spans):
         result = fn(**{p: SAMPLE_ARGS[p] for p in params})
         assert isinstance(result, Iterator), (mod, attr)
         assert all(isinstance(g, Graph) for g in result), (mod, attr)
+
+
+def test_labeling_with_tree_maps_is_traced(spans):
+    # the stream commands label class members with their trees' maps; the
+    # search must still run inside the property the labeling span wraps
+    from polaritylab import classes, cli
+    from polaritylab.graphs import catalog, graph6_encode
+
+    tracer = spans.Tracer()
+    with tracer.installed():
+        g = catalog("thin7")
+        classes.member_key(Graph(g.n, g.adj), "p4sparse")
+        list(cli.classify_stream([graph6_encode(g)]))
+    assert [span[spans.NAME] for span in tracer.spans].count("graphs.canon") == 2
