@@ -29,6 +29,7 @@ from .graphs import (
     _bits_to_tuple,
     _co_rows,
     _component_masks,
+    _edges_in,
     _has_c5,
     _mask_of,
     catalog,
@@ -488,12 +489,6 @@ def _decompose(g: Graph, mask: int, class_id: ClassId) -> DecompTree:
     head = _mask_of(found.head)
     return ExtSpiderNode(found.kind, found.endpoints, found.midpoints,
                          _edges_in(g.adj, mask & ~head), _decompose(g, head, class_id))
-
-
-def _edges_in(adj, mask: int) -> tuple[tuple[int, int], ...]:
-    """The edges inside ``mask`` as ascending pairs, in lexicographic order."""
-    return tuple((v, u) for v in _bits_to_tuple(mask)
-                 for u in _bits_to_tuple(adj[v] & mask & ~((2 << v) - 1)))
 
 
 def _collect_edges(node: DecompTree) -> list[tuple[int, int]]:

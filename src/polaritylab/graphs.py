@@ -96,16 +96,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ascending pairs, in lexicographic order."""
-        out = []
-        for v in range(self.n):
-            row = self.adj[v] >> (v + 1)
-            u = v + 1
-            while row:
-                if row & 1:
-                    out.append((v, u))
-                row >>= 1
-                u += 1
-        return out
+        return list(_edges_in(self.adj, (1 << self.n) - 1))
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2
@@ -308,6 +299,12 @@ def _bits_to_tuple(mask: int) -> tuple[int, ...]:
         out.append(b.bit_length() - 1)
         mask ^= b
     return tuple(out)
+
+
+def _edges_in(adj, mask: int) -> tuple[tuple[int, int], ...]:
+    """The edges inside ``mask`` as ascending pairs, in lexicographic order."""
+    return tuple((v, u) for v in _bits_to_tuple(mask)
+                 for u in _bits_to_tuple(adj[v] & mask & ~((2 << v) - 1)))
 
 
 def _component_masks(adj, mask: int) -> list[int]:

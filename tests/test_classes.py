@@ -9,6 +9,7 @@ replaced.
 
 import hashlib
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -23,6 +24,7 @@ from polaritylab.classes import (
     JoinNode,
     Leaf,
     SpiderNode,
+    SpiderPartition,
     UnionNode,
     build_decomposition,
     certificate,
@@ -334,6 +336,33 @@ def test_find_spider_examples():
     # j=2 is always reported thin
     sp = find_spider(path_graph(4))
     assert sp is not None and sp.thin and len(sp.legs) == 2
+
+
+def test_spider_partition_validate_rejects_each_corruption():
+    g = sigma_j(complete_graph(1), 3)
+    sp = find_spider(g)
+    assert (sp.legs, sp.body, sp.head) == ((3, 4, 5), (0, 1, 2), (6,))
+    assert sp.pairing == ((3, 0), (4, 1), (5, 2)) and sp.validate(g)
+    corrupted = (
+        replace(sp, head=()),  # vertex 6 in no part
+        replace(sp, body=(0, 1), head=(2, 6)),  # three legs on two body vertices
+        replace(sp, pairing=((3, 0), (4, 1), (6, 2))),  # a head vertex paired as a leg
+        replace(sp, pairing=((3, 0), (4, 1), (5, 6))),  # a leg paired with the head
+        replace(sp, legs=sp.body, body=sp.legs,  # the legs are no clique
+                pairing=tuple((b, s) for s, b in sp.pairing)),
+        replace(sp, thin=False),  # each leg sees its partner alone
+    )
+    for bad in corrupted:
+        assert not bad.validate(g), bad
+    # sigma_3 over the net: the net's own partition, lifted, with the outer
+    # spider as its head, which sees the net's legs
+    outer = sigma_j(catalog("net"), 3)
+    head = find_spider(outer).head
+    net = find_spider(outer.induced(head))
+    assert head == (6, 7, 8, 9, 10, 11) and net.validate(outer.induced(head))
+    lifted = SpiderPartition(tuple(head[v] for v in net.legs), tuple(head[v] for v in net.body),
+                             tuple(range(6)), True, tuple((head[s], head[b]) for s, b in net.pairing))
+    assert not lifted.validate(outer)
 
 
 def _brute_spider_exists(g):
@@ -704,6 +733,22 @@ def test_tree_maps_label_relabelled_spiders_like_the_plain_search(monkeypatch):
                     h = from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])
                     assert _tree_bits(h, "p4sparse", reads) == gr._min_bits(h.adj)
     assert len(reads) > 100 and len(drops) > 100
+
+
+def test_extension_spiders_over_heads_with_their_own_p4s_decompose_and_label():
+    # the head's P4s are seeds too: a seed inside the head meets P4s whose
+    # union is no separable extension graph, or one the rest does not see
+    # uniformly, and is passed over for the seed in the base
+    rng = random.Random(32)
+    for kind in SEPARABLE_KINDS:
+        for head in ("p4", "p5", "c5", "house"):
+            g = sigma_sep(kind, catalog(head))
+            for _ in range(3):
+                p = rng.sample(range(g.n), g.n)
+                h = from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])
+                assert rebuild(build_decomposition(h, "p4extendible")) == h
+                plain = from_edges(h.n, h.edges()).canonical_key()
+                assert classes.member_key(h, "p4extendible") == plain, (kind, head)
 
 
 def test_tree_maps_name_leg_and_sibling_swaps():

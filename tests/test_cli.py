@@ -273,6 +273,19 @@ def test_verify():
     assert code == 2
 
 
+def test_verify_prints_each_counterexample_of_a_failing_claim(monkeypatch):
+    # with every graph called no cograph, each (s,1) obstruction of
+    # sparse_cog is a counterexample
+    monkeypatch.setattr(ob, "is_cograph", lambda g: False)
+    code, out = cli(["verify", "--claim", "sparse_cog", "--max-n", "6"])
+    lines = out.splitlines()
+    bad = [line.removeprefix("  counterexample: ") for line in lines if "counterexample" in line]
+    want = [graph6_encode(g) for s in (2, 3)
+            for g in ob.enumerate_minimal_obstructions("p4sparse", parse_spec(f"sk:{s},1"), 6)]
+    assert code == 1 and lines[0] == "claim sparse_cog at n<=6: FAIL"
+    assert bad and bad == want
+
+
 def test_gen():
     code, out = cli(["gen", "--class", "cograph", "--max-n", "4"])
     assert code == 0 and len(out.strip().split("\n")) == 17
@@ -585,6 +598,17 @@ def test_over_budget_line_is_a_line_error():
     first, second = map(json.loads, out.splitlines())
     assert first["input"] == SIX_C5
     assert first["error"].startswith("CapExceeded: canonical labeling of n=30")
+    assert second["canonical"] == "0434"
+
+
+def test_phase_1_cap_is_a_line_error(monkeypatch):
+    # 4*C5's phase 1 would grow about 14,600 independent sets
+    monkeypatch.setattr(graphs, "LABEL_CAP", 1_000)
+    four_c5 = g6(union_all(*[cycle_graph(5)] * 4))
+    code, out = cli(["recognize", "--format", "json"], f"{four_c5}\nCh\n")
+    first, second = map(json.loads, out.splitlines())
+    assert code == 1 and first["input"] == four_c5
+    assert first["error"].startswith("CapExceeded: canonical labeling of n=20")
     assert second["canonical"] == "0434"
 
 

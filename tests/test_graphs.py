@@ -792,6 +792,15 @@ def test_four_c5_labels_invariantly():
         assert canonical_key(from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])) == key
 
 
+def test_phase_1_stops_at_the_cap(monkeypatch):
+    # 4*C5's phase 1 would grow about 14,600 independent sets
+    c5 = cycle_graph(5)
+    monkeypatch.setattr(graphs_module, "LABEL_CAP", 1_000)
+    with pytest.raises(CapExceeded) as caught:
+        _min_bits(union_all(c5, c5, c5, c5).adj)
+    assert caught.traceback[-1].name == "_independent_prefix"
+
+
 def _transpositions(m):
     """Every swap of two of m vertices, as maps: the automorphisms among
     them are the twin swaps, and most of the others are not automorphisms."""

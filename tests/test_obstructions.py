@@ -450,6 +450,16 @@ def test_obstruction_record():
     assert set(rec["witnesses"]) == {str(v) for v in range(6)}
 
 
+def test_obstruction_record_of_an_obstruction_that_is_not_minimal():
+    # 2*P3 + K1 is not unipolar, and neither is 2*P3, its deletion of the K1
+    g = disjoint_union(two_p3(), complete_graph(1))
+    spec = parse_spec("unipolar")
+    assert not satisfies(g, spec)
+    rec = obstruction_record(g, spec)
+    assert rec["property"] == "unipolar" and rec["order"] == 7
+    assert rec["minimal"] is False and rec["witnesses"] == {}
+
+
 def test_verify_claim_small():
     assert verify_claim("sparse_cog", 6).passed
     assert verify_claim("bound", 6).passed
