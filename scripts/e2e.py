@@ -121,6 +121,10 @@ CHECKS = (
     *(Row(f"obstructions enumerate --class {klass} --spec {spec} --max-n 15 --format json",
           checks=(catalog(klass, spec), check_list(klass)))
       for klass in ("p4sparse", "p4extendible") for spec in ("polar", "unipolar")),
+    # the (s,1) construction keys its members with their trees' maps; the
+    # plain search passes LABEL_CAP on a 30-vertex member at s = 14
+    Row("obstructions construct --class p4sparse --s 14", lines=1762,
+        sha256="3b1b04b5035bef886ceabf9e2c8d5d3c01adc0619fe28ab38a6842038d4ece62"),
     # the stream path: each P4-sparse graph's classes, P4 count and key
     Row("gen --class p4sparse --max-n 9 | recognize --format json", lines=2957,
         sha256="cfc5b9f4db66f0005e4cfbe150534f30dab9807d10213ef52d211900c83d3df7"),

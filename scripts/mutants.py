@@ -177,6 +177,39 @@ MUTANTS = (
         "                            moved = _mask_of(v for v, w in enumerate(g) if v != w)\n",
         ("tests/test_graphs.py::test_maps_that_are_not_automorphisms_are_dropped",),
     ),
+    Mutant(
+        "spider-code-without-leg-count",
+        "src/polaritylab/classes.py",
+        '            code = ("spider", p.thin, len(p.pairing), head)\n',
+        '            code = ("spider", p.thin, head)\n',
+        ("tests/test_classes.py::test_tree_maps_name_leg_and_sibling_swaps",),
+    ),
+    # the labeling search's tie-breaks
+    Mutant(
+        "state-above-the-least-column-kept",
+        "src/polaritylab/graphs.py",
+        "            elif col > best:\n                continue\n",
+        "            elif False:\n                continue\n",
+        ("tests/test_graphs.py::test_two_phase_search_labels_sparse_graphs_like_the_tiered_search",
+         "tests/test_graphs.py::test_enumeration_counts_vs_labeled_dedupe"),
+    ),
+    Mutant(
+        "level-not-emptied-by-a-lower-column",
+        "src/polaritylab/graphs.py",
+        "                best = col\n                nxt = {}\n",
+        "                best = col\n",
+        ("tests/test_graphs.py::test_canonical_key_vs_exhaustive_permutations",
+         "tests/test_graphs.py::test_two_phase_search_labels_sparse_graphs_like_the_tiered_search"),
+    ),
+    # the one minimality loop
+    Mutant(
+        "witnessed-loop-skips-later-twins",
+        "src/polaritylab/obstructions.py",
+        "    later = [0] * g.n if witnesses else gr._twin_before(g.adj)[0]\n",
+        "    later = gr._twin_before(g.adj)[0]\n",
+        ("tests/test_obstructions.py::test_minimality_report_runs_one_size_free_pass_per_graph",
+         "tests/test_obstructions.py::test_verdict_only_minimality_matches_the_witnessed_and_every_deletion"),
+    ),
 )
 
 EQUIVALENT = (

@@ -32,6 +32,7 @@ from .graphs import (
     _edges_in,
     _has_c5,
     _mask_of,
+    _upper,
     catalog,
     complete_graph,
     disjoint_union,
@@ -164,20 +165,12 @@ def _ext_graphs() -> dict[str, Graph]:
     return {kind: catalog(kind) for kind in EXT_KINDS}
 
 
-def _triangle(adj, verts) -> int:
-    """Upper-triangle bits of G[verts] (vertex i is verts[i]), first pair highest."""
-    bits = 0
-    for u, v in combinations(verts, 2):
-        bits = bits << 1 | adj[u] >> v & 1
-    return bits
-
-
 @lru_cache(maxsize=None)
 def _ext_table() -> dict[tuple[int, int], tuple[str, tuple[int, ...]]]:
     """The kind of every relabelled copy of each extension graph, by (order,
-    ``_triangle``), and a map onto the catalog copy (vertex i of the copy
+    ``graphs._upper``), and a map onto the catalog copy (vertex i of the copy
     goes to ``perm[i]``): 24 or 120 copies each, found with no labeling."""
-    return {(g.n, _triangle(g.adj, perm)): (kind, perm)
+    return {(g.n, _upper(g.adj, perm)): (kind, perm)
             for kind, g in _ext_graphs().items() for perm in permutations(range(g.n))}
 
 
@@ -188,7 +181,7 @@ def _ext_autos(kind: str) -> tuple[tuple[int, ...], ...]:
     g = _ext_graphs()[kind]
     own = tuple(range(g.n))
     return tuple(p for p in permutations(own)
-                 if p != own and _triangle(g.adj, p) == _triangle(g.adj, own))
+                 if p != own and _upper(g.adj, p) == _upper(g.adj, own))
 
 
 def _mids(adj, p4s) -> int:
@@ -214,7 +207,7 @@ def _ext_kind_of(g: Graph, mask: int) -> Optional[str]:
     if mask.bit_count() not in (4, 5):
         return None
     verts = _bits_to_tuple(mask)
-    found = _ext_table().get((len(verts), _triangle(g.adj, verts)))
+    found = _ext_table().get((len(verts), _upper(g.adj, verts)))
     return found and found[0]
 
 
@@ -574,7 +567,7 @@ def tree_maps(g: Graph, tree: DecompTree) -> list[tuple[int, ...]]:
     def arranged(verts) -> tuple[int, ...]:
         """``verts`` (an extension graph) as they map onto its catalog
         copy, with a map for each automorphism of the copy."""
-        kind, perm = _ext_table()[len(verts), _triangle(g.adj, verts)]
+        kind, perm = _ext_table()[len(verts), _upper(g.adj, verts)]
         order = [0] * len(verts)
         for v, i in zip(verts, perm):
             order[i] = v

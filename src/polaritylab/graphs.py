@@ -924,6 +924,15 @@ def _column(row: int, perm) -> int:
     return col
 
 
+def _upper(adj, order) -> int:
+    """The upper-triangle bits of the subgraph on ``order`` (vertex i is
+    ``order[i]``), read in graph6 column order, first pair highest."""
+    bits = 0
+    for j in range(1, len(order)):
+        bits = bits << j | _column(adj[order[j]], order[:j])
+    return bits
+
+
 def _pack_key(n: int, bits: int) -> bytes:
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 7) // 8
@@ -1055,20 +1064,10 @@ def _has_c5(g: Graph) -> bool:
 def graph6_encode(g: Graph) -> str:
     if g.n > 62:
         raise CapExceeded(f"graph6 single-byte header caps n at 62, got {g.n}")
-    chunks = [chr(63 + g.n)]
-    buf = 0
-    fill = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            buf = (buf << 1) | ((g.adj[i] >> j) & 1)
-            fill += 1
-            if fill == 6:
-                chunks.append(chr(63 + buf))
-                buf = 0
-                fill = 0
-    if fill:
-        chunks.append(chr(63 + (buf << (6 - fill))))
-    return "".join(chunks)
+    nbits = g.n * (g.n - 1) // 2
+    size = (nbits + 5) // 6
+    bits = _upper(g.adj, range(g.n)) << (6 * size - nbits)
+    return chr(63 + g.n) + "".join(chr(63 + (bits >> 6 * i & 63)) for i in reversed(range(size)))
 
 
 def graph6_decode(text: str) -> Graph:

@@ -14,7 +14,7 @@ from functools import cache, lru_cache, partial
 from typing import Iterable, Optional
 
 from . import graphs as gr
-from .classes import ClassId, _attach_head, _closure, _head_operations, is_cograph
+from .classes import ClassId, _attach_head, _closure, _head_operations, is_cograph, member_key
 from .classes import generate_class  # noqa: F401 -- perfbench/spans.py rebinds it here
 from .errors import BadParameter, CapExceeded, UnknownClaim, UnknownId
 from .graphs import (
@@ -69,41 +69,31 @@ class ObstructionReport:
         }
 
 
-def _deletions_satisfy(g: Graph, spec: PolarSpec) -> bool:
-    """Whether every one-vertex deletion has the property; verdicts only.
-
-    Swapping two twins is an automorphism, so their deletions are
-    isomorphic: one vertex of each twin class is deleted."""
-    return all(satisfies(g.delete_vertex(v), spec)
-               for v, t in enumerate(gr._twin_before(g.adj)[0]) if not t)
-
-
-def _witnessed(g: Graph, spec: PolarSpec) -> ObstructionReport:
-    """The report on ``g``, which lacks the property, decided by one bounded
-    pass per deletion (``find_polar_partition``): minimal, with those
-    witnesses, iff every deletion has one. It stops at the first deletion
-    that has none."""
-    found = {}
-    for v in range(g.n):
-        witness = find_polar_partition(g.delete_vertex(v), spec)
-        if witness is None:
-            return ObstructionReport(g, spec, True, False)
-        found[v] = witness
-    return ObstructionReport(g, spec, True, True, found)
-
-
 def is_minimal_obstruction(g: Graph, spec: PolarSpec, witnesses: bool = True) -> ObstructionReport:
     """Check obstruction-ness and minimality, collecting deletion witnesses
-    unless ``witnesses`` is False. Verdicts come first, each search stopping
-    at its first partition; witnesses are searched for only once ``g`` is
-    proven minimal, since a report that is not minimal carries none."""
+    unless ``witnesses`` is False; the only code that deletes a vertex to
+    decide minimality. After a first-hit verdict on ``g``, one loop runs over
+    the deletions and stops at the first that lacks the property. With
+    witnesses, each deletion takes one bounded pass
+    (``find_polar_partition``), which decides it and finds its witness.
+    Without, each twin class takes one first-hit pass (``satisfies``) on its
+    first vertex: swapping two twins is an automorphism, so their deletions
+    are isomorphic."""
     if satisfies(g, spec):
         return ObstructionReport(g, spec, False, False)
-    if not _deletions_satisfy(g, spec):
-        return ObstructionReport(g, spec, True, False)
-    if not witnesses:
-        return ObstructionReport(g, spec, True, True)
-    return _witnessed(g, spec)
+    later = [0] * g.n if witnesses else gr._twin_before(g.adj)[0]
+    found = {}
+    for v in range(g.n):
+        if later[v]:
+            continue
+        if witnesses:
+            found[v] = find_polar_partition(g.delete_vertex(v), spec)
+            has = found[v] is not None
+        else:
+            has = satisfies(g.delete_vertex(v), spec)
+        if not has:
+            return ObstructionReport(g, spec, True, False)
+    return ObstructionReport(g, spec, True, True, found)
 
 
 def enumerate_minimal_obstructions(
@@ -204,7 +194,9 @@ def construct_s1_obstructions(class_id: ClassId, s: int) -> list[Graph]:
     Union of the class's essential graphs, the three parametric disconnected
     families at s, and complements of disjoint unions G_1 + ... + G_t where
     each G_i is drawn from _pool(class_id, s_i) and s = t - 1 + sum(s_i):
-    a component costs s_i + 1 and the costs add up to s + 1.
+    a component costs s_i + 1 and the costs add up to s + 1. Each is a
+    class member, so it is keyed with the automorphisms its decomposition
+    tree names (``member_key``).
     """
     if class_id not in ("p4sparse", "p4extendible"):
         raise BadParameter(f"no (s,1) construction for class {class_id!r}")
@@ -213,7 +205,7 @@ def construct_s1_obstructions(class_id: ClassId, s: int) -> list[Graph]:
     found: dict[bytes, Graph] = {}
 
     def add(g: Graph) -> None:
-        found.setdefault(g.canonical_key(), g)
+        found.setdefault(member_key(g, class_id), g)
 
     for g in _essentials(class_id):
         add(g)
@@ -222,7 +214,7 @@ def construct_s1_obstructions(class_id: ClassId, s: int) -> list[Graph]:
     items = [(v + 1, g) for v in range(s) for g in _pool(class_id, v)]
     for components in _budget_walks(items, s + 1):
         add(union_all(*components).complement())
-    return sorted(found.values(), key=lambda g: (g.n, g.canonical_key()))
+    return [found[key] for key in sorted(found)]  # a key leads with the order
 
 
 def catalog_list(list_id: str, s: Optional[int] = None) -> list[Graph]:
@@ -287,9 +279,7 @@ def obstruction_record(g: Graph, spec: Optional[PolarSpec] = None) -> dict:
     The graph6 field uses the canonical labeling, so isomorphic results are
     byte-identical however they were produced (golden-file stability). The
     witnesses are found on that printed graph, so their vertex ids are the
-    printed graph's. The graphs it records are list members, minimal as a
-    rule, so the bounded passes that find the witnesses decide ``minimal``
-    too, and no verdict screen of the deletions runs first.
+    printed graph's (``is_minimal_obstruction`` with witnesses).
     """
     printed = gr.canonical_form(g)
     rec = {
@@ -299,8 +289,7 @@ def obstruction_record(g: Graph, spec: Optional[PolarSpec] = None) -> dict:
     }
     if spec is not None:
         rec["property"] = spec.label()
-        report = (ObstructionReport(printed, spec, False, False) if satisfies(printed, spec)
-                  else _witnessed(printed, spec))
+        report = is_minimal_obstruction(printed, spec)
         rec["minimal"] = report.is_minimal
         rec["witnesses"] = report.witnesses_json()
     return rec
@@ -366,7 +355,7 @@ def _claim_disc_polar(n_max: int) -> ClaimReport:
         also_polar_min = [
             graph6_encode(h)
             for h in monopolar_min
-            if is_minimal_obstruction(h, POLAR).is_minimal
+            if is_minimal_obstruction(h, POLAR, witnesses=False).is_minimal
         ]
         expected = {
             disjoint_union(p3, h).canonical_key()
@@ -399,7 +388,7 @@ def _claim_spider_not_obs(n_max: int) -> ClaimReport:
                   if order + head.n <= n_max for base, attach in pairs]:
             for spec in specs:
                 checked += 1
-                if is_minimal_obstruction(g, spec).is_minimal:
+                if is_minimal_obstruction(g, spec, witnesses=False).is_minimal:
                     bad.append(graph6_encode(g))
     connected_bad = []
     c5_key = cycle_graph(5).canonical_key()

@@ -760,6 +760,11 @@ def test_tree_maps_name_leg_and_sibling_swaps():
     for t in maps:
         moved = [v for v in range(g.n) if t[v] != v]
         assert len(moved) == 4 and set(moved) <= set(part.legs + part.body)
+    # P4 + thin3: each spider's own leg swaps, one and three, and no swap of
+    # the two: spiders with unequal leg counts are not isomorphic
+    g = disjoint_union(path_graph(4), sigma_j(empty_graph(0), 3))
+    maps = classes.tree_maps(g, build_decomposition(g, "p4sparse"))
+    assert len(maps) == 1 + 3 and all(gr._moved(g.adj, t) for t in maps)
     # 3*P3: three swaps of the components, and no swap of the twin leaves
     # inside each P3
     g = union_all(path_graph(3), path_graph(3), path_graph(3))

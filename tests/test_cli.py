@@ -224,8 +224,9 @@ def test_obstructions_sidecar_screens_each_member_once(tmp_path, monkeypatch):
     members = [catalog("k2,3"), union_all(path_graph(3), path_graph(3))]
     monkeypatch.setattr(ob, "enumerate_minimal_obstructions", lambda *a, **kw: members)
     calls = []
-    witnessed = ob._witnessed  # the passes that decide a record and find its witnesses
-    monkeypatch.setattr(ob, "_witnessed", lambda g, spec: calls.append(g) or witnessed(g, spec))
+    decide = ob.is_minimal_obstruction  # decides a record and finds its witnesses
+    monkeypatch.setattr(ob, "is_minimal_obstruction",
+                        lambda g, spec, witnesses=True: calls.append(g) or decide(g, spec, witnesses))
     side = tmp_path / "list.json"
     code, out = cli(["obstructions", "enumerate", "--class", "p4sparse", "--spec",
                      "unipolar", "--format", "json", "--sidecar", str(side)])

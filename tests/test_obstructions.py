@@ -92,26 +92,33 @@ def test_non_minimal_obstruction():
 
 
 def test_minimality_report_runs_one_size_free_pass_per_graph(monkeypatch):
-    # the screen decides the graph and every deletion with first-hit walks;
-    # the witnesses then come from one bounded walk per deletion
+    # a first-hit walk decides the graph; with witnesses, one bounded walk
+    # per deletion decides each deletion and finds its witness, and without,
+    # one first-hit walk per twin class decides it
     modes = []
     walk = polarity._first_a
     monkeypatch.setattr(polarity, "_first_a",
                         lambda g, spec, first: modes.append(first) or walk(g, spec, first))
     g = catalog("e9")
     assert is_minimal_obstruction(g, sk_polar(2, 1)).is_minimal
-    # twins give isomorphic deletions, so the screen deletes one vertex of
-    # each twin class: e9 = 2K3 has two classes of three
-    assert modes == [True] * 3 + [False] * g.n
+    assert modes == [True] + [False] * g.n
+    modes.clear()
+    # twins give isomorphic deletions: e9 = 2K3 has two twin classes of three
+    assert is_minimal_obstruction(g, sk_polar(2, 1), witnesses=False).is_minimal
+    assert modes == [True] * 3
 
 
-def test_deletion_screen_deletes_one_vertex_per_twin_class(graphs_to_7):
-    # twins give isomorphic deletions, so the screen that skips a vertex's
-    # later twins answers as the screen over every deletion
+def test_verdict_only_minimality_matches_the_witnessed_and_every_deletion(graphs_to_7):
+    # the verdict-only loop deletes one vertex per twin class; the witnessed
+    # loop deletes every vertex and holds a witness for each deletion
     for g in graphs_to_7:
         for spec in ALL_SPECS:
-            every = all(satisfies(g.delete_vertex(v), spec) for v in range(g.n))
-            assert obstructions._deletions_satisfy(g, spec) == every, (g, spec)
+            every = not satisfies(g, spec) and all(
+                satisfies(g.delete_vertex(v), spec) for v in range(g.n))
+            report = is_minimal_obstruction(g, spec)
+            assert is_minimal_obstruction(g, spec, witnesses=False).is_minimal == every, (g, spec)
+            assert report.is_minimal == every, (g, spec)
+            assert sorted(report.deletion_witnesses) == (list(range(g.n)) if every else [])
 
 
 def test_enumerate_unipolar_small():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from polaritylab import classes, polarity
 from polaritylab.classes import CLASS_IDS, _ext_graphs
 from polaritylab.graphs import _attach_head, _co_rows, complete_graph, disjoint_union, join
-from polaritylab.obstructions import OBSTRUCTION_CAP, _deletions_satisfy
+from polaritylab.obstructions import OBSTRUCTION_CAP
 from polaritylab.polarity import UNIPOLAR, satisfies, sk_polar
 from test_classes import closure_members
 
@@ -57,6 +57,11 @@ def brute_profile(adj, cluster=False):
                  if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs))
 
 
+def deletions_satisfy(g, spec):
+    """Whether every one-vertex deletion of ``g`` has the property."""
+    return all(satisfies(g.delete_vertex(v), spec) for v in range(g.n))
+
+
 def check_closure_values(class_id, cluster):
     for g, (profile, deletions) in closure_members(class_id, 8, cluster=cluster):
         assert profile == brute_profile(g.adj, cluster), g
@@ -78,7 +83,7 @@ def test_unipolar_closure_values_match_the_brute_force(class_id):
 def test_unipolar_verdicts_match_the_solver(class_id):
     for g, (profile, deletions) in closure_members(class_id, 8, cluster=True):
         assert polarity._meets(profile, UNIPOLAR) == satisfies(g, UNIPOLAR), g
-        assert all(polarity._meets(p, UNIPOLAR) for p in deletions) == _deletions_satisfy(
+        assert all(polarity._meets(p, UNIPOLAR) for p in deletions) == deletions_satisfy(
             g, UNIPOLAR), g
 
 
@@ -143,7 +148,7 @@ def test_folded_verdicts_match_the_solver(member, spec):
     g, values = member
     profile, deletions = values[spec.clique_side]
     assert polarity._meets(profile, spec) == satisfies(g, spec)
-    assert all(polarity._meets(p, spec) for p in deletions) == _deletions_satisfy(g, spec)
+    assert all(polarity._meets(p, spec) for p in deletions) == deletions_satisfy(g, spec)
 
 
 CAPS = st.tuples(st.integers(2, 5), st.integers(2, 5))
