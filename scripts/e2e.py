@@ -108,8 +108,21 @@ ORDER_20 = ("Shc?GC@@G??@?@??_@G????C??G??G??c", "ShCGGC@?G?_@?@??_?G?@??C??G??K
             "S`?G?C??G??@????_???@?????G?????C")
 
 CHECKS = (
-    *(Row(f"verify --claim {claim} --max-n 9")
-      for claim in ("bound", "spider_not_obs", "sparse_cog", "disc_polar")),
+    # the claim reports, counts and counterexamples included
+    *(Row(f"verify --claim {claim} --max-n 9 --format json", sha256=digest)
+      for claim, digest in (
+          ("bound", "4aa249c3bcfb57a7697ae624c1c87369f79b508cc5883212a8ccbd2227f1a48b"),
+          ("spider_not_obs", "a4dea05cb450cc2653f7e5a6aac4af4495c4cd1375d9833f092c07df92cd3754"),
+          ("sparse_cog", "f5caf83403835faf3ca07522b2cbf91823bb8b782e419b324f4f2916a50b2223"),
+          ("disc_polar", "987971a53ee8be852007c911515e452a71cf59826025c2fc4a4e438900fe7568"))),
+    # every graph of order <= 7: verdicts, minimality and the deletion
+    # witnesses of each minimal obstruction; a line that is not a minimal
+    # obstruction exits 1, so the only passing exit code is 1
+    *(Row(f"gen --class all --max-n 7 | obstructions check --spec {spec} --format json",
+          exit=1, lines=1252, sha256=digest)
+      for spec, digest in (
+          ("sk:2,1", "7adaf827c71ed09163b4c28f72fb89a6d38e512e9d0178181a51ef4ccf8538cb"),
+          ("unipolar", "d7e5ab07a32952147c2e10ac0c776a3040054dd5239286244c8260a8a3cb74c6"))),
     Row("obstructions enumerate --class p4extendible --spec unipolar --max-n 10"),
     # past ENUM_CAP, within OBSTRUCTION_CAP: 90 members, four not cographs
     Row("obstructions enumerate --class p4sparse --spec sk:3,2 --max-n 12 --format json",

@@ -165,8 +165,8 @@ MUTANTS = (
     Mutant(
         "witness-cut-at-equal-size",
         "src/polaritylab/polarity.py",
-        "        if (size + 1 < best and _is_cm_mask(",
-        "        if (size + 1 <= best and _is_cm_mask(",
+        "        if size + 1 < best and _is_cm_mask(",
+        "        if size + 1 <= best and _is_cm_mask(",
         ("tests/test_polarity.py::test_witness_is_first_in_size_then_lex_order",),
     ),
     # the known maps a class member's tree hands the labeling search
@@ -203,12 +203,29 @@ MUTANTS = (
     ),
     # the one minimality loop
     Mutant(
-        "witnessed-loop-skips-later-twins",
+        "witnesses-for-twin-class-representatives-only",
         "src/polaritylab/obstructions.py",
-        "    later = [0] * g.n if witnesses else gr._twin_before(g.adj)[0]\n",
-        "    later = gr._twin_before(g.adj)[0]\n",
+        "range(g.n)}",
+        "range(g.n) if not later[v]}",
         ("tests/test_obstructions.py::test_minimality_report_runs_one_size_free_pass_per_graph",
          "tests/test_obstructions.py::test_verdict_only_minimality_matches_the_witnessed_and_every_deletion"),
+    ),
+    # the first-hit walk of satisfies
+    Mutant(
+        "walk-opens-a-part-at-the-bound",
+        "src/polaritylab/polarity.py",
+        "a_parts < smax",
+        "a_parts <= smax",
+        ("tests/test_polarity.py::test_unipolar_facts",
+         "tests/test_polarity.py::test_first_hit_walk_matches_the_bounded_pass_and_every_split"),
+    ),
+    Mutant(
+        "walk-joins-a-part-its-misses-do-not-fill",
+        "src/polaritylab/polarity.py",
+        "        if (miss == a & ~a_rows[(miss & -miss).bit_length() - 1]\n",
+        "        if (not miss & a_rows[(miss & -miss).bit_length() - 1]\n",
+        ("tests/test_polarity.py::test_unipolar_facts",
+         "tests/test_polarity.py::test_first_hit_walk_matches_the_bounded_pass_and_every_split"),
     ),
 )
 

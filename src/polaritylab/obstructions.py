@@ -72,27 +72,21 @@ class ObstructionReport:
 def is_minimal_obstruction(g: Graph, spec: PolarSpec, witnesses: bool = True) -> ObstructionReport:
     """Check obstruction-ness and minimality, collecting deletion witnesses
     unless ``witnesses`` is False; the only code that deletes a vertex to
-    decide minimality. After a first-hit verdict on ``g``, one loop runs over
-    the deletions and stops at the first that lacks the property. With
-    witnesses, each deletion takes one bounded pass
-    (``find_polar_partition``), which decides it and finds its witness.
-    Without, each twin class takes one first-hit pass (``satisfies``) on its
-    first vertex: swapping two twins is an automorphism, so their deletions
-    are isomorphic."""
+    decide minimality. One loop decides it in both modes: a first-hit
+    verdict (``satisfies``) on ``g``, then one on the first vertex of each
+    twin class (``graphs._twin_before``), stopping at the first deletion
+    that lacks the property: swapping two twins is an automorphism, so their
+    deletions are isomorphic. Only a minimal obstruction, and only with
+    witnesses, then takes one bounded pass (``find_polar_partition``) per
+    deletion for its witness."""
     if satisfies(g, spec):
         return ObstructionReport(g, spec, False, False)
-    later = [0] * g.n if witnesses else gr._twin_before(g.adj)[0]
-    found = {}
-    for v in range(g.n):
-        if later[v]:
-            continue
-        if witnesses:
-            found[v] = find_polar_partition(g.delete_vertex(v), spec)
-            has = found[v] is not None
-        else:
-            has = satisfies(g.delete_vertex(v), spec)
-        if not has:
-            return ObstructionReport(g, spec, True, False)
+    later = gr._twin_before(g.adj)[0]
+    if not all(satisfies(g.delete_vertex(v), spec) for v in range(g.n) if not later[v]):
+        return ObstructionReport(g, spec, True, False)
+    if not witnesses:
+        return ObstructionReport(g, spec, True, True)
+    found = {v: find_polar_partition(g.delete_vertex(v), spec) for v in range(g.n)}
     return ObstructionReport(g, spec, True, True, found)
 
 

@@ -5,13 +5,20 @@ complete multipartite graph with at most s parts and a side B inducing at
 most k disjoint cliques. Unbounded s or k is written None (the CLI token is
 "inf") and is replaced by the graph's order at evaluation time. A unipolar
 partition instead requires A to be a clique: a cluster side with at most
-one clique. So ``_is_cm_mask`` tests every side (``_sides``).
+one clique. So every side is complete multipartite with a bounded number
+of parts on the rows it is read on, its complement rows for a cluster
+side (``_sides``).
 
 The solver is an exact depth-first search over the vertices in index
-order. Both sides are hereditary, so a prefix of A or of B that fails cuts
-every extension of it. A verdict stops at the first partition reached; a
-witness is the first valid split in increasing |A| and then lexicographic
-A order, found by the same pass bounded on |A|, so it is deterministic.
+order, "into A" before "into B". Both sides are hereditary, so a prefix of
+A or of B that fails cuts every extension of it. A verdict (``satisfies``)
+stops at the first partition reached, and its walk carries each side's mask
+and part count: a vertex enters a side when it misses none of it (a new
+part, within the bound) or exactly one whole part, read off the row of the
+first vertex it misses, so no step rescans the side (``_first_hit``). A
+witness is the first valid split in increasing |A| and then lexicographic A
+order, found by a pass bounded on |A| that tests each side prefix with
+``_is_cm_mask`` (``_first_a``), so it is deterministic.
 
 Members of the cograph superclasses need no search for their verdicts: a
 polarity profile, folded over the operations that build a member, answers
@@ -175,19 +182,20 @@ def is_split(g: Graph) -> bool:
     return sum(d[:m]) == m * (m - 1) + sum(d[m:])
 
 
-def _first_a(g: Graph, spec: PolarSpec, first: bool) -> Optional[int]:
-    """A-side mask of a valid partition, or None: the first one reached when
-    ``first``, else the first in (|A|, lexicographic A) order.
+def _first_a(g: Graph, spec: PolarSpec) -> Optional[int]:
+    """A-side mask of the first valid partition in (|A|, lexicographic A)
+    order, or None.
 
     Vertices are decided depth-first in index order, "into A" before "into
     B", so A-sides of one size are reached in lexicographic order. Both
     sides are hereditary: a prefix of A or of B that fails cuts every
-    extension. ``_is_cm_mask`` tests both sides (``_sides``). Unless
-    ``first``, the search is a branch and bound on |A|: an A-branch is cut
-    before its side test once it would reach ``best``, the least |A| of the
-    leaves reached so far. No leaf of the least size comes before the
-    (|A|, lex)-first one, so it is never cut and is the last leaf reached.
-    With no partition the bound never fires: a None answer costs one pass.
+    extension. ``_is_cm_mask`` tests both sides (``_sides``). The search is a
+    branch and bound on |A|: an A-branch is cut before its side test once it
+    would reach ``best``, the least |A| of the leaves reached so far. No leaf
+    of the least size comes before the (|A|, lex)-first one, so it is never
+    cut and is the last leaf reached. With no partition the bound never
+    fires: a None answer costs one pass, which reaches the nodes
+    ``satisfies`` reaches.
     """
     n = g.n
     if n > SEARCH_CAP:
@@ -196,17 +204,16 @@ def _first_a(g: Graph, spec: PolarSpec, first: bool) -> Optional[int]:
     best, found = n + 1, None
 
     def walk(v, amask, bmask, size):
-        # vertices below v are decided: amask into A, bmask into B, both
-        # valid; True stops the search
+        # vertices below v are decided: amask into A, bmask into B, both valid
         nonlocal best, found
         if v == n:
             best, found = size, amask
-            return first
+            return
         bit = 1 << v
-        if (size + 1 < best and _is_cm_mask(a_rows, amask | bit, smax)
-                and walk(v + 1, amask | bit, bmask, size + 1)):
-            return True
-        return _is_cm_mask(co, bmask | bit, kmax) and walk(v + 1, amask, bmask | bit, size)
+        if size + 1 < best and _is_cm_mask(a_rows, amask | bit, smax):
+            walk(v + 1, amask | bit, bmask, size + 1)
+        if _is_cm_mask(co, bmask | bit, kmax):
+            walk(v + 1, amask, bmask | bit, size)
 
     walk(0, 0, 0, 0)
     return found
@@ -214,15 +221,51 @@ def _first_a(g: Graph, spec: PolarSpec, first: bool) -> Optional[int]:
 
 def find_polar_partition(g: Graph, spec: PolarSpec) -> Optional[PolarPartition]:
     """First valid partition in (|A|, lexicographic A) order, or None."""
-    amask = _first_a(g, spec, first=False)
+    amask = _first_a(g, spec)
     if amask is None:
         return None
     return PolarPartition(_bits_to_tuple(amask), _bits_to_tuple(((1 << g.n) - 1) ^ amask))
 
 
+def _first_hit(sides: tuple, v: int, a: int, a_parts: int, b: int, b_parts: int) -> bool:
+    """Whether the vertices from v on can join sides A and B, the valid
+    splits ``a`` and ``b`` of the vertices below v, with ``a_parts`` and
+    ``b_parts`` parts: one step of the first-hit walk of ``satisfies``.
+    ``sides`` is (A rows, A bound, B rows, B bound, order).
+
+    A side is complete multipartite on its rows, so v enters it when the
+    vertices of the side it misses (``a & ~rows[v]``) are none, and then
+    opens a new part if the side has fewer parts than its bound, or are the
+    whole part of the first of them, u: ``a & ~rows[u]``, the vertices of the
+    side u misses, itself included. That is ``_is_cm_mask(rows, a | bit,
+    bound)`` read off two rows, so the walk reaches the nodes and leaves of
+    a pass that tests each side prefix, in the same order.
+    """
+    a_rows, smax, b_rows, kmax, n = sides
+    if v == n:
+        return True
+    bit = 1 << v
+    miss = a & ~a_rows[v]
+    if miss:
+        if (miss == a & ~a_rows[(miss & -miss).bit_length() - 1]
+                and _first_hit(sides, v + 1, a | bit, a_parts, b, b_parts)):
+            return True
+    elif a_parts < smax and _first_hit(sides, v + 1, a | bit, a_parts + 1, b, b_parts):
+        return True
+    miss = b & ~b_rows[v]
+    if miss:
+        return (miss == b & ~b_rows[(miss & -miss).bit_length() - 1]
+                and _first_hit(sides, v + 1, a, a_parts, b | bit, b_parts))
+    return b_parts < kmax and _first_hit(sides, v + 1, a, a_parts, b | bit, b_parts + 1)
+
+
 def satisfies(g: Graph, spec: PolarSpec) -> bool:
-    """Whether a partition exists: the search stops at its first leaf."""
-    return _first_a(g, spec, first=True) is not None
+    """Whether a partition exists: a walk that carries each side's part
+    count and stops at its first leaf (``_first_hit``), with no side test."""
+    if g.n > SEARCH_CAP:
+        raise CapExceeded(f"order {g.n} exceeds search cap {SEARCH_CAP}")
+    (a_rows, smax), (b_rows, kmax) = _sides(g, spec)
+    return _first_hit((a_rows, smax, b_rows, kmax, g.n), 0, 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -92,20 +92,22 @@ def test_non_minimal_obstruction():
 
 
 def test_minimality_report_runs_one_size_free_pass_per_graph(monkeypatch):
-    # a first-hit walk decides the graph; with witnesses, one bounded walk
-    # per deletion decides each deletion and finds its witness, and without,
-    # one first-hit walk per twin class decides it
-    modes = []
-    walk = polarity._first_a
+    # a first-hit verdict decides the graph and then each twin class, whose
+    # deletions are isomorphic: e9 = 2K3 has two twin classes of three; only
+    # then, and only with witnesses, one bounded walk per deletion finds its
+    # witness
+    passes = []
+    verdict, walk = obstructions.satisfies, polarity._first_a
+    monkeypatch.setattr(obstructions, "satisfies",
+                        lambda g, spec: passes.append("verdict") or verdict(g, spec))
     monkeypatch.setattr(polarity, "_first_a",
-                        lambda g, spec, first: modes.append(first) or walk(g, spec, first))
+                        lambda g, spec: passes.append("bounded") or walk(g, spec))
     g = catalog("e9")
     assert is_minimal_obstruction(g, sk_polar(2, 1)).is_minimal
-    assert modes == [True] + [False] * g.n
-    modes.clear()
-    # twins give isomorphic deletions: e9 = 2K3 has two twin classes of three
+    assert passes == ["verdict"] * 3 + ["bounded"] * g.n
+    passes.clear()
     assert is_minimal_obstruction(g, sk_polar(2, 1), witnesses=False).is_minimal
-    assert modes == [True] * 3
+    assert passes == ["verdict"] * 3
 
 
 def test_verdict_only_minimality_matches_the_witnessed_and_every_deletion(graphs_to_7):
@@ -289,7 +291,11 @@ def test_sk_enumeration_runs_no_solver_search(monkeypatch, class_id, spec, diges
     def search(*args):
         raise AssertionError("solver search on the (s,k) path")
 
+    # every search is one of the two walks: the bounded one of
+    # find_polar_partition and the first-hit one of satisfies, under
+    # whatever name a module imported it
     monkeypatch.setattr(polarity, "_first_a", search)
+    monkeypatch.setattr(polarity, "_first_hit", search)
     got = enumerate_minimal_obstructions(class_id, parse_spec(spec), 8, workers=2)
     assert sha256_of("\n".join(graph6_encode(g) for g in got)) == digest
 

@@ -1,6 +1,7 @@
 """Partition-solver tests: cluster / multipartite predicates, witness search
 determinism, and the hereditary-property invariants at small orders."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from polaritylab import polarity
 from polaritylab.errors import BadParameter, CapExceeded
 from polaritylab.graphs import (
+    Graph,
     _bits_to_tuple,
     _co_rows,
     catalog,
@@ -272,25 +274,93 @@ ORDER_20 = {
 
 @pytest.mark.parametrize("name", list(ORDER_20))
 def test_order_20_queries_are_cheap(name, monkeypatch):
+    # a query's work is its side tests (``_is_cm_mask``) plus its first-hit
+    # steps (``_first_hit``, which recurses through the module, so each step
+    # is counted); the verdict makes only steps, the witness only tests
     g, verdicts, worst = ORDER_20[name]
-    calls = [0]
-    real = polarity._is_cm_mask
+    tests, passed, steps = [0], [0], [0]
+    side_test, step = polarity._is_cm_mask, polarity._first_hit
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+    def counted_test(*args):
+        tests[0] += 1
+        ok = side_test(*args)
+        passed[0] += ok
+        return ok
 
-    monkeypatch.setattr(polarity, "_is_cm_mask", counted)
+    def counted_step(*args):
+        steps[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(polarity, "_is_cm_mask", counted_test)
+    monkeypatch.setattr(polarity, "_first_hit", counted_step)
     for spec, verdict in zip(ALL_SPECS, verdicts):
-        calls[0] = 0
+        tests[0] = passed[0] = steps[0] = 0
         assert satisfies(g, spec) == (verdict == "1"), spec
-        verdict_calls, calls[0] = calls[0], 0
+        assert tests[0] == 0, spec
+        verdict_steps, steps[0] = steps[0], 0
         w = find_polar_partition(g, spec)
-        assert max(verdict_calls, calls[0]) <= worst, (spec, verdict_calls, calls[0])
+        assert steps[0] == 0, spec
+        assert max(verdict_steps, tests[0]) <= worst, (spec, verdict_steps, tests[0])
         assert (w is not None) == (verdict == "1"), spec
-        # a None answer costs one size-free pass, the same work as satisfies
-        assert w is not None or calls[0] == verdict_calls, spec
+        # a None answer costs one size-free pass, which reaches the nodes the
+        # first-hit walk reaches: the root, and one per side test passed
+        assert w is not None or verdict_steps == 1 + passed[0], spec
         assert w is None or w.validate(g, spec)
+
+
+def _parts(rows, mask):
+    """Parts of G[mask] on ``rows`` when it is complete multipartite, else
+    None, by the definition: each vertex's non-neighbours in the mask,
+    itself included, are its part, so the parts are disjoint."""
+    parts = {mask & ~rows[v] for v in _bits_to_tuple(mask)}
+    return len(parts) if sum(p.bit_count() for p in parts) == mask.bit_count() else None
+
+
+def _split_verdicts(g):
+    """The verdicts for ``ALL_SPECS``, by a brute force over all 2^n A-sides:
+    the (A, B) part counts of every split, each side on the rows it is read
+    on (a clique side is a cluster side with one clique)."""
+    full = (1 << g.n) - 1
+    co = _co_rows(g.adj, full)
+    on_adj = [_parts(g.adj, m) for m in range(full + 1)]
+    on_co = [_parts(co, m) for m in range(full + 1)]
+    pairs = {(on_adj[m], on_co[full ^ m]) for m in range(full + 1)}
+    cliques = {on_co[m] for m in range(full + 1) if on_co[full ^ m] is not None}
+    verdicts = []
+    for spec in ALL_SPECS:
+        if spec.clique_side:
+            verdicts.append(any(c is not None and c <= 1 for c in cliques))
+        else:
+            s, k = _eff(spec.s, g.n), _eff(spec.k, g.n)
+            verdicts.append(any(a is not None and b is not None and a <= s and b <= k
+                                for a, b in pairs))
+    return verdicts
+
+
+def _gnp_sweep():
+    """Seeded G(n, p) graphs of orders 8 to 14."""
+    rng = random.Random(34)
+    graphs = []
+    for n in range(8, 15):
+        for p in (0.2, 0.4, 0.6, 0.8):
+            rows = [0] * n
+            for u, v in combinations(range(n), 2):
+                if rng.random() < p:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            graphs.append(Graph(n, tuple(rows)))
+    return graphs
+
+
+def test_first_hit_walk_matches_the_bounded_pass_and_every_split(graphs_to_7):
+    # the verdict's walk against the witness search and a brute force over
+    # all 2^n splits; test_order_20_queries_are_cheap holds both to the
+    # exhaustive scan's verdicts at order 20, and test_degenerate_cases
+    # holds both to the cap at order 21
+    for g in graphs_to_7 + _gnp_sweep():
+        for spec, verdict in zip(ALL_SPECS, _split_verdicts(g)):
+            assert satisfies(g, spec) == verdict, (g, spec)
+            assert (find_polar_partition(g, spec) is not None) == verdict, (g, spec)
 
 
 def test_complement_duality_small(graphs_to_6):
