@@ -91,16 +91,19 @@ def canonical(out: str) -> str:
 
 
 def searches(out: str) -> str:
-    """``enumerate_graphs(8)``'s canonicity searches, and how many stop at a column
-    below the child's own; the shim forwards whatever arguments the search takes."""
+    """``enumerate_graphs(8)``'s canonicity verdicts, how many reject the child,
+    and how many parents it traces; the counters forward whatever arguments
+    the walk and the trace take."""
     shim = ("from polaritylab import graphs\n"
-            "search, verdicts = graphs._min_bits, []\n"
-            "graphs._min_bits = lambda *a, **k: verdicts.append(search(*a, **k)) or verdicts[-1]\n"
+            "walk, trace, verdicts, traced = graphs._walk, graphs._trace, [], []\n"
+            "graphs._walk = lambda *a, **k: verdicts.append(walk(*a, **k)) or verdicts[-1]\n"
+            "graphs._trace = lambda *a, **k: traced.append(trace(*a, **k)) or traced[-1]\n"
             "sum(1 for _ in graphs.enumerate_graphs(8))\n"
-            "print(len(verdicts), verdicts.count(None))")
+            "print(len(verdicts), verdicts.count(False), len(traced))")
     got = subprocess.run([sys.executable, "-c", shim], cwd=ROOT, env=ENV,
                          capture_output=True, text=True).stdout.split()
-    return "" if got == ["21974", "8376"] else f"enumerate_graphs(8): {got} searches and early stops"
+    want = ["21974", "8376", "1253"]
+    return "" if got == want else f"enumerate_graphs(8): {got} verdicts, rejections and traces, expected {want}"
 
 
 ORDER_20 = ("Shc?GC@@G??@?@??_@G????C??G??G??c", "ShCGGC@?G?_@?@??_?G?@??C??G??K??C",

@@ -40,13 +40,56 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # the walk of the parent's trace, one mutant per condition that makes
+    # it exact (enumerate_graphs)
     Mutant(
-        "split-keeps-previous-twin",
+        "walk-ignores-a-new-column-below-the-own",  # (a)
         "src/polaritylab/graphs.py",
-        "            if not x & t:\n                child[i] = 0\n",
-        "            if not x & t:\n                pass\n",
-        ("tests/test_graphs.py::test_children_start_from_their_parents_independent_sets",
+        "            if got < own:\n                return False\n            if got == own and k < m:\n",
+        "            if got == own and k < m:\n",
+        ("tests/test_graphs.py::test_enumeration_output_is_pinned",
+         "tests/test_graphs.py::test_walk_answers_like_the_full_search_on_every_child_the_enumeration_admits"),
+    ),
+    Mutant(
+        "trace-merges-states-by-key",  # (b)
+        "src/polaritylab/graphs.py",
+        "                nxt.append((((shifted | spread[v]) & live2) | ((placed | low) << top),\n",
+        "                key2 = ((shifted | spread[v]) & live2) | ((placed | low) << top)\n"
+        "                if any(key2 == s[0] for s in nxt):\n"
+        "                    continue\n"
+        "                nxt.append((key2,\n",
+        ("tests/test_graphs.py::test_enumeration_output_is_pinned",),
+    ),
+    Mutant(
+        "branches-open-only-from-tied-states",  # (c)
+        "src/polaritylab/graphs.py",
+        "            if got == own and k < m:\n",
+        "            if got == own and k < m and _read(adj, key, cells, full & ~(key >> top) & ~new, n, j)[0] == own:\n",
+        ("tests/test_graphs.py::test_enumeration_output_is_pinned_at_order_8",),
+    ),
+    Mutant(
+        "twin-skip-admits-every-mask",  # (d)
+        "src/polaritylab/graphs.py",
+        "                if any(mask & t and not mask & v for t, v in twins):  # the twin skip\n",
+        "                if False:  # the twin skip\n",
+        ("tests/test_graphs.py::test_enumeration_output_is_pinned",
          "tests/test_graphs.py::test_children_searched_to_order_8_inherit_their_parents_twins"),
+    ),
+    Mutant(
+        "walk-skips-the-leaf-level",  # (e)
+        "src/polaritylab/graphs.py",
+        "    for j, level in enumerate(levels):\n",
+        "    for j, level in enumerate(levels[:-1]):\n",
+        ("tests/test_graphs.py::test_enumeration_output_is_pinned",
+         "tests/test_graphs.py::test_walk_answers_like_the_full_search_on_every_child_the_enumeration_admits"),
+    ),
+    Mutant(
+        "walk-drops-the-sets-with-the-new-vertex",
+        "src/polaritylab/graphs.py",
+        "    branch = {(s | new) << top: ((s | new,), every) for s in below if not s & x}\n",
+        "    branch = {}\n",
+        ("tests/test_graphs.py::test_enumeration_output_is_pinned",
+         "tests/test_graphs.py::test_walk_answers_like_the_full_search_on_every_child_the_enumeration_admits"),
     ),
     Mutant(
         "last-from-open-rows-only",
@@ -56,18 +99,10 @@ MUTANTS = (
         ("tests/test_graphs.py::test_twin_before_finds_each_vertex_s_previous_twin",),
     ),
     Mutant(
-        "filter-bans-false-twins",
-        "src/polaritylab/graphs.py",
-        "            if t & adj[v]:\n                ban |= 1 << v\n",
-        "            if t:\n                ban |= 1 << v\n",
-        ("tests/test_graphs.py::test_children_start_from_their_parents_independent_sets",
-         "tests/test_graphs.py::test_enumeration_output_is_pinned"),
-    ),
-    Mutant(
         "column-bound-one-higher",
         "src/polaritylab/graphs.py",
-        "            bound = max(_column(row, range(k)) << (m - k) for k, row in enumerate(rows))\n",
-        "            bound = 1 + max(_column(row, range(k)) << (m - k) for k, row in enumerate(rows))\n",
+        "            bound = max((_column(row, range(k)) << (m - k) for k, row in enumerate(rows)), default=0)\n",
+        "            bound = 1 + max((_column(row, range(k)) << (m - k) for k, row in enumerate(rows)), default=0)\n",
         ("tests/test_graphs.py::test_enumeration_output_is_pinned",
          "tests/test_graphs.py::test_enumeration_skips_only_children_that_fail_the_pinned_test"),
     ),
@@ -231,14 +266,14 @@ MUTANTS = (
 
 EQUIVALENT = (
     (Mutant(
-        "no-twin-filter-on-handed-down-sets",
+        "trace-without-twin-order",
         "src/polaritylab/graphs.py",
-        "        if ban:\n            sets = [s for s in sets if not s & ban]\n",
-        "",
+        "                    trace = _trace(rows, lower)\n",
+        "                    trace = _trace(rows, [0] * m)\n",
         (),
-    ), "a set the filter drops is the image of a kept one under swaps of true "
-       "twins, automorphisms that fix the placed prefix, so the search reads the "
-       "same columns from more states and returns the same bits"),
+    ), "with no twin order the trace and the walk search every labeling of the "
+       "child, more than the ones in the parent's twin order, which hold a minimal "
+       "one; so every verdict is the same, read from more states"),
     (Mutant(
         "pairs-swapped",
         "src/polaritylab/graphs.py",

@@ -14,11 +14,12 @@ in any order, and fixes that set's order only as far as the later columns
 read it. Non-isomorphic enumeration is orderly and keeps memory flat: every
 graph it holds is a canonical form, and a one-vertex extension is kept iff
 it is one too, that is iff its own labeling spells its minimal bits. Two
-exact tests reject most extensions before they are labeled: a lower bound on
-the new vertex's column, read off the parent's own columns, and a swap of
-two twins of the parent. Either exhibits a labeling below the extension's,
-so the test would fail; an extension that passes both is searched only
-until the search reads a column below its own.
+exact tests reject most extensions unsearched: a lower bound on the new
+vertex's column, read off the parent's own columns, and a swap of two twins
+of the parent. Either exhibits a labeling below the extension's. The
+parent's own search runs once for the extensions that pass both, state by
+state, and each of them walks that trace: it reads only the new vertex's
+column at each traced state, and searches only the states that place it.
 """
 
 from __future__ import annotations
@@ -129,7 +130,11 @@ class Graph:
         return self.induced(_bits_to_tuple(mask))
 
     def delete_vertex(self, v: int) -> Graph:
-        return self.induced_mask(((1 << self.n) - 1) ^ (1 << self._vertex(v)))
+        """``induced`` on every vertex but ``v``: each row keeps its bits
+        below v and shifts those above it down one."""
+        low = (1 << self._vertex(v)) - 1
+        return _built(self.n - 1, tuple((r & low) | (r >> 1 & ~low)
+                                        for u, r in enumerate(self.adj) if u != v))
 
     # -- connectivity ------------------------------------------------------
 
@@ -348,15 +353,7 @@ def _co_rows(adj, mask: int) -> list[int]:
 # not depend on the order of S. Phase 1 grows independent sets in ascending
 # vertex order, one state per set, a vertex only after its previous twin (see
 # Twins), until none grows: the sets left are the maximum ones whose twins
-# come in index order. A child in orderly generation (one new vertex on a
-# parent) skips it: its maximum independent sets are read off the parent's
-# maximum ones and those of one vertex fewer (``_child_sets``), which the
-# parent grows once for all its children with no twin filter. The filter is
-# then one mask test per set. A maximum independent set holds a false-twin
-# class whole or not at all (a false twin of a member sees none of the set,
-# which would grow by it), and at most one vertex of a true-twin class (a
-# clique). So the sets whose twins come in index order are exactly those
-# that hold no true twin with a previous twin, no v with lower[v] & adj[v].
+# come in index order. A walk (below) also reads those of one vertex fewer.
 #
 # Phase 2, the tail. Each state keeps S as cells, an ordered partition whose
 # orders are the orders of S still open, and places the other vertices. Over
@@ -386,12 +383,21 @@ def _co_rows(adj, mask: int) -> list[int]:
 # swapping two unplaced twins is an automorphism that fixes the placed
 # prefix, so the subtree of the higher twin repeats the lower twin's bits.
 # ``_twin_before`` finds each vertex's previous twin, lower[v], with one dict
-# keyed by open and closed rows. A child in orderly generation reads its own
-# off its parent's (``_child_twins``): a mask that the twin skip of
-# ``enumerate_graphs`` admits splits each class of the parent into its part
-# outside the mask followed by its part inside, so only the first vertex
-# inside the mask loses its previous twin; and the new vertex follows the
-# last parent vertex whose open or closed row is the mask.
+# keyed by open and closed rows.
+#
+# Walks. Orderly generation asks of each child (a canonical parent plus one
+# new vertex w) only whether its own labeling is minimal. The parent's own
+# search runs once for all its children (``_trace``), in the children's
+# packing, and keeps every state it evaluates, with the state it grew from
+# and the vertex placed: no two merge by key, no orbit prunes a holder, and
+# the states above their own column stay, without children. A child walks
+# that trace (``_walk``): at each state it reads w's column, from w's
+# neighbours in the cells and w's tail block, carried down the trace, and
+# stops at the first column below the child's own. Where w ties, a branch
+# places it; the branches, with the sets of alpha vertices that hold w,
+# run the level step above on the child. Its states are mostly traced
+# ones, which cost the child one read of one vertex each. The five
+# conditions that make the walk exact are in ``enumerate_graphs``.
 #
 # Automorphisms. Twin-free symmetric graphs (spiders, unions of C5) tie in
 # every state: thin7 reached 5,040 final states, all images of one another.
@@ -430,7 +436,8 @@ def _co_rows(adj, mask: int) -> list[int]:
 # or state it builds is a step, and so is each cell it reads, since a
 # state's read costs about as much per cell as building a child, each known
 # map it reads, each kept map it checks and each cell that pairing and
-# refinement read.
+# refinement read. A trace and a walk count the same way: each state they
+# build and each cell they read.
 
 
 LABEL_CAP = 2_000_000  # search steps per canonical search
@@ -438,10 +445,9 @@ PRUNE_STATES, PRUNE_LEFT, PRUNE_FRESH = 32, 4, 3  # when pruning engages (above)
 MAPS_FRESH = 4  # the fresh holders of the first state that reads known maps (above)
 
 
-def _twin_before(adj) -> tuple[list[int], dict[int, int]]:
+def _twin_before(adj) -> list[int]:
     """For each vertex, the bit of the previous vertex of its twin class (0
-    if none); and ``last``, which maps each open row and each closed row to
-    the bit of the last vertex with that row.
+    if none).
 
     False twins share N(v), true twins share N[v]. No open neighborhood
     equals a closed one, and no vertex has both kinds of twin, so one dict
@@ -454,7 +460,7 @@ def _twin_before(adj) -> tuple[list[int], dict[int, int]]:
         closed = row | low
         lower.append(last.get(row) or last.get(closed, 0))
         last[row] = last[closed] = low
-    return lower, last
+    return lower
 
 
 def _over_cap(m: int) -> CapExceeded:
@@ -464,13 +470,13 @@ def _over_cap(m: int) -> CapExceeded:
 def _independent_prefix(adj, lower) -> tuple[list[int], list[int], int]:
     """Phase 1: the maximum independent sets whose twins come in index order
     (``lower[v]`` is the bit of v's previous twin), those of one vertex
-    fewer, and the sets grown.
+    fewer (none when the maximum set is empty), and the sets grown.
 
     A state is (set, the vertices above its last that see none of it), so
     each set is grown once, from its ascending prefix.
     """
     m = len(adj)
-    level = prev = [(0, (1 << m) - 1)]
+    level, prev = [(0, (1 << m) - 1)], []
     grown = 0
     while True:
         nxt = []
@@ -702,61 +708,69 @@ def _spreads(adj) -> list[int]:
     return spread
 
 
-def _child_sets(top: list[int], below: list[int], x: int, new: int) -> list[int]:
-    """The maximum independent sets of a graph P plus a vertex ``new``
-    (a bit above P's) whose neighbourhood is ``x``, from P's maximum
-    independent sets ``top`` and those of one vertex fewer, ``below``.
+def _read(adj, key, cells, hold, n: int, width: int) -> tuple[int, int, tuple[int, ...]]:
+    """The least column that the holders ``hold`` read at a state with
+    ``cells`` and packed ``key`` (blocks of n bits), as (column, the holders
+    that read it, the cells that split when one of them is placed).
 
-    A set of the child without ``new`` is one of P's; one with it is one of
-    P's that misses ``x``, plus ``new``. So if some set of ``top`` misses
-    ``x``, the child's are those sets plus ``new``, one vertex larger;
-    otherwise they are ``top`` and the sets of ``below`` that miss ``x``,
-    plus ``new``.
+    The column reads each cell's least count of neighbours among the
+    holders, as that many ones after the cell's other bits, and then the
+    ``width`` tail bits of the holders left, each its block of the key. The
+    holders share their count of neighbours in every cell, so the cells
+    that split are the ones where that count is neither 0 nor the size.
     """
-    return ([s | new for s in top if not s & x]
-            or top + [s | new for s in below if not s & x])
+    col = 0
+    splits = ()
+    for c in cells:
+        if c & (c - 1):
+            size = c.bit_count()
+            least = size + 1
+            todo = hold
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                t = (adj[low.bit_length() - 1] & c).bit_count()
+                if t < least:
+                    least, hold = t, low
+                elif t == least:
+                    hold |= low
+            if 0 < least < size:
+                splits += (c,)
+            col = (col << size) | ((1 << least) - 1)
+        else:
+            zeros = hold & ~adj[c.bit_length() - 1]
+            col <<= 1
+            if zeros:
+                hold = zeros
+            else:
+                col |= 1
+    tail = (1 << width) - 1
+    if hold & (hold - 1):  # the least tail column among the holders
+        least = tail + 1
+        todo = hold
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            t = (key >> ((low.bit_length() - 1) * n)) & tail
+            if t < least:
+                least, hold = t, low
+            elif t == least:
+                hold |= low
+    else:
+        least = (key >> ((hold.bit_length() - 1) * n)) & tail
+    return (col << width) | least, hold, splits
 
 
-def _child_twins(lower: list[int], twins, last: dict[int, int], x: int) -> list[int] | None:
-    """The previous-twin bits of a graph P plus a vertex whose neighbourhood
-    is ``x``, as ``_twin_before`` would find them, from P's ``lower`` and
-    ``last`` (``_twin_before``) and its (previous twin bit, vertex bit,
-    vertex) triples ``twins``; or None if ``x`` holds a vertex's previous
-    twin but not the vertex (the twin skip), where the split that this
-    reads them by does not hold. The argument is in ``enumerate_graphs``.
-    """
-    child = lower + [last.get(x, 0)]
-    for t, v, i in twins:
-        if x & v:
-            if not x & t:
-                child[i] = 0
-        elif x & t:
-            return None
-    return child
-
-
-def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
-              lower: list[int] | None = None, maps=None) -> int | None:
+def _min_bits(adj, maps=None) -> int:
     """The minimal upper-triangle bit string of ``adj``, in graph6 column
     order.
 
-    ``lower`` gives each vertex's previous-twin bit as ``_twin_before``
-    does, which runs only when it is None. Phase 1 finds the sets S (see
-    above), unless ``sets`` gives the maximum independent sets of ``adj``,
-    all of them: then phase 1 does not run, and once the alpha check below
-    has passed, the search keeps the sets phase 1 would find. A maximum
-    set holds a false-twin class whole or not at all, and at most one
-    vertex of a true-twin class, so those are the sets that miss every
-    true twin with a previous twin: one mask test per set.
-
     Phase 2 maps each packed key to (cells, live): the cells are masks in
     order, and ``live`` masks the blocks of S and of the unplaced vertices.
-    Each state's minimal column is read once, cell by cell and then down
-    the tail blocks of the holders left. A state above the least column
-    read so far at its level is dropped, and a lower one empties the level;
-    a state that ties builds one child per holder. The holders share their
-    count of neighbours in every cell, so the cells that split are the ones
-    where that count is neither 0 nor the size.
+    Each state's minimal column is read once (``_read``), cell by cell and
+    then down the tail blocks of the holders left. A state above the least
+    column read so far at its level is dropped, and a lower one empties the
+    level; a state that ties builds one child per holder.
 
     Once pruning engages (see above), a tied state first drops the holders
     that ``_orbit_holders`` finds in the orbit of a lower one. ``maps``,
@@ -766,43 +780,15 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
     the maps that are not automorphisms are dropped, and from then on
     every tied state with two or more fresh holders prunes by the others,
     with no pairing.
-
-    Given ``own``, the bits of ``adj``'s own labeling (vertex i placed i-th),
-    the search answers whether they are minimal: it returns ``own`` if so
-    and None as soon as it proves a lower labeling. That happens in phase 1
-    when alpha(G) exceeds the own independent prefix (its first nonzero own
-    column then reads zero), and in phase 2 when a state reads a column
-    below the own column at its level: some labeling with the same prefix
-    reads that column. The bound is exact: while every level so far has tied
-    the own columns, the identity labeling is one labeling with the minimal
-    prefix, so each level's minimum is at most its own column. So the least
-    column starts at the own column, and a state above it is dropped before
-    it builds children; if no state reads below it, the minimum is the own
-    column and the states kept are the ones the full search keeps.
     """
     m = len(adj)
     if m == 0:
         return 0
-    if lower is None:
-        lower = _twin_before(adj)[0]
-    handed = sets is not None
-    if not handed:
-        sets, _, steps = _independent_prefix(adj, lower)
+    lower = _twin_before(adj)
+    sets, _, steps = _independent_prefix(adj, lower)
     alpha = sets[0].bit_count()
     if alpha == m:  # edgeless: every labeling is minimal
         return 0
-    if own is not None:
-        rest = m * (m - 1) // 2 - alpha * (alpha - 1) // 2  # bits after column alpha-1
-        if own >> rest:  # the own prefix of alpha columns is not independent
-            return None
-    if handed:  # keep the sets phase 1 would grow (see the docstring)
-        ban = 0
-        for v, t in enumerate(lower):
-            if t & adj[v]:
-                ban |= 1 << v
-        if ban:
-            sets = [s for s in sets if not s & ban]
-        steps = 0
     full, top, every, others = _tables(m)
     spread = _spreads(adj)
     states = {s << top: ((s,), every) for s in sets}
@@ -818,55 +804,11 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
             gens = []
         nxt = {}
         best = None
-        if own is not None:
-            rest -= k
-            best = (own >> rest) & ((1 << k) - 1)  # the own column k
         for key, (cells, live) in states.items():
             placed = key >> top
-            hold = full & ~placed
-            col = 0
-            splits = ()
-            for c in cells:
-                if c & (c - 1):
-                    size = c.bit_count()
-                    least = size + 1
-                    todo = hold
-                    while todo:
-                        low = todo & -todo
-                        todo ^= low
-                        t = (adj[low.bit_length() - 1] & c).bit_count()
-                        if t < least:
-                            least, hold = t, low
-                        elif t == least:
-                            hold |= low
-                    if 0 < least < size:
-                        splits += (c,)
-                    col = (col << size) | ((1 << least) - 1)
-                else:
-                    zeros = hold & ~adj[c.bit_length() - 1]
-                    col <<= 1
-                    if zeros:
-                        hold = zeros
-                    else:
-                        col |= 1
-            if hold & (hold - 1):  # the least tail column among the holders
-                least = full
-                todo = hold
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    t = (key >> ((low.bit_length() - 1) * m)) & full
-                    if t < least:
-                        least, hold = t, low
-                    elif t == least:
-                        hold |= low
-            else:
-                least = (key >> ((hold.bit_length() - 1) * m)) & full
-            col = (col << (k - alpha)) | least
+            col, hold, splits = _read(adj, key, cells, full & ~placed, m, k - alpha)
             steps += len(cells)
             if best is None or col < best:
-                if own is not None:
-                    return None
                 best = col
                 nxt = {}
             elif col > best:
@@ -914,6 +856,137 @@ def _min_bits(adj, own: int | None = None, sets: list[int] | None = None,
         bits = (bits << k) | best
         states = nxt
     return bits
+
+
+def _trace(adj, lower) -> tuple:
+    """The search of a canonical form ``adj`` of order m, run once for all
+    of its children and kept for ``_walk``: (alpha, levels, owns, below,
+    lower), where ``lower`` gives each vertex's previous-twin bit
+    (``_twin_before``).
+
+    levels[j] lists every state the search evaluates at level alpha+j as
+    (key, cells, live, up, v): its key and live mask in the children's
+    packing, blocks of m+1 bits, where the new vertex's block m stays zero;
+    and the index ``up`` in levels[j-1] of the state that placing ``v``
+    grew it from (None at level alpha). The last list holds the leaves,
+    where every vertex is placed. owns[j] is the own column at level
+    alpha+j, and ``below`` lists the independent sets of alpha-1 vertices
+    whose twins come in index order, which a child's sets with the new
+    vertex grow from.
+
+    It is the full search with two differences (see ``enumerate_graphs``):
+    no two states merge by key and no orbit prunes a holder; and a state
+    above its own column is kept, though it builds no children. The parent
+    is a canonical form, so no state reads below its own column. States
+    count against LABEL_CAP as search steps do.
+    """
+    m = len(adj)
+    n = m + 1
+    sets, below, steps = _independent_prefix(adj, lower)
+    alpha = sets[0].bit_count()
+    _, top, every, others = _tables(n)
+    spread = _spreads(adj + (0,))
+    # the order-0 graph's one set is empty, and an empty cell reads nothing
+    level = [(s << top, (s,) if s else (), every, None, None) for s in sets]
+    levels = [level]
+    owns = []
+    for k in range(alpha, m):
+        own = _column(adj[k], range(k))
+        owns.append(own)
+        nxt = []
+        for i, (key, cells, live, _, _) in enumerate(level):
+            placed = key >> top
+            col, hold, splits = _read(adj, key, cells, (1 << m) - 1 & ~placed, n, k - alpha)
+            steps += len(cells)
+            if col > own:  # no children, but a child's new vertex may tie here
+                continue
+            shifted = key << 1
+            while hold:
+                low = hold & -hold
+                hold ^= low
+                v = low.bit_length() - 1
+                if lower[v] & ~placed:  # a lower twin is unplaced
+                    continue
+                steps += 1
+                live2 = live & others[v]
+                nxt.append((((shifted | spread[v]) & live2) | ((placed | low) << top),
+                            _split(cells, splits, adj[v]) if splits else cells, live2, i, v))
+            if steps > LABEL_CAP:
+                raise _over_cap(m)
+        level = nxt
+        levels.append(level)
+    return alpha, levels, owns, below, lower
+
+
+def _walk(adj, col: int, trace) -> bool:
+    """Whether the own labeling of ``adj``, a canonical form of order m
+    plus a new vertex m whose column, read in index order, is ``col``, is
+    minimal; ``trace`` is the parent's ``_trace``.
+
+    Each traced state, with the new vertex's tail block carried down from
+    the state it grew from, reads the new vertex's column (``_read``). One
+    below the own column at its level proves a lower labeling; one equal
+    to it opens a branch, the state with the new vertex placed. The
+    branches, and the child's independent sets of alpha vertices that hold
+    the new vertex, run the search's level step on ``adj``, merged by key,
+    until one reads below its own column. The argument is in
+    ``enumerate_graphs``.
+    """
+    alpha, levels, owns, below, lower = trace
+    m = len(adj) - 1
+    n = m + 1
+    x = adj[m]
+    new = 1 << m
+    shift = m * n  # the new vertex's block
+    full, top, every, others = _tables(n)
+    spread = None  # the child's, once a branch needs it
+    branch = {(s | new) << top: ((s | new,), every) for s in below if not s & x}
+    steps = 0
+    tails = ()
+    for j, level in enumerate(levels):
+        k = alpha + j
+        own = owns[j] if k < m else col
+        tails = [tails[up] << 1 | x >> v & 1 for _, _, _, up, v in level] if j else [0] * len(level)
+        nxt = {}
+        for (key, cells, live, _, _), tail in zip(level, tails):
+            key |= tail << shift
+            got, _, splits = _read(adj, key, cells, new, n, j)
+            steps += len(cells)
+            if got < own:
+                return False
+            if got == own and k < m:
+                if spread is None:
+                    spread = _spreads(adj)
+                steps += 1
+                live2 = live & others[m]
+                nxt[(((key << 1) | spread[m]) & live2) | (((key >> top) | new) << top)] = (
+                    _split(cells, splits, x) if splits else cells, live2)
+        for key, (cells, live) in branch.items():
+            placed = key >> top
+            got, hold, splits = _read(adj, key, cells, full & ~placed, n, j)
+            steps += len(cells)
+            if got < own:
+                return False
+            if got > own or k == m:
+                continue
+            if spread is None:
+                spread = _spreads(adj)
+            shifted = key << 1
+            while hold:
+                low = hold & -hold
+                hold ^= low
+                v = low.bit_length() - 1
+                if lower[v] & ~placed:  # a lower twin is unplaced
+                    continue
+                steps += 1
+                live2 = live & others[v]
+                key2 = ((shifted | spread[v]) & live2) | ((placed | low) << top)
+                if key2 not in nxt:
+                    nxt[key2] = (_split(cells, splits, adj[v]) if splits else cells, live2)
+        if steps > LABEL_CAP:
+            raise _over_cap(n)
+        branch = nxt
+    return True
 
 
 def _column(row: int, perm) -> int:
@@ -1159,43 +1232,63 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     tried start at the maximum of c_k << (m-k), and none below it is built.
 
     A mask that holds the previous twin t of a vertex v but not v itself is
-    skipped unlabeled. t comes before v, and swapping them is an
+    skipped unwalked. t comes before v, and swapping them is an
     automorphism of the parent. It maps the child to an isomorphic one
     whose last column has v's bit set instead of t's. v comes later, so
     that column is smaller: the child has a labeling below its own and is
     not kept.
 
-    Every other child from the bound up asks the labeling search a yes/no
-    question, ``_min_bits(adj, own)`` with its own bits: the search stops
-    at the first level whose least column is below the child's own column
-    there (see ``_min_bits`` for why that bound is exact), and a child it
-    does not stop is kept with those bits cached. To order 7 that is 1,993
-    searches, of which 741 stop early: 90 right after phase 1, and all of
-    the others within the first five levels of phase 2. A child is built as
-    a ``Graph`` only once it is kept.
+    Every other child from the bound up is decided by a walk of its
+    parent's search. The parent's own search runs once, at its first child
+    admitted, and keeps every state it evaluates (``_trace``). Each child
+    then reads only its new vertex w at those states and searches only the
+    states that place w (``_walk``); it is kept, with its own bits cached,
+    iff no state reads below the child's own column at its level. The root
+    is the one child of the order-0 graph. To order 7 that is 1,993 walks,
+    of which 741 reject, over 209 traces; a child is built as a ``Graph``
+    only once it is kept. Five conditions make the walk exact:
 
-    A child's search starts from what its parent hands it, computed once
-    per parent. It skips phase 1: each parent grows its maximum independent
-    sets, and those of one vertex fewer, once (at most 512 sets below
-    ``ENUM_CAP``), and ``_child_sets`` reads each child's off them. It does
-    not look for twins: ``_child_twins`` reads the child's off the parent's
-    ``_twin_before``. Two old vertices are twins in the child iff they are
-    twins in the parent and the mask holds both or neither, and a mask that
-    passes the twin skip holds a suffix of each of the parent's classes. So
-    each class splits into a part outside the mask followed by a part
-    inside, and an old vertex keeps its previous twin unless it is the
-    first one inside. The new vertex's previous twin is the last parent
-    vertex whose open row (a false twin) or closed row (a true twin) is the
-    mask. The search then filters the handed-down sets with one mask test
-    each (see ``_min_bits``).
+    (a) Below the last level, a child's own column equals its parent's, and
+        the parent's own labeling is minimal. So at a traced state the
+        child reads the smaller of the parent's column and w's, which the
+        walk reads off w's neighbours in each cell and w's tail block,
+        carried down the trace one bit per vertex placed. The child is
+        rejected iff w, or a branch that holds it, reads below the child's
+        own column.
+    (b) Two states that the parent's search merges by key can differ in
+        w's block. So the trace keeps every state, and prunes no holder by
+        an orbit: the parent's automorphisms need not be the child's.
+    (c) A state that the parent's search drops, because its column is above
+        its own, builds no children, but it still opens a branch where w
+        ties that own column.
+    (d) The parent's twin filter serves every admitted child, because the
+        twin skip admits only masks that hold a suffix of each parent twin
+        class. Take any labeling that places a held later twin before an
+        unheld earlier twin. Swapping the two is an automorphism of the
+        parent, and it moves a 1 that involves w to a later position: the
+        bits fall. Two twins on one side of the mask are twins of the child.
+        So some minimal labeling keeps the parent's twin order, and the
+        trace and the branches keep it too, with w free.
+    (e) The last level is walked as well: the traced leaves, where w is the
+        only holder left, read w's column against the child's last own
+        column, the mask's.
+
+    The branches start where w ties at a traced state, and at the
+    independent sets of alpha vertices that hold w: the parent's sets of
+    alpha-1 vertices in twin order that miss the mask, plus w. If the child's
+    independence number is alpha+1, those are not maximum, but then some
+    traced set, in twin order, misses the mask too (a held part of a class
+    is a suffix), and w reads a zero column there, below the own column
+    alpha, unless the parent is edgeless and the mask empty. A branch runs
+    the search's level step on the child, merged by key. The trace and the
+    walk count their states and the cells they read against LABEL_CAP as
+    the search does.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {ENUM_CAP}")
-    if n_max < 1:
-        return
-    level = [complete_graph(1)]
-    yield level[0]
-    for m in range(1, n_max):
+    level = [_built(0, ())]
+    level[0]._bits = 0  # the order-0 graph, whose one child is the root
+    for m in range(n_max):
         nxt = []
         # masks[x] is the mask whose column, read in index order, is x:
         # reversing m bits is its own inverse
@@ -1205,24 +1298,21 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
             rows = parent.adj
             # a canonical form's own columns spell its minimal bits
             pbase = parent.canonical_bits << m
-            bound = max(_column(row, range(k)) << (m - k) for k, row in enumerate(rows))
-            # the parent's twins, which each child's are read off
-            lower, last = _twin_before(rows)
-            twins = [(t, 1 << v, v) for v, t in enumerate(lower) if t]
-            # every maximum independent set and those one vertex smaller, with
-            # no twin filter: each child filters by its own twins
-            top, below, _ = _independent_prefix(rows, [0] * m)
+            bound = max((_column(row, range(k)) << (m - k) for k, row in enumerate(rows)), default=0)
+            lower = _twin_before(rows)
+            twins = [(t, 1 << v) for v, t in enumerate(lower) if t]
+            trace = None
             for col in range(bound, 1 << m):
                 mask = masks[col]
-                kin = _child_twins(lower, twins, last, mask)
-                if kin is None:  # the twin skip: see the docstring
+                if any(mask & t and not mask & v for t, v in twins):  # the twin skip
                     continue
+                if trace is None:  # the parent's own search, once
+                    trace = _trace(rows, lower)
                 adj = tuple(rows[v] | new if (mask >> v) & 1 else rows[v]
                             for v in range(m)) + (mask,)
-                bits = _min_bits(adj, pbase | col, _child_sets(top, below, mask, new), kin)
-                if bits is not None:
+                if _walk(adj, col, trace):
                     child = _built(m + 1, adj)
-                    child._bits = bits
+                    child._bits = pbase | col
                     nxt.append(child)
         yield from nxt
         level = nxt

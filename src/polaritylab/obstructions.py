@@ -81,7 +81,7 @@ def is_minimal_obstruction(g: Graph, spec: PolarSpec, witnesses: bool = True) ->
     deletion for its witness."""
     if satisfies(g, spec):
         return ObstructionReport(g, spec, False, False)
-    later = gr._twin_before(g.adj)[0]
+    later = gr._twin_before(g.adj)
     if not all(satisfies(g.delete_vertex(v), spec) for v in range(g.n) if not later[v]):
         return ObstructionReport(g, spec, True, False)
     if not witnesses:

@@ -22,19 +22,30 @@ def graphs_to_8():
     return list(enumerate_graphs(8))
 
 
-@pytest.fixture
-def searches(monkeypatch):
-    """Every canonical labeling search from here on, as (positional
-    arguments, answer), in call order: ``graphs._min_bits`` is wrapped by a
-    counter that forwards whatever arguments it gets, so a change to its
-    signature breaks no test that counts searches."""
+def _counted(monkeypatch, name):
+    """The calls of ``graphs.<name>`` from here on, as (positional
+    arguments, answer), in call order: the function is wrapped by a counter
+    that forwards whatever arguments it gets, so a change to its signature
+    breaks no test that counts calls."""
     calls = []
-    search = graphs._min_bits
+    call = getattr(graphs, name)
 
     def counted(*args, **kwargs):
-        answer = search(*args, **kwargs)
+        answer = call(*args, **kwargs)
         calls.append((args, answer))
         return answer
 
-    monkeypatch.setattr(graphs, "_min_bits", counted)
+    monkeypatch.setattr(graphs, name, counted)
     return calls
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every canonicity verdict of the enumeration, one ``graphs._walk`` each."""
+    return _counted(monkeypatch, "_walk")
+
+
+@pytest.fixture
+def labelings(monkeypatch):
+    """Every canonical labeling search, one ``graphs._min_bits`` each."""
+    return _counted(monkeypatch, "_min_bits")

@@ -515,17 +515,17 @@ def test_ext_kind_of_matches_the_canonical_key_definition(graphs_to_7):
     assert set(defined.values()) == {None, *EXT_KINDS}
 
 
-def test_ext_table_and_its_lookups_label_nothing(searches):
+def test_ext_table_and_its_lookups_label_nothing(labelings):
     members = list(generate_class("p4extendible", 7))  # labeled for their sort
     classes._ext_graphs.cache_clear()
     classes._ext_table.cache_clear()
-    searches.clear()
+    labelings.clear()
     kinds = set()
     for g in members:
         if g.n:
             build_decomposition(g, "p4extendible")
         kinds.update(classes._ext_kind_of(g, mask) for _, mask in _k_subsets(range(g.n), 5))
-    assert kinds == {None, *EXT_KINDS} - {"p4"} and searches == []
+    assert kinds == {None, *EXT_KINDS} - {"p4"} and labelings == []
 
 
 def _all_valid_ext_spider_bases(g):

@@ -295,15 +295,16 @@ def test_gen():
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_gen_labels_each_printed_graph_once(fmt, searches):
+def test_gen_labels_each_printed_graph_once(fmt, searches, labelings):
     # the search that sorts (or accepts) a graph caches the bits that
-    # canonical_form spells; the enumeration's 284 searches print 208
-    # graphs, and the 76 children labeled and rejected add no output
+    # canonical_form spells, so each class member printed is labeled once;
+    # the enumeration labels nothing: its 284 walks print 208 graphs with
+    # the bits they confirm, and the 76 children they reject add no output
     code, out = cli(["gen", "--class", "cograph", "--max-n", "6", "--format", fmt])
-    assert code == 0 and len(searches) == len(out.splitlines()) == 107
-    searches.clear()
+    assert code == 0 and len(labelings) == len(out.splitlines()) == 107
+    labelings.clear()
     code, out = cli(["gen", "--class", "all", "--max-n", "6", "--format", fmt])
-    assert code == 0 and len(out.splitlines()) == 208
+    assert code == 0 and len(out.splitlines()) == 208 and labelings == []
     enumerated = len(searches)
     searches.clear()
     list(graphs.enumerate_graphs(6))

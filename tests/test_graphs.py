@@ -25,14 +25,14 @@ from polaritylab import graphs as graphs_module
 from polaritylab.classes import CLASS_IDS, generate_class
 from polaritylab.graphs import (
     Graph,
-    _child_sets,
-    _child_twins,
     _column,
     _independent_prefix,
     _mask_of,
     _min_bits,
     _spreads,
+    _trace,
     _twin_before,
+    _walk,
     canonical_form,
     canonical_key,
     catalog,
@@ -173,6 +173,12 @@ def test_vertex_accessors_refuse_vertices_out_of_range():
     assert p4.delete_vertex(0) == path_graph(3)
 
 
+def test_delete_vertex_shifts_rows_like_induced(graphs_to_7):
+    for g in graphs_to_7:
+        for v in range(g.n):
+            assert g.delete_vertex(v) == g.induced(u for u in range(g.n) if u != v), (g, v)
+
+
 def test_isomorphism_examples():
     p4 = path_graph(4)
     assert is_isomorphic(p4, p4.complement())
@@ -289,29 +295,11 @@ def test_enumeration_yields_canonical_forms(graphs_to_7):
             assert canonical_form(from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])) == g
 
 
-def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, searches):
-    # a child whose new column is below the parent's column bound, or that
-    # holds a vertex's previous twin but not the vertex, is never labeled;
-    # every child left unlabeled must fail the pinned test: its own labeling
-    # is not minimal
-    assert list(enumerate_graphs(7)) == graphs_to_7
-    # 11,291 when every child was labeled, 7,195 with the twin filter alone,
-    # 1,482 with the twin filter and a greedy labeling screen
-    assert len(searches) == 1_993
-    labeled = {args[0] for args, _ in searches}
-    skipped = 0
-    for parent in graphs_to_7:
-        m = parent.n
-        if m == 7:
-            continue
-        pinned = parent.canonical_bits << m
-        for mask in range(1 << m):
-            rows = tuple(row | (1 << m) if (mask >> v) & 1 else row
-                         for v, row in enumerate(parent.adj)) + (mask,)
-            if rows not in labeled:
-                skipped += 1
-                assert _min_bits(rows) < pinned | _column(mask, range(m))
-    assert skipped == 11_291 - 1_993
+def _child(rows, mask):
+    """The rows of the graph ``rows`` plus a new vertex whose neighbourhood
+    is ``mask``."""
+    m = len(rows)
+    return tuple(row | (1 << m) if (mask >> v) & 1 else row for v, row in enumerate(rows)) + (mask,)
 
 
 def _own_bits(adj) -> int:
@@ -322,100 +310,158 @@ def _own_bits(adj) -> int:
     return bits
 
 
-def _check_verdict(adj):
-    own = _own_bits(adj)
-    verdict = _min_bits(adj, own)
-    assert verdict == (own if _min_bits(adj) == own else None), adj
+def _twin_skip(lower, mask) -> bool:
+    """Whether ``mask`` holds a vertex's previous twin but not the vertex."""
+    return any(mask & t and not mask >> v & 1 for v, t in enumerate(lower))
 
 
-def test_bounded_search_answers_whether_the_own_labeling_is_minimal(graphs_to_7, searches):
-    # every child of every parent to order 7, labeled by the enumeration or
-    # skipped, and two random relabelings of every graph of order <= 7: the
-    # bounded search returns the own bits iff the full search does
-    rng = random.Random(25)
-    for g in graphs_to_7:
-        if g.n < 7:
-            m = g.n
-            for mask in range(1 << m):
-                _check_verdict(tuple(row | (1 << m) if (mask >> v) & 1 else row
-                                     for v, row in enumerate(g.adj)) + (mask,))
-        for _ in range(2):
-            _check_verdict(_relabeled(g, rng.sample(range(g.n), g.n)).adj)
-    # the enumeration's searches: 741 stop early, the rest keep their own bits
-    searches.clear()
-    list(enumerate_graphs(7))
-    verdicts = [(answer, _own_bits(args[0])) for args, answer in searches]
-    assert len(verdicts) == 1_993
-    assert [v for v, _ in verdicts].count(None) == 741
-    assert sum(v == own for v, own in verdicts) == 1_252
-
-
-def test_children_start_from_their_parents_independent_sets(graphs_to_7):
-    # every child of every parent to order 7, labeled by the enumeration or
-    # skipped: the sets read off the parent's are the child's maximum
-    # independent sets as phase 1 grows them with no twin filter, and the
-    # search answers the same with them as without, bounded or in full.
-    # The previous-twin bits read off the parent's hold only for the masks
-    # the twin skip admits (each of the parent's twin classes splits into a
-    # part outside the mask followed by a part inside): on exactly those
-    # they are the child's own, and the search answers the same with both
-    # handed-down arguments as without them
+def test_enumeration_skips_only_children_that_fail_the_pinned_test(graphs_to_7, searches):
+    # a child whose new column is below the parent's column bound, or that
+    # holds a vertex's previous twin but not the vertex, is never walked;
+    # every child left unwalked must fail the pinned test: its own labeling
+    # is not minimal
+    assert list(enumerate_graphs(7)) == graphs_to_7
+    # 11,291 children of the graphs of orders 0 to 6 (the order-0 graph's one
+    # child, the root, included) when every child was labeled, 7,195 with
+    # the twin filter alone, 1,482 with the twin filter and a greedy
+    # labeling screen
+    assert len(searches) == 1_993
+    labeled = {args[0] for args, _ in searches}
+    skipped = 0
     for parent in graphs_to_7:
         m = parent.n
         if m == 7:
             continue
-        top, below, _ = _independent_prefix(parent.adj, [0] * m)
-        lower, last = _twin_before(parent.adj)
-        twins = [(t, 1 << v, v) for v, t in enumerate(lower) if t]
         pinned = parent.canonical_bits << m
+        for mask in range(1 << m):
+            rows = _child(parent.adj, mask)
+            if rows not in labeled:
+                skipped += 1
+                assert _min_bits(rows) < pinned | _column(mask, range(m))
+    assert skipped == 11_291 - 1_993
+
+
+def test_bounded_search_answers_whether_the_own_labeling_is_minimal(graphs_to_7, searches):
+    # every child of every parent to order 7 that the enumeration does not
+    # walk (those it walks are the next test's): where the mask passes the
+    # twin skip but its column is below the parent's bound, the walk of the
+    # parent's trace still says whether the child's own labeling is
+    # minimal, as the full search does; where the mask fails the twin skip,
+    # the full search finds a labeling below the own one
+    for parent in [empty_graph(0)] + graphs_to_7:
+        m = parent.n
+        if m == 7:
+            continue
+        lower = _twin_before(parent.adj)
+        trace = _trace(parent.adj, lower)
+        bound = max((_column(row, range(k)) << (m - k) for k, row in enumerate(parent.adj)), default=0)
+        for col in range(1 << m):
+            adj = _child(parent.adj, _column(col, range(m)))
+            minimal = _min_bits(adj) == _own_bits(adj)
+            if _twin_skip(lower, adj[m]):
+                assert not minimal, adj
+            elif col < bound:
+                assert _walk(adj, col, trace) == minimal, adj
+    # the enumeration's verdicts: 741 reject, the rest keep their own bits
+    searches.clear()
+    list(enumerate_graphs(7))
+    verdicts = [answer for _, answer in searches]
+    assert len(verdicts) == 1_993
+    assert verdicts.count(False) == 741
+    assert verdicts.count(True) == 1_252
+
+
+def test_walk_answers_like_the_full_search_on_every_child_the_enumeration_admits(graphs_to_7):
+    # the 1,992 children that the column bound and the twin skip admit from
+    # the parents of orders 1 to 6, each walked against the full search. The
+    # 524 whose mask splits a twin class of the parent (holds a later twin
+    # but not an earlier one) are walked with the parent's twin order, which
+    # is not theirs: they are a case of their own
+    whole, split = [], []
+    for parent in graphs_to_7:
+        m = parent.n
+        if m == 7:
+            continue
+        lower = _twin_before(parent.adj)
+        trace = _trace(parent.adj, lower)
+        bound = max(_column(row, range(k)) << (m - k) for k, row in enumerate(parent.adj))
+        for col in range(bound, 1 << m):
+            mask = _column(col, range(m))
+            if _twin_skip(lower, mask):
+                continue
+            adj = _child(parent.adj, mask)
+            splits = any(mask >> v & 1 and not mask & t for v, t in enumerate(lower) if t)
+            (split if splits else whole).append((adj, _walk(adj, col, trace)))
+    assert (len(whole), len(split)) == (1_992 - 524, 524)
+    for adj, verdict in whole:
+        assert verdict == (_min_bits(adj) == _own_bits(adj)), adj
+    for adj, verdict in split:
+        assert verdict == (_min_bits(adj) == _own_bits(adj)), adj
+
+
+def test_children_start_from_their_parents_independent_sets(graphs_to_7):
+    # every child of every parent to order 7 whose mask passes the twin
+    # skip: the walk starts from the parent's maximum independent sets whose
+    # twins come in index order (the trace's first level) and the child's
+    # sets of as many vertices that hold the new vertex, those of ``below``
+    # that miss the mask plus it. Where the child's independence number is
+    # the parent's, those are exactly the child's maximum sets whose twins
+    # come in the parent's index order, the new vertex having no previous
+    # twin; where it is one more, the child's own column alpha is not zero
+    # unless the child is edgeless, and the walk says so
+    for parent in [empty_graph(0)] + graphs_to_7:
+        m = parent.n
+        if m == 7:
+            continue
+        lower = _twin_before(parent.adj)
+        trace = _trace(parent.adj, lower)
+        alpha, levels, _, below, _ = trace
+        top = (m + 1) ** 2  # where the placed mask sits in a key of the children's packing
+        sets = [key >> top for key, *_ in levels[0]]
+        assert sorted(sets) == sorted(_independent_prefix(parent.adj, lower)[0]), parent
         for col in range(1 << m):
             mask = _column(col, range(m))
-            adj = tuple(row | (1 << m) if (mask >> v) & 1 else row
-                        for v, row in enumerate(parent.adj)) + (mask,)
-            sets = _child_sets(top, below, mask, 1 << m)
-            assert sorted(sets) == sorted(_independent_prefix(adj, [0] * (m + 1))[0]), adj
-            for own in (pinned | col, None):
-                assert _min_bits(adj, own, sets) == _min_bits(adj, own), adj
-            kin = _child_twins(lower, twins, last, mask)
-            if any(mask & t and not mask & v for t, v, _ in twins):  # the twin skip
-                assert kin is None, adj
+            if _twin_skip(lower, mask):
                 continue
-            assert kin == _twin_before(adj)[0], adj
-            for own in (pinned | col, None):
-                assert _min_bits(adj, own, sets, kin) == _min_bits(adj, own), adj
+            adj = _child(parent.adj, mask)
+            grown = _independent_prefix(adj, lower + [0])[0]
+            if grown[0].bit_count() == alpha:
+                start = sets + [s | 1 << m for s in below if not s & mask]
+                assert sorted(start) == sorted(grown), adj
+            else:
+                assert _walk(adj, col, trace) == (not any(adj)), adj
 
 
 def test_children_searched_to_order_8_inherit_their_parents_twins(graphs_to_8, searches):
-    # the oracle for the hand-down on every child enumerate_graphs(8)
-    # searches: the previous-twin bits read off its parent's (the fourth
-    # argument) are the ones _twin_before finds on the child; the one other
-    # search labels the order-1 root
+    # every child that enumerate_graphs(8) walks, the root included: its
+    # mask holds a suffix of each twin class of its parent (the twin skip),
+    # so its twins are its parent's with each class split into its part
+    # outside the mask followed by its part inside. The walk places the
+    # parent's vertices in the parent's twin order, which the trace keeps
     assert list(enumerate_graphs(8)) == graphs_to_8
-    children = [args for args, _ in searches if len(args) == 4]
-    assert len(searches) - 1 == len(children) == 21_973
-    for adj, _own, _sets, lower in children:
-        assert lower == _twin_before(adj)[0], adj
+    assert len(searches) == 21_974
+    for (adj, _col, (*_, lower)), _ in searches:
+        m = len(adj) - 1
+        mask = adj[m]
+        assert lower == _twin_before(tuple(row & ~(1 << m) for row in adj[:m])), adj
+        want = [0 if mask >> v & 1 and not mask & t else t for v, t in enumerate(lower)]
+        assert _twin_before(adj)[:m] == want, adj
 
 
 def test_twin_before_finds_each_vertex_s_previous_twin(graphs_to_7):
     # against the definition: u and v are false twins iff N(u) = N(v), true
-    # twins iff N[u] = N[v]; last maps each open and each closed row to the
-    # bit of the last vertex with that row
+    # twins iff N[u] = N[v]
     rng = random.Random(31)
     rows = [g.adj for g in graphs_to_7]
     rows += [_gnp(rng, n, p) for n in (9, 12, 16) for p in (0.2, 0.5, 0.8)]
     rows += [complete_multipartite(parts).adj for parts in ((3, 2, 2), (1, 4), (2, 2, 2, 2))]
     rows += [union_all(complete_graph(3), complete_graph(3), empty_graph(2)).adj]
     for adj in rows:
-        lower, last = _twin_before(adj)
+        lower = _twin_before(adj)
         closed = [row | 1 << v for v, row in enumerate(adj)]
         for v in range(len(adj)):
             twins = [u for u in range(v) if adj[u] == adj[v] or closed[u] == closed[v]]
             assert lower[v] == (1 << twins[-1] if twins else 0), adj
-        want = {}
-        for v in range(len(adj)):
-            want[adj[v]] = want[closed[v]] = 1 << v
-        assert last == want, adj
 
 
 def test_one_mask_twin_filter_keeps_the_sets_phase_1_grows(graphs_to_7):
@@ -427,7 +473,7 @@ def test_one_mask_twin_filter_keeps_the_sets_phase_1_grows(graphs_to_7):
     rows = [g.adj for g in graphs_to_7]
     rows += [_gnp(rng, n, p) for n in range(9, 17) for p in (0.2, 0.5, 0.8)]
     for adj in rows:
-        lower = _twin_before(adj)[0]
+        lower = _twin_before(adj)
         sets = _independent_prefix(adj, [0] * len(adj))[0]
         pairwise = [s for s in sets
                     if all(s & t or not s >> v & 1 for v, t in enumerate(lower) if t)]
@@ -546,7 +592,7 @@ def _tiered_min_bits(adj, cap=None):
     spread = sum(1 << (j * m) for j in range(m))
     drop = [~(spread << v) for v in range(m)]  # clears v from every plane
     placed_at = m * m
-    lower = _twin_before(adj)[0]
+    lower = _twin_before(adj)
     states = {0: (None, full)}
     best = bits = 0
     expanded = 0

@@ -132,15 +132,15 @@ def test_enumerate_unipolar_small():
     assert [g.n for g in got] == sorted(g.n for g in got)
 
 
-def test_enumeration_labels_only_its_output(searches):
+def test_enumeration_labels_only_its_output(labelings):
     # the class is screened unlabeled and in build order; only the minimal
     # obstructions it returns are labeled, once each, for the sort
     # (the decomposition's extension table is built without labeling, and
     # this enumeration does not read it, so nothing is warmed first)
     spec = sk_polar(2, 1)
-    searches.clear()
+    labelings.clear()
     got = enumerate_minimal_obstructions("p4sparse", spec, 8)
-    assert got and len(searches) == len(got)
+    assert got and len(labelings) == len(got)
     assert [(g.n, g.canonical_key()) for g in got] == sorted((g.n, g.canonical_key()) for g in got)
 
 
