@@ -45,8 +45,8 @@ MUTANTS = (
     Mutant(
         "walk-ignores-a-new-column-below-the-own",  # (a)
         "src/polaritylab/graphs.py",
-        "            if got < own:\n                return False\n            if got == own and k < m:\n",
-        "            if got == own and k < m:\n",
+        "                reject |= differ & o  # w reads 0 where the own column reads 1\n",
+        "",
         ("tests/test_graphs.py::test_enumeration_output_is_pinned",
          "tests/test_graphs.py::test_walk_answers_like_the_full_search_on_every_child_the_enumeration_admits"),
     ),
@@ -63,15 +63,16 @@ MUTANTS = (
     Mutant(
         "branches-open-only-from-tied-states",  # (c)
         "src/polaritylab/graphs.py",
-        "            if got == own and k < m:\n",
-        "            if got == own and k < m and _read(adj, key, cells, full & ~(key >> top) & ~new, n, j)[0] == own:\n",
+        "        for i in ties[j].get(col, ()):\n",
+        "        for i in [i for i in ties[j].get(col, ()) if _read(\n"
+        "                adj, levels[j][i][0], levels[j][i][1], full & ~(levels[j][i][0] >> top) & ~new, n, j)[0] == own]:\n",
         ("tests/test_graphs.py::test_enumeration_output_is_pinned_at_order_8",),
     ),
     Mutant(
         "twin-skip-admits-every-mask",  # (d)
         "src/polaritylab/graphs.py",
-        "                if any(mask & t and not mask & v for t, v in twins):  # the twin skip\n",
-        "                if False:  # the twin skip\n",
+        "                    todo &= ~(has[t.bit_length() - 1] & ~has[v])\n",
+        "                    pass\n",
         ("tests/test_graphs.py::test_enumeration_output_is_pinned",
          "tests/test_graphs.py::test_children_searched_to_order_8_inherit_their_parents_twins"),
     ),
@@ -90,6 +91,14 @@ MUTANTS = (
         "    branch = {}\n",
         ("tests/test_graphs.py::test_enumeration_output_is_pinned",
          "tests/test_graphs.py::test_walk_answers_like_the_full_search_on_every_child_the_enumeration_admits"),
+    ),
+    Mutant(
+        "sweep-reads-the-leaf-own-column-reversed",
+        "src/polaritylab/graphs.py",
+        "        ones = has if k == m else",
+        "        ones = has[::-1] if k == m else",
+        ("tests/test_graphs.py::test_enumeration_output_is_pinned",
+         "tests/test_graphs.py::test_sweep_decides_every_column_as_the_per_child_reads_do"),
     ),
     Mutant(
         "last-from-open-rows-only",

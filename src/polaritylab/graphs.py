@@ -18,14 +18,16 @@ exact tests reject most extensions unsearched: a lower bound on the new
 vertex's column, read off the parent's own columns, and a swap of two twins
 of the parent. Either exhibits a labeling below the extension's. The
 parent's own search runs once for the extensions that pass both, state by
-state, and each of them walks that trace: it reads only the new vertex's
-column at each traced state, and searches only the states that place it.
+state, and one pass over that trace reads the new vertex's column at every
+traced state for all of them at once, as bitsets over their columns: each
+extension then searches only the states that place its new vertex.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -388,16 +390,18 @@ def _co_rows(adj, mask: int) -> list[int]:
 # Walks. Orderly generation asks of each child (a canonical parent plus one
 # new vertex w) only whether its own labeling is minimal. The parent's own
 # search runs once for all its children (``_trace``), in the children's
-# packing, and keeps every state it evaluates, with the state it grew from
-# and the vertex placed: no two merge by key, no orbit prunes a holder, and
-# the states above their own column stay, without children. A child walks
-# that trace (``_walk``): at each state it reads w's column, from w's
-# neighbours in the cells and w's tail block, carried down the trace, and
-# stops at the first column below the child's own. Where w ties, a branch
-# places it; the branches, with the sets of alpha vertices that hold w,
-# run the level step above on the child. Its states are mostly traced
-# ones, which cost the child one read of one vertex each. The five
-# conditions that make the walk exact are in ``enumerate_graphs``.
+# packing, and keeps every state it evaluates, with the tail vertices
+# placed to reach it: no two merge by key, no orbit prunes a holder, and
+# the states above their own column stay, without children. w's column at
+# a traced state depends on w's mask alone: on its count in each cell and
+# its bits at the tail vertices. So one pass (``_sweep``) reads it for all
+# 2^m masks at once, a bit at a time as bitsets over the columns, and finds
+# the columns that read below the own column at some state and, for each
+# other column, the states where it ties. A child (``_walk``) whose column
+# is in the first set is rejected. Otherwise a branch places w at each
+# state where it ties, and the branches, with the sets of alpha vertices
+# that hold w, run the level step above on the child. The five conditions
+# that make the walk exact are in ``enumerate_graphs``.
 #
 # Automorphisms. Twin-free symmetric graphs (spiders, unions of C5) tie in
 # every state: thin7 reached 5,040 final states, all images of one another.
@@ -437,7 +441,8 @@ def _co_rows(adj, mask: int) -> list[int]:
 # state's read costs about as much per cell as building a child, each known
 # map it reads, each kept map it checks and each cell that pairing and
 # refinement read. A trace and a walk count the same way: each state they
-# build and each cell they read.
+# build and each cell they read; the sweep counts each state and each bit
+# it compares.
 
 
 LABEL_CAP = 2_000_000  # search steps per canonical search
@@ -861,18 +866,17 @@ def _min_bits(adj, maps=None) -> int:
 def _trace(adj, lower) -> tuple:
     """The search of a canonical form ``adj`` of order m, run once for all
     of its children and kept for ``_walk``: (alpha, levels, owns, below,
-    lower), where ``lower`` gives each vertex's previous-twin bit
-    (``_twin_before``).
+    lower, reject, ties), where ``lower`` gives each vertex's previous-twin
+    bit (``_twin_before``) and ``reject`` and ``ties`` are ``_sweep``'s.
 
     levels[j] lists every state the search evaluates at level alpha+j as
-    (key, cells, live, up, v): its key and live mask in the children's
+    (key, cells, live, path): its key and live mask in the children's
     packing, blocks of m+1 bits, where the new vertex's block m stays zero;
-    and the index ``up`` in levels[j-1] of the state that placing ``v``
-    grew it from (None at level alpha). The last list holds the leaves,
-    where every vertex is placed. owns[j] is the own column at level
-    alpha+j, and ``below`` lists the independent sets of alpha-1 vertices
-    whose twins come in index order, which a child's sets with the new
-    vertex grow from.
+    and the tail vertices placed to reach it, in order. The last list holds
+    the leaves, where every vertex is placed. owns[j] is the own column at
+    level alpha+j, and ``below`` lists the independent sets of alpha-1
+    vertices whose twins come in index order, which a child's sets with the
+    new vertex grow from.
 
     It is the full search with two differences (see ``enumerate_graphs``):
     no two states merge by key and no orbit prunes a holder; and a state
@@ -887,14 +891,14 @@ def _trace(adj, lower) -> tuple:
     _, top, every, others = _tables(n)
     spread = _spreads(adj + (0,))
     # the order-0 graph's one set is empty, and an empty cell reads nothing
-    level = [(s << top, (s,) if s else (), every, None, None) for s in sets]
+    level = [(s << top, (s,) if s else (), every, ()) for s in sets]
     levels = [level]
     owns = []
     for k in range(alpha, m):
         own = _column(adj[k], range(k))
         owns.append(own)
         nxt = []
-        for i, (key, cells, live, _, _) in enumerate(level):
+        for key, cells, live, path in level:
             placed = key >> top
             col, hold, splits = _read(adj, key, cells, (1 << m) - 1 & ~placed, n, k - alpha)
             steps += len(cells)
@@ -910,12 +914,79 @@ def _trace(adj, lower) -> tuple:
                 steps += 1
                 live2 = live & others[v]
                 nxt.append((((shifted | spread[v]) & live2) | ((placed | low) << top),
-                            _split(cells, splits, adj[v]) if splits else cells, live2, i, v))
+                            _split(cells, splits, adj[v]) if splits else cells, live2, path + (v,)))
             if steps > LABEL_CAP:
                 raise _over_cap(m)
         level = nxt
         levels.append(level)
-    return alpha, levels, owns, below, lower
+    return (alpha, levels, owns, below, lower) + _sweep(m, alpha, levels, owns, steps)
+
+
+@lru_cache(maxsize=None)
+def _holders(m: int) -> tuple[int, ...]:
+    """has[v] for the 2^m columns x of a child of an order-m parent: the set
+    of columns whose mask holds v (bit m-1-v of x), as a bitset over x."""
+    return tuple(sum(1 << x for x in range(1 << m) if x >> (m - 1 - v) & 1) for v in range(m))
+
+
+@lru_cache(maxsize=None)
+def _cell_bits(m: int, cell: int) -> tuple[int, ...]:
+    """A cell's bits in the new vertex's column, top first, as bitsets over
+    the 2^m columns: a mask that meets the cell in t of its s vertices reads
+    s-t zeros then t ones, so bit d is the set of masks that meet it in at
+    least s-d vertices (``_holders`` alone for a singleton)."""
+    has = _holders(m)
+    ge = [(1 << (1 << m)) - 1]  # ge[t]: the masks that meet the cell in at least t vertices
+    for u in _bits_to_tuple(cell):
+        ge = [ge[0]] + [a | b & has[u] for a, b in zip(ge[1:], ge)] + [ge[-1] & has[u]]
+    return tuple(ge[:0:-1])
+
+
+def _sweep(m: int, alpha: int, levels, owns, steps: int) -> tuple[int, list[dict[int, list[int]]]]:
+    """Every child's new vertex w read at every traced state of its order-m
+    parent at once, as bitsets over the 2^m columns: (reject, ties).
+    ``reject`` is the set of columns where w reads below the own column at
+    some traced state, and ties[j] maps each other column to the indices in
+    levels[j] of the states where w ties it (none at the leaves).
+
+    w's column at a state is fixed by its mask: the cells' bits
+    (``_cell_bits``), then each tail bit, the set of masks that hold the
+    vertex placed there. The own column is the parent's below the leaves
+    and the child's own at them, whose bit q is the set of masks that hold
+    q. Each state compares bit by bit, top first, and stops once no column
+    is undecided; the columns already rejected start decided. Each state
+    and each bit compared count against LABEL_CAP, from ``steps``.
+    """
+    has = _holders(m)
+    every = (1 << (1 << m)) - 1
+    reject = 0
+    tied = []  # (j, i, the columns that tie at levels[j][i])
+    for j, level in enumerate(levels):
+        k = alpha + j
+        # the own column's bits, top first
+        ones = has if k == m else [every if owns[j] >> p & 1 else 0 for p in range(k - 1, -1, -1)]
+        for i, (_, cells, _, path) in enumerate(level):
+            steps += 1
+            undecided = every ^ reject
+            for b, o in zip(chain(*[_cell_bits(m, c) for c in cells], [has[v] for v in path]), ones):
+                steps += 1
+                differ = undecided & (o ^ b)
+                reject |= differ & o  # w reads 0 where the own column reads 1
+                undecided ^= differ
+                if not undecided:
+                    break
+            if undecided and k < m:
+                tied.append((j, i, undecided))
+            if steps > LABEL_CAP:
+                raise _over_cap(m)
+    ties = [{} for _ in levels]
+    for j, i, cols in tied:
+        cols &= ~reject
+        while cols:
+            low = cols & -cols
+            cols ^= low
+            ties[j].setdefault(low.bit_length() - 1, []).append(i)
+    return reject, ties
 
 
 def _walk(adj, col: int, trace) -> bool:
@@ -923,16 +994,17 @@ def _walk(adj, col: int, trace) -> bool:
     plus a new vertex m whose column, read in index order, is ``col``, is
     minimal; ``trace`` is the parent's ``_trace``.
 
-    Each traced state, with the new vertex's tail block carried down from
-    the state it grew from, reads the new vertex's column (``_read``). One
-    below the own column at its level proves a lower labeling; one equal
-    to it opens a branch, the state with the new vertex placed. The
-    branches, and the child's independent sets of alpha vertices that hold
-    the new vertex, run the search's level step on ``adj``, merged by key,
-    until one reads below its own column. The argument is in
-    ``enumerate_graphs``.
+    The traced states are decided for every column at once (``_sweep``):
+    the child is rejected if its column is in the reject set. Otherwise
+    each traced state where the new vertex ties the own column opens a
+    branch, the state with the new vertex placed. The branches, and the
+    child's independent sets of alpha vertices that hold the new vertex,
+    run the search's level step on ``adj``, merged by key, until one reads
+    below its own column. The argument is in ``enumerate_graphs``.
     """
-    alpha, levels, owns, below, lower = trace
+    alpha, levels, owns, below, lower, reject, ties = trace
+    if reject >> col & 1:
+        return False
     m = len(adj) - 1
     n = m + 1
     x = adj[m]
@@ -942,25 +1014,18 @@ def _walk(adj, col: int, trace) -> bool:
     spread = None  # the child's, once a branch needs it
     branch = {(s | new) << top: ((s | new,), every) for s in below if not s & x}
     steps = 0
-    tails = ()
-    for j, level in enumerate(levels):
+    for j, own in enumerate(owns + [col]):
         k = alpha + j
-        own = owns[j] if k < m else col
-        tails = [tails[up] << 1 | x >> v & 1 for _, _, _, up, v in level] if j else [0] * len(level)
         nxt = {}
-        for (key, cells, live, _, _), tail in zip(level, tails):
-            key |= tail << shift
-            got, _, splits = _read(adj, key, cells, new, n, j)
-            steps += len(cells)
-            if got < own:
-                return False
-            if got == own and k < m:
-                if spread is None:
-                    spread = _spreads(adj)
-                steps += 1
-                live2 = live & others[m]
-                nxt[(((key << 1) | spread[m]) & live2) | (((key >> top) | new) << top)] = (
-                    _split(cells, splits, x) if splits else cells, live2)
+        for i in ties[j].get(col, ()):
+            key, cells, live, path = levels[j][i]
+            key |= _column(x, path) << shift  # the new vertex's tail block
+            if spread is None:
+                spread = _spreads(adj)
+            steps += 1
+            live2 = live & others[m]
+            nxt[(((key << 1) | spread[m]) & live2) | (((key >> top) | new) << top)] = (
+                tuple(part for c in cells for part in (c & ~x, c & x) if part), live2)
         for key, (cells, live) in branch.items():
             placed = key >> top
             got, hold, splits = _read(adj, key, cells, full & ~placed, n, j)
@@ -1222,7 +1287,8 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     parents come in key order, a child's bits are its parent's bits
     followed by its column, and each parent tries its columns in ascending
     order, so every child of a lower parent comes before those of a higher
-    one, and a parent's children ascend.
+    one, and a parent's children ascend. So each child is yielded as it is
+    kept, and only the orders below n_max are held, as parents.
 
     Let c_k be the parent's column k (k bits, vertex 0 highest) and x the
     new vertex's column (m bits, vertex m-1 lowest). Placing the new vertex
@@ -1230,6 +1296,8 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     makes column k equal to x >> (m-k). So if x < c_k << (m-k) for some k,
     the child has a labeling below its own and is not kept: the columns x
     tried start at the maximum of c_k << (m-k), and none below it is built.
+    The columns tried are a bitset over the 2^m columns, less those the
+    twin skip below rules out.
 
     A mask that holds the previous twin t of a vertex v but not v itself is
     skipped unwalked. t comes before v, and swapping them is an
@@ -1240,27 +1308,30 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
 
     Every other child from the bound up is decided by a walk of its
     parent's search. The parent's own search runs once, at its first child
-    admitted, and keeps every state it evaluates (``_trace``). Each child
-    then reads only its new vertex w at those states and searches only the
-    states that place w (``_walk``); it is kept, with its own bits cached,
-    iff no state reads below the child's own column at its level. The root
-    is the one child of the order-0 graph. To order 7 that is 1,993 walks,
-    of which 741 reject, over 209 traces; a child is built as a ``Graph``
-    only once it is kept. Five conditions make the walk exact:
+    admitted, and keeps every state it evaluates (``_trace``). One pass
+    then reads the new vertex w at every traced state for all the columns
+    at once (``_sweep``), and each child searches only the states that
+    place w (``_walk``); it is kept, with its own bits cached, iff no state
+    reads below the child's own column at its level. The root is the one
+    child of the order-0 graph. To order 7 that is 1,993 walks, of which
+    741 reject (723 in the sweep's reject set), over 209 traces; a child is
+    built as a ``Graph`` only once it is kept, and yielded at once. Five
+    conditions make the walk exact:
 
     (a) Below the last level, a child's own column equals its parent's, and
         the parent's own labeling is minimal. So at a traced state the
-        child reads the smaller of the parent's column and w's, which the
-        walk reads off w's neighbours in each cell and w's tail block,
-        carried down the trace one bit per vertex placed. The child is
-        rejected iff w, or a branch that holds it, reads below the child's
-        own column.
+        child reads the smaller of the parent's column and w's. w's column
+        there is fixed by the mask: its count of neighbours in each cell
+        and its bits at the tail vertices placed, which the sweep reads
+        for every mask at once. The child is rejected iff w, at a traced
+        state or in a branch that holds it, reads below the child's own
+        column.
     (b) Two states that the parent's search merges by key can differ in
         w's block. So the trace keeps every state, and prunes no holder by
         an orbit: the parent's automorphisms need not be the child's.
     (c) A state that the parent's search drops, because its column is above
-        its own, builds no children, but it still opens a branch where w
-        ties that own column.
+        its own, builds no children, but the sweep reads it too, and it
+        opens a branch where w ties that own column.
     (d) The parent's twin filter serves every admitted child, because the
         twin skip admits only masks that hold a suffix of each parent twin
         class. Take any labeling that places a held later twin before an
@@ -1269,9 +1340,10 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
         bits fall. Two twins on one side of the mask are twins of the child.
         So some minimal labeling keeps the parent's twin order, and the
         trace and the branches keep it too, with w free.
-    (e) The last level is walked as well: the traced leaves, where w is the
-        only holder left, read w's column against the child's last own
-        column, the mask's.
+    (e) The last level is swept as well: at the traced leaves, where w is
+        the only holder left, w's column is compared with the child's last
+        own column, the mask's, whose bit q is the set of masks that hold
+        vertex q.
 
     The branches start where w ties at a traced state, and at the
     independent sets of alpha vertices that hold w: the parent's sets of
@@ -1282,7 +1354,7 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
     alpha, unless the parent is edgeless and the mask empty. A branch runs
     the search's level step on the child, merged by key. The trace and the
     walk count their states and the cells they read against LABEL_CAP as
-    the search does.
+    the search does, and the sweep its states and the bits it compares.
     """
     if n_max > ENUM_CAP:
         raise CapExceeded(f"n_max={n_max} exceeds enumeration cap {ENUM_CAP}")
@@ -1293,6 +1365,7 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
         # masks[x] is the mask whose column, read in index order, is x:
         # reversing m bits is its own inverse
         masks = [_column(x, range(m)) for x in range(1 << m)]
+        has = _holders(m)
         new = 1 << m
         for parent in level:
             rows = parent.adj
@@ -1300,12 +1373,16 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
             pbase = parent.canonical_bits << m
             bound = max((_column(row, range(k)) << (m - k) for k, row in enumerate(rows)), default=0)
             lower = _twin_before(rows)
-            twins = [(t, 1 << v) for v, t in enumerate(lower) if t]
+            todo = (1 << (1 << m)) - (1 << bound)  # the columns from the bound up
+            for v, t in enumerate(lower):
+                if t:  # the twin skip
+                    todo &= ~(has[t.bit_length() - 1] & ~has[v])
             trace = None
-            for col in range(bound, 1 << m):
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                col = low.bit_length() - 1
                 mask = masks[col]
-                if any(mask & t and not mask & v for t, v in twins):  # the twin skip
-                    continue
                 if trace is None:  # the parent's own search, once
                     trace = _trace(rows, lower)
                 adj = tuple(rows[v] | new if (mask >> v) & 1 else rows[v]
@@ -1313,8 +1390,9 @@ def enumerate_graphs(n_max: int) -> Iterator[Graph]:
                 if _walk(adj, col, trace):
                     child = _built(m + 1, adj)
                     child._bits = pbase | col
-                    nxt.append(child)
-        yield from nxt
+                    if m + 1 < n_max:  # the last order is yielded, not held
+                        nxt.append(child)
+                    yield child
         level = nxt
 
 

@@ -29,7 +29,9 @@ from polaritylab.graphs import (
     _independent_prefix,
     _mask_of,
     _min_bits,
+    _read,
     _spreads,
+    _sweep,
     _trace,
     _twin_before,
     _walk,
@@ -415,7 +417,7 @@ def test_children_start_from_their_parents_independent_sets(graphs_to_7):
             continue
         lower = _twin_before(parent.adj)
         trace = _trace(parent.adj, lower)
-        alpha, levels, _, below, _ = trace
+        alpha, levels, _, below, *_ = trace
         top = (m + 1) ** 2  # where the placed mask sits in a key of the children's packing
         sets = [key >> top for key, *_ in levels[0]]
         assert sorted(sets) == sorted(_independent_prefix(parent.adj, lower)[0]), parent
@@ -432,6 +434,95 @@ def test_children_start_from_their_parents_independent_sets(graphs_to_7):
                 assert _walk(adj, col, trace) == (not any(adj)), adj
 
 
+def _traced_reads(adj, col, trace):
+    """The sweep's oracle: the new vertex of one child read at every traced
+    state by a single-holder ``_read`` of its column, with its tail block
+    read off the tail vertices placed. (rejected, ties): whether some state
+    reads below its own column, and for each level the indices of the
+    states that tie it, none at the leaves."""
+    alpha, levels, owns, *_ = trace
+    m = len(adj) - 1
+    new, x = 1 << m, adj[m]
+    rejected, ties = False, []
+    for j, level in enumerate(levels):
+        k = alpha + j
+        own = owns[j] if k < m else col
+        tie = []
+        for i, (key, cells, _, path) in enumerate(level):
+            got = _read(adj, key | _column(x, path) << m * (m + 1), cells, new, m + 1, j)[0]
+            if got < own:
+                rejected = True
+            elif got == own and k < m:
+                tie.append(i)
+        ties.append(tie)
+    return rejected, ties
+
+
+def test_sweep_decides_every_column_as_the_per_child_reads_do(graphs_to_7):
+    # every column of every parent to order 7, the 11,291 children of
+    # orders 1 to 7: the sweep's reject set holds the column iff the
+    # per-child reads reject it, and for every column not rejected its ties
+    # at each level are the states where they tie. 9,605 columns reject;
+    # the 1,686 others tie 1,424 states in all
+    rejects = seeds = 0
+    for parent in [empty_graph(0)] + graphs_to_7:
+        m = parent.n
+        if m == 7:
+            continue
+        trace = _trace(parent.adj, _twin_before(parent.adj))
+        *_, reject, ties = trace
+        assert reject < 1 << (1 << m), parent
+        for col in range(1 << m):
+            rejected, tied = _traced_reads(_child(parent.adj, _column(col, range(m))), col, trace)
+            assert bool(reject >> col & 1) == rejected, (parent, col)
+            rejects += rejected
+            if not rejected:
+                assert [tie.get(col, []) for tie in ties] == tied, (parent, col)
+                seeds += sum(map(len, tied))
+    assert (rejects, seeds) == (9_605, 1_424)
+
+
+def test_trace_sweep_and_walk_stop_at_the_cap(monkeypatch):
+    # each part of a child's verdict counts its steps against LABEL_CAP and
+    # raises where it passes it: the parent's trace, the sweep over its
+    # columns and a child's branch search
+    parent = canonical_form(path_graph(6)).adj
+    lower = _twin_before(parent)
+    trace = _trace(parent, lower)
+    alpha, levels, owns, below, _, reject, ties = trace
+    monkeypatch.setattr(graphs_module, "LABEL_CAP", _independent_prefix(parent, lower)[2])
+    with pytest.raises(CapExceeded) as caught:
+        _trace(parent, lower)
+    assert caught.traceback[-1].name == "_trace"
+    monkeypatch.setattr(graphs_module, "LABEL_CAP", 0)
+    with pytest.raises(CapExceeded) as caught:
+        _sweep(6, alpha, levels, owns, 0)
+    assert caught.traceback[-1].name == "_sweep"
+    # a child that is not rejected and opens a branch
+    col = next(c for c in range(1 << 6) if not reject >> c & 1
+               and (any(c in tie for tie in ties) or any(not s & _column(c, range(6)) for s in below)))
+    with pytest.raises(CapExceeded) as caught:
+        _walk(_child(parent, _column(col, range(6))), col, trace)
+    assert caught.traceback[-1].name == "_walk"
+
+
+def test_enumeration_yields_the_last_order_as_it_walks(graphs_to_6, searches):
+    # the graphs of the last order are yielded as they are kept, not held
+    # until the order is done: the first comes out before the children of
+    # the last parent are walked
+    last = [g for g in graphs_to_6 if g.n == 5][-1]
+
+    def walked():  # the parents of the order-6 children walked so far
+        return {tuple(row & 31 for row in adj[:5]) for (adj, *_), _ in searches if len(adj) == 6}
+
+    stream = enumerate_graphs(6)
+    first = next(g for g in stream if g.n == 6)
+    assert first == next(g for g in graphs_to_6 if g.n == 6)
+    assert last.adj not in walked()
+    assert [first, *stream] == [g for g in graphs_to_6 if g.n == 6]
+    assert last.adj in walked()
+
+
 def test_children_searched_to_order_8_inherit_their_parents_twins(graphs_to_8, searches):
     # every child that enumerate_graphs(8) walks, the root included: its
     # mask holds a suffix of each twin class of its parent (the twin skip),
@@ -440,7 +531,7 @@ def test_children_searched_to_order_8_inherit_their_parents_twins(graphs_to_8, s
     # parent's vertices in the parent's twin order, which the trace keeps
     assert list(enumerate_graphs(8)) == graphs_to_8
     assert len(searches) == 21_974
-    for (adj, _col, (*_, lower)), _ in searches:
+    for (adj, _col, (_, _, _, _, lower, *_)), _ in searches:
         m = len(adj) - 1
         mask = adj[m]
         assert lower == _twin_before(tuple(row & ~(1 << m) for row in adj[:m])), adj
